@@ -15,6 +15,8 @@ from math import comb
 import numpy as np
 from scipy.stats import binom as _scipy_binom
 
+from .model import _check_int, _check_prob, _check_real, _require
+
 __all__ = [
     "TailBoundQuery",
     "RootResult",
@@ -37,26 +39,6 @@ _RESIDUAL_TOL = 1e-12
 DEGREE_MODEL_KINDS = ("binomial-approx", "exact-mixture")
 
 
-def _check_count(value: int, name: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
-def _check_prob(value: float, name: str, low_open: bool = False) -> float:
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if ok and not math.isnan(value):
-        if low_open:
-            ok = 0.0 < value <= 1.0
-        else:
-            ok = 0.0 <= value <= 1.0
-    else:
-        ok = False
-    if not ok:
-        window = "(0, 1]" if low_open else "[0, 1]"
-        raise ValueError(f"{name} must lie in {window}, got {value!r}")
-    return float(value)
-
-
 def q_exact(m: int, p: float) -> float:
     """Exact probability 1 - (1 - p^2)^m that two vertices share an object.
 
@@ -64,7 +46,7 @@ def q_exact(m: int, p: float) -> float:
     second-order sandwich holds as written even where it is mathematically
     tight; larger m goes through expm1/log1p for relative accuracy at small p.
     """
-    _check_count(m, "m")
+    _check_int(m, "m", 1)
     p = _check_prob(p, "p")
     s = p * p
     if m == 1:
@@ -78,14 +60,14 @@ def q_exact(m: int, p: float) -> float:
 
 def q_approx(m: int, p: float) -> float:
     """First-order edge probability m * p^2.  May exceed 1 for large m*p^2."""
-    _check_count(m, "m")
+    _check_int(m, "m", 1)
     p = _check_prob(p, "p")
     return m * (p * p)
 
 
 def zeta_bound(m: int, p: float) -> float:
     """Upper bound (m*(m-1)/2) * p^4 on the second-order remainder q_approx - q_exact."""
-    _check_count(m, "m")
+    _check_int(m, "m", 1)
     p = _check_prob(p, "p")
     s = p * p
     return 0.5 * m * (m - 1) * (s * s)
@@ -121,19 +103,13 @@ class TailBoundQuery:
     direction: str
 
     def __post_init__(self) -> None:
-        _check_count(self.trials, "trials")
+        _check_int(self.trials, "trials", 1)
         object.__setattr__(
             self, "success_prob", _check_prob(self.success_prob, "success_prob", low_open=True)
         )
-        cutoff = self.cutoff
-        if (
-            isinstance(cutoff, bool)
-            or not isinstance(cutoff, (int, float))
-            or not math.isfinite(cutoff)
-            or cutoff <= 0.0
-        ):
-            raise ValueError(f"cutoff must be a finite positive real, got {cutoff!r}")
-        object.__setattr__(self, "cutoff", float(cutoff))
+        cutoff = _check_real(self.cutoff, "cutoff")
+        _require(cutoff > 0.0, f"cutoff must be positive, got {cutoff!r}")
+        object.__setattr__(self, "cutoff", cutoff)
         if self.direction not in ("upper", "lower"):
             raise ValueError(f"direction must be 'upper' or 'lower', got {self.direction!r}")
         mean = self.trials * self.success_prob
@@ -170,10 +146,10 @@ def binom_tail_exact(trials: int, p: float, cutoff: int, direction: str) -> floa
     Sums pmf terms with math.fsum; each term uses the exact integer binomial
     coefficient, so the result is accurate to a few ulps even deep in a tail.
     """
-    _check_count(trials, "trials")
+    _check_int(trials, "trials", 1)
     p = _check_prob(p, "p")
-    if not isinstance(cutoff, int) or isinstance(cutoff, bool) or not 0 <= cutoff <= trials:
-        raise ValueError(f"cutoff must be an integer in [0, {trials}], got {cutoff!r}")
+    _check_int(cutoff, "cutoff", 0)
+    _require(cutoff <= trials, f"cutoff must be an integer in [0, {trials}], got {cutoff!r}")
     if direction == "upper":
         ks = range(cutoff, trials + 1)
     elif direction == "lower":
@@ -221,11 +197,8 @@ def solve_a(c: float, branch: str) -> RootResult:
     """
     if branch not in ("upper", "lower"):
         raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
-    if isinstance(c, bool) or not isinstance(c, (int, float)):
-        raise ValueError(f"c must be a finite real >= 0, got {c!r}")
-    c = float(c)
-    if not math.isfinite(c) or c < 0.0:
-        raise ValueError(f"c must be a finite real >= 0, got {c!r}")
+    c = _check_real(c, "c")
+    _require(c >= 0.0, f"c must be >= 0, got {c!r}")
     if branch == "lower" and c >= 1.0:
         raise ValueError(
             f"lower branch requires c < 1 (the envelope tends to 1 as a -> 0), got c={c}"
@@ -273,17 +246,20 @@ def solve_a(c: float, branch: str) -> RootResult:
 
 def threshold_p(alpha: float, m: int, n: int) -> float:
     """Probe curve p(alpha) = (m * n**alpha) ** -1/2."""
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not math.isfinite(alpha):
-        raise ValueError(f"alpha must be a finite real, got {alpha!r}")
-    _check_count(m, "m")
-    _check_count(n, "n")
-    return (m * float(n) ** alpha) ** -0.5
+    _check_real(alpha, "alpha")
+    _check_int(m, "m", 1)
+    _check_int(n, "n", 1)
+    try:
+        return (m * float(n) ** alpha) ** -0.5
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(
+            f"p(alpha) is outside the float range at alpha={alpha}, m={m}, n={n}"
+        ) from None
 
 
 def conditional_adjacency_prob(size: int, p: float) -> float:
     """P[another vertex touches a fixed set of `size` objects] = 1 - (1-p)^size."""
-    if not isinstance(size, int) or isinstance(size, bool) or size < 0:
-        raise ValueError(f"size must be an integer >= 0, got {size!r}")
+    _check_int(size, "size", 0)
     p = _check_prob(p, "p")
     if size == 0:
         return 0.0
@@ -316,8 +292,8 @@ def degree_pmf(n: int, m: int, p: float, kind: str) -> DegreeModel:
     independent with success probability 1 - (1-p)^s, so the mixture over s is
     the exact law.
     """
-    _check_count(n, "n")
-    _check_count(m, "m")
+    _check_int(n, "n", 1)
+    _check_int(m, "m", 1)
     p = _check_prob(p, "p")
     if kind not in DEGREE_MODEL_KINDS:
         raise ValueError(f"kind must be one of {DEGREE_MODEL_KINDS}, got {kind!r}")

@@ -9,8 +9,8 @@ projection, and the plain-text exchange formats.
 
 from __future__ import annotations
 
-import math
 import re
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -33,9 +33,49 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_FLOAT_MAX = sys.float_info.max
 _HEADER_RE = re.compile(
     r"^#\s*rig\s+n=(?P<n>\S+)\s+m=(?P<m>\S+)\s+p=(?P<p>\S+)\s+seed=(?P<seed>\S+)\s*$"
 )
+
+
+# The one set of validators for the package: each returns the checked value
+# and raises ValueError naming `name`, a parameter or a spec key path such as
+# points[0].p.
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ValueError(message)
+
+
+def _check_int(value, name: str, minimum: int | None = None) -> int:
+    """An int (not a bool), at least `minimum` when one is given."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _check_real(value, name: str) -> float:
+    """A finite int or float (not a bool), returned as a float."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not -_FLOAT_MAX <= value <= _FLOAT_MAX
+    ):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def _check_prob(value, name: str, low_open: bool = False) -> float:
+    """A real in [0, 1], or in (0, 1] when `low_open`, returned as a float."""
+    value = _check_real(value, name)
+    if not (0.0 < value <= 1.0 if low_open else 0.0 <= value <= 1.0):
+        window = "(0, 1]" if low_open else "[0, 1]"
+        raise ValueError(f"{name} must lie in {window}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -47,16 +87,9 @@ class ModelParams:
     p: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
-        p = self.p
-        if not isinstance(p, (int, float)) or isinstance(p, bool):
-            raise ValueError(f"p must be a real number in [0, 1], got {p!r}")
-        if math.isnan(p) or not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {p!r}")
-        object.__setattr__(self, "p", float(p))
+        _check_int(self.n, "n", 1)
+        _check_int(self.m, "m", 1)
+        object.__setattr__(self, "p", _check_prob(self.p, "p"))
 
 
 @dataclass(frozen=True)
@@ -94,8 +127,7 @@ class IntersectionGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        _check_int(self.n, "n", 1)
         for edge in self.edges:
             i, j = edge
             if not (0 <= i < j < self.n):

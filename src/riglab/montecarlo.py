@@ -13,7 +13,8 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .analytics import (
     zeta_bound,
 )
 from .model import ModelParams, is_connected, pair_adjacent, project, sample_assignment, vertex_substream
+from .model import _MASK64, _check_int, _check_prob, _check_real, _require
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -42,10 +44,6 @@ __all__ = [
     "wilson_interval",
     "normal_interval",
     "sample_degree",
-    "run_edge_prob",
-    "run_connectivity_sweep",
-    "run_degree_dist",
-    "run_degree_scaling",
     "run_experiment",
     "spec_hash",
     "render_csv",
@@ -58,7 +56,9 @@ EXPERIMENT_KINDS = ("edge-prob", "connectivity-sweep", "degree-dist", "degree-sc
 # 97.5% standard normal quantile, fixed so intervals never depend on library versions
 _Z95 = 1.959963984540054
 
-_MASK64 = (1 << 64) - 1
+# JSON keys of an explicit grid point, and of each m_rule kind ("kind" included)
+_POINT_KEYS = {"edge-prob": ("m", "p"), "degree-dist": ("n", "m", "p")}
+_M_RULE_KEYS = {"equal-n": ("kind",), "power": ("kind", "beta"), "fixed": ("kind", "m")}
 
 
 def derive_trial_seed(master_seed: int, grid_index: int, trial_index: int) -> int:
@@ -82,7 +82,10 @@ def resolve_m(m_rule: tuple, n: int) -> int:
     if kind == "equal-n":
         return n
     if kind == "power":
-        return max(1, math.floor(float(n) ** m_rule[1]))
+        try:
+            return max(1, math.floor(float(n) ** m_rule[1]))
+        except OverflowError:
+            raise ValueError(f"m_rule.beta={m_rule[1]} makes m overflow at n={n}") from None
     if kind == "fixed":
         return m_rule[1]
     raise ValueError(f"unknown m rule {m_rule!r}")
@@ -120,53 +123,13 @@ def normal_interval(mean: float, std_error: float) -> tuple[float, float]:
     return (mean - half, mean + half)
 
 
-def _proportion_std_error(successes: int, trials: int) -> float:
-    phat = successes / trials
-    return math.sqrt(phat * (1.0 - phat) / trials)
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
-
-
-def _as_int(value, name: str, minimum: int | None = None) -> int:
+def _unpack(entry, keys: tuple, where: str) -> tuple:
+    """Values of a JSON object that must have exactly `keys`, in that order."""
     _require(
-        isinstance(value, int) and not isinstance(value, bool),
-        f"{name} must be an integer, got {value!r}",
+        isinstance(entry, dict) and set(entry) == set(keys),
+        f"{where} must be an object with exactly keys {sorted(keys)}, got {entry!r}",
     )
-    if minimum is not None:
-        _require(value >= minimum, f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def _as_real(value, name: str) -> float:
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"{name} must be a real number, got {value!r}",
-    )
-    value = float(value)
-    _require(math.isfinite(value), f"{name} must be finite, got {value}")
-    return value
-
-
-def _parse_m_rule(raw) -> tuple:
-    if raw is None:
-        return ("equal-n",)
-    _require(isinstance(raw, dict), f"m_rule must be an object, got {raw!r}")
-    kind = raw.get("kind")
-    if kind == "equal-n":
-        _require(set(raw) == {"kind"}, f"m_rule equal-n takes no extra keys, got {raw!r}")
-        return ("equal-n",)
-    if kind == "power":
-        _require(set(raw) == {"kind", "beta"}, f"m_rule power needs exactly 'beta', got {raw!r}")
-        beta = _as_real(raw["beta"], "m_rule.beta")
-        _require(beta > 0.0, f"m_rule.beta must be > 0, got {beta}")
-        return ("power", beta)
-    if kind == "fixed":
-        _require(set(raw) == {"kind", "m"}, f"m_rule fixed needs exactly 'm', got {raw!r}")
-        return ("fixed", _as_int(raw["m"], "m_rule.m", minimum=1))
-    raise ValueError(f"m_rule.kind must be 'equal-n', 'power', or 'fixed', got {kind!r}")
+    return tuple(entry[key] for key in keys)
 
 
 @dataclass(frozen=True)
@@ -176,6 +139,8 @@ class ExperimentSpec:
     `points` carries explicit grid points for edge-prob ((m, p) pairs) and
     degree-dist ((n, m, p) triples); sweeps use the n_values x alphas product
     with m chosen by m_rule.  `c` is the rate constant for degree scaling.
+    This is the spec's only validation; errors name the key path, such as
+    points[1].p, and integer p, alpha, beta and c are stored as floats.
     """
 
     kind: str
@@ -189,31 +154,37 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         _require(self.kind in EXPERIMENT_KINDS, f"unknown experiment kind {self.kind!r}")
-        _as_int(self.trials, "trials", minimum=1)
-        _as_int(self.master_seed, "master_seed")
-        if self.kind in ("edge-prob", "degree-dist"):
+        _check_int(self.trials, "trials", 1)
+        _check_int(self.master_seed, "master_seed")
+        keys = _POINT_KEYS.get(self.kind)
+        if keys:
             _require(len(self.points) > 0, "empty parameter grid")
-            width = 2 if self.kind == "edge-prob" else 3
-            for point in self.points:
-                _require(
-                    len(point) == width, f"{self.kind} point must have {width} fields"
-                )
-                if width == 3:
-                    _as_int(point[0], "n", minimum=1)
-                _as_int(point[-2], "m", minimum=1)
-                p = _as_real(point[-1], "p")
-                _require(0.0 <= p <= 1.0, f"p must lie in [0, 1], got {p}")
+            points = []
+            for i, point in enumerate(self.points):
+                _require(len(point) == len(keys), f"{self.kind} point must have {len(keys)} fields")
+                for key, value in zip(keys[:-1], point):
+                    _check_int(value, f"points[{i}].{key}", 1)
+                points.append((*point[:-1], _check_prob(point[-1], f"points[{i}].p")))
+            object.__setattr__(self, "points", tuple(points))
         else:
             _require(len(self.n_values) > 0 and len(self.alphas) > 0, "empty parameter grid")
-            for n in self.n_values:
-                _as_int(n, "n", minimum=1)
-            for alpha in self.alphas:
-                _as_real(alpha, "alpha")
-            resolve_m(self.m_rule, 1)
+            for i, n in enumerate(self.n_values):
+                _check_int(n, f"n[{i}]", 1)
+            alphas = tuple(_check_real(a, f"alpha[{i}]") for i, a in enumerate(self.alphas))
+            object.__setattr__(self, "alphas", alphas)
+            rule = self.m_rule
+            if rule[0] == "power":
+                rule = ("power", _check_real(rule[1], "m_rule.beta"))
+                _require(rule[1] > 0.0, f"m_rule.beta must be > 0, got {rule[1]}")
+            elif rule[0] == "fixed":
+                rule = ("fixed", _check_int(rule[1], "m_rule.m", 1))
+            resolve_m(rule, 1)  # rejects an unknown kind
+            object.__setattr__(self, "m_rule", rule)
         if self.kind == "degree-scaling":
             _require(self.c is not None, "degree-scaling requires the rate constant c")
-            c = _as_real(self.c, "c")
+            c = _check_real(self.c, "c")
             _require(c > 0.0, f"c must be > 0, got {c}")
+            object.__setattr__(self, "c", c)
             for alpha in self.alphas:
                 _require(
                     0.0 < alpha < 1.0,
@@ -231,38 +202,28 @@ class ExperimentSpec:
         _require(kind in EXPERIMENT_KINDS, f"unknown experiment kind {kind!r}")
         seed = payload.get("master_seed", default_seed)
         _require(seed is not None, "master_seed is required")
-        kwargs = {
-            "kind": kind,
-            "trials": payload.get("trials"),
-            "master_seed": seed,
-        }
-        if kind in ("edge-prob", "degree-dist"):
+        kwargs = {"kind": kind, "trials": payload.get("trials"), "master_seed": seed}
+        keys = _POINT_KEYS.get(kind)
+        if keys:
             raw_points = payload.get("points")
             _require(isinstance(raw_points, list), f"{kind} spec needs a 'points' list")
-            points = []
-            for entry in raw_points:
-                _require(isinstance(entry, dict), f"grid point must be an object, got {entry!r}")
-                keys = {"m", "p"} if kind == "edge-prob" else {"n", "m", "p"}
-                _require(
-                    set(entry) == keys,
-                    f"grid point must have exactly keys {sorted(keys)}, got {sorted(entry)}",
-                )
-                if kind == "edge-prob":
-                    points.append((entry["m"], float(entry["p"])))
-                else:
-                    points.append((entry["n"], entry["m"], float(entry["p"])))
-            kwargs["points"] = tuple(points)
+            kwargs["points"] = tuple(
+                _unpack(entry, keys, f"points[{i}]") for i, entry in enumerate(raw_points)
+            )
         else:
-            raw_n = payload.get("n")
-            raw_alpha = payload.get("alpha")
-            _require(isinstance(raw_n, list), f"{kind} spec needs an 'n' list")
-            _require(isinstance(raw_alpha, list), f"{kind} spec needs an 'alpha' list")
-            kwargs["n_values"] = tuple(raw_n)
-            kwargs["alphas"] = tuple(float(a) for a in raw_alpha)
-            kwargs["m_rule"] = _parse_m_rule(payload.get("m_rule"))
+            for key in ("n", "alpha"):
+                _require(isinstance(payload.get(key), list), f"{kind} spec needs an '{key}' list")
+            kwargs.update(n_values=tuple(payload["n"]), alphas=tuple(payload["alpha"]))
+            rule = payload.get("m_rule")
+            rule = {"kind": "equal-n"} if rule is None else rule
+            rule_kind = rule.get("kind") if isinstance(rule, dict) else None
+            _require(
+                isinstance(rule_kind, str) and rule_kind in _M_RULE_KEYS,
+                f"m_rule must be an object of kind 'equal-n', 'power' or 'fixed', got {rule!r}",
+            )
+            kwargs["m_rule"] = _unpack(rule, _M_RULE_KEYS[rule_kind], "m_rule")
         if kind == "degree-scaling":
-            _require("c" in payload, "degree-scaling requires the rate constant c")
-            kwargs["c"] = float(payload["c"])
+            kwargs["c"] = payload.get("c")
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -271,19 +232,13 @@ class ExperimentSpec:
             "trials": self.trials,
             "master_seed": self.master_seed,
         }
-        if self.kind == "edge-prob":
-            out["points"] = [{"m": m, "p": p} for m, p in self.points]
-        elif self.kind == "degree-dist":
-            out["points"] = [{"n": n, "m": m, "p": p} for n, m, p in self.points]
+        keys = _POINT_KEYS.get(self.kind)
+        if keys:
+            out["points"] = [dict(zip(keys, point)) for point in self.points]
         else:
             out["n"] = list(self.n_values)
             out["alpha"] = list(self.alphas)
-            rule = {"kind": self.m_rule[0]}
-            if self.m_rule[0] == "power":
-                rule["beta"] = self.m_rule[1]
-            elif self.m_rule[0] == "fixed":
-                rule["m"] = self.m_rule[1]
-            out["m_rule"] = rule
+            out["m_rule"] = dict(zip(_M_RULE_KEYS[self.m_rule[0]], self.m_rule))
         if self.kind == "degree-scaling":
             out["c"] = self.c
         return out
@@ -297,9 +252,9 @@ class EstimateRecord:
     estimate: float
     std_error: float
     ci95: tuple[float, float]
+    extras: tuple[tuple[str, float | int], ...]
     trials: int
     master_seed: int
-    extras: tuple[tuple[str, float | int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -310,10 +265,10 @@ class DegreeDistRecord:
     m: int
     p: float
     trials: int
-    master_seed: int
-    empirical_pmf: tuple[float, ...]
     tv_exact_mixture: float
     tv_binomial_approx: float
+    master_seed: int
+    empirical_pmf: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -332,115 +287,25 @@ class DegreeScalingRecord:
     c: float
     p: float
     trials: int
-    master_seed: int
     ratio_mean: float
     ratio_min: float
-    ratio_max: float
     ratio_q25: float
     ratio_median: float
     ratio_q75: float
+    ratio_max: float
     a_lower: float
     a_upper: float
     exceed_lower_freq: float
     exceed_upper_freq: float
     chernoff_lower: float
     chernoff_upper: float
+    master_seed: int
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
     spec: ExperimentSpec
     records: tuple
-
-
-def _map(map_fn, func, seeds):
-    runner = map if map_fn is None else map_fn
-    return list(runner(func, seeds))
-
-
-def _trial_seeds(spec: ExperimentSpec, grid_index: int) -> list[int]:
-    return [
-        derive_trial_seed(spec.master_seed, grid_index, t) for t in range(spec.trials)
-    ]
-
-
-def run_edge_prob(spec: ExperimentSpec, map_fn=None) -> list[EstimateRecord]:
-    """Estimate adjacency probability for two vertices at each (m, p) point.
-
-    Each trial draws a fresh two-vertex attachment and tests whether the
-    pair shares an object; the record carries q_exact, q_approx and the
-    remainder bound for comparison.
-    """
-    _require(spec.kind == "edge-prob", f"spec kind is {spec.kind!r}, not edge-prob")
-    records = []
-    for grid_index, (m, p) in enumerate(spec.points):
-        params = ModelParams(n=2, m=m, p=p)
-
-        def one_trial(seed: int, params=params) -> bool:
-            return pair_adjacent(sample_assignment(params, seed), 0, 1)
-
-        hits = _map(map_fn, one_trial, _trial_seeds(spec, grid_index))
-        successes = int(sum(hits))
-        estimate = successes / spec.trials
-        exact = q_exact(m, p)
-        records.append(
-            EstimateRecord(
-                grid_point=(("m", m), ("p", p)),
-                estimate=estimate,
-                std_error=_proportion_std_error(successes, spec.trials),
-                ci95=wilson_interval(successes, spec.trials),
-                trials=spec.trials,
-                master_seed=spec.master_seed,
-                extras=(
-                    ("q_exact", exact),
-                    ("q_approx", q_approx(m, p)),
-                    ("zeta_bound", zeta_bound(m, p)),
-                    ("abs_error", abs(estimate - exact)),
-                ),
-            )
-        )
-    return records
-
-
-def run_connectivity_sweep(spec: ExperimentSpec, map_fn=None) -> list[EstimateRecord]:
-    """Estimate the probability of a connected sample along the p(alpha) curve.
-
-    The analytic pairwise adjacency probability and the reference value
-    n**(-alpha/2) ride along in the extras so the pairwise story can be read
-    off the same report as the connectivity story.
-    """
-    _require(
-        spec.kind == "connectivity-sweep", f"spec kind is {spec.kind!r}, not connectivity-sweep"
-    )
-    records = []
-    grid = [(n, alpha) for n in spec.n_values for alpha in spec.alphas]
-    for grid_index, (n, alpha) in enumerate(grid):
-        m = resolve_m(spec.m_rule, n)
-        p = threshold_p(alpha, m, n)
-        params = ModelParams(n=n, m=m, p=p)
-
-        def one_trial(seed: int, params=params) -> bool:
-            return is_connected(project(sample_assignment(params, seed)))
-
-        flags = _map(map_fn, one_trial, _trial_seeds(spec, grid_index))
-        successes = int(sum(flags))
-        records.append(
-            EstimateRecord(
-                grid_point=(("n", n), ("alpha", alpha)),
-                estimate=successes / spec.trials,
-                std_error=_proportion_std_error(successes, spec.trials),
-                ci95=wilson_interval(successes, spec.trials),
-                trials=spec.trials,
-                master_seed=spec.master_seed,
-                extras=(
-                    ("m", m),
-                    ("p", p),
-                    ("q_exact", q_exact(m, p)),
-                    ("pair_bound", float(n) ** (-alpha / 2.0)),
-                ),
-            )
-        )
-    return records
 
 
 def sample_degree(n: int, m: int, p: float, seed: int) -> int:
@@ -462,99 +327,119 @@ def sample_degree(n: int, m: int, p: float, seed: int) -> int:
     return int(np.count_nonzero(u < share))
 
 
-def run_degree_dist(spec: ExperimentSpec, map_fn=None) -> list[DegreeDistRecord]:
-    """Compare the sampled degree law of vertex 0 against both analytic models."""
-    _require(spec.kind == "degree-dist", f"spec kind is {spec.kind!r}, not degree-dist")
-    records = []
-    for grid_index, (n, m, p) in enumerate(spec.points):
-
-        def one_trial(seed: int, n=n, m=m, p=p) -> int:
-            return sample_degree(n, m, p, seed)
-
-        degrees = _map(map_fn, one_trial, _trial_seeds(spec, grid_index))
-        counts = np.bincount(np.asarray(degrees, dtype=np.int64), minlength=n)
-        empirical = counts / spec.trials
-        mixture = degree_pmf(n, m, p, "exact-mixture").pmf
-        binomial = degree_pmf(n, m, p, "binomial-approx").pmf
-        records.append(
-            DegreeDistRecord(
-                n=n,
-                m=m,
-                p=p,
-                trials=spec.trials,
-                master_seed=spec.master_seed,
-                empirical_pmf=tuple(float(x) for x in empirical),
-                tv_exact_mixture=total_variation(empirical, mixture),
-                tv_binomial_approx=total_variation(empirical, binomial),
-            )
-        )
-    return records
+def _listed_grid(spec: ExperimentSpec) -> list[tuple]:
+    if spec.kind == "edge-prob":  # (m, p) points of a two-vertex graph
+        return [(ModelParams(2, m, p),) for m, p in spec.points]
+    return [(ModelParams(n, m, p),) for n, m, p in spec.points]
 
 
-def run_degree_scaling(spec: ExperimentSpec, map_fn=None) -> list[DegreeScalingRecord]:
-    """Summarize X / n**delta against the envelope roots at each (n, alpha) point.
+def _sweep_grid(spec: ExperimentSpec) -> list[tuple]:
+    points = []
+    for n in spec.n_values:
+        m = resolve_m(spec.m_rule, n)
+        for j, alpha in enumerate(spec.alphas):
+            p = threshold_p(alpha, m, n)
+            _require(p <= 1.0, f"alpha[{j}]={alpha} gives p={p} > 1 at n={n}, m={m}")
+            points.append((ModelParams(n, m, p), alpha))
+    return points
+
+
+def _scaling_grid(spec: ExperimentSpec) -> list[tuple]:
+    envelope = (solve_a(spec.c, "lower").a, solve_a(spec.c, "upper").a)
+    return [point + envelope for point in _sweep_grid(spec)]
+
+
+def _pair_trial(params: ModelParams, seed: int) -> bool:
+    return pair_adjacent(sample_assignment(params, seed), 0, 1)
+
+
+def _connected_trial(params: ModelParams, seed: int) -> bool:
+    return is_connected(project(sample_assignment(params, seed)))
+
+
+def _degree_trial(params: ModelParams, seed: int) -> int:
+    return sample_degree(params.n, params.m, params.p, seed)
+
+
+def _estimate_record(spec, grid_point, successes: int, extras) -> EstimateRecord:
+    phat = successes / spec.trials
+    std_error = math.sqrt(phat * (1.0 - phat) / spec.trials)
+    ci95 = wilson_interval(successes, spec.trials)
+    return EstimateRecord(grid_point, phat, std_error, ci95, extras, spec.trials, spec.master_seed)
+
+
+def _edge_record(spec, point, hits) -> EstimateRecord:
+    """Two-vertex adjacency against q_exact, q_approx and the remainder bound."""
+    m, p = point[0].m, point[0].p
+    successes = int(sum(hits))
+    exact = q_exact(m, p)
+    extras = (("q_exact", exact), ("q_approx", q_approx(m, p)), ("zeta_bound", zeta_bound(m, p)),
+              ("abs_error", abs(successes / spec.trials - exact)))
+    return _estimate_record(spec, (("m", m), ("p", p)), successes, extras)
+
+
+def _connectivity_record(spec, point, flags) -> EstimateRecord:
+    """Connected samples along p(alpha), with the pairwise adjacency story alongside."""
+    params, alpha = point
+    n, m, p = params.n, params.m, params.p
+    pair_bound = float(n) ** (-alpha / 2.0)
+    extras = (("m", m), ("p", p), ("q_exact", q_exact(m, p)), ("pair_bound", pair_bound))
+    return _estimate_record(spec, (("n", n), ("alpha", alpha)), int(sum(flags)), extras)
+
+
+def _dist_record(spec, point, degrees) -> DegreeDistRecord:
+    """The sampled degree law of vertex 0 against both analytic models."""
+    n, m, p = point[0].n, point[0].m, point[0].p
+    empirical = np.bincount(np.asarray(degrees, dtype=np.int64), minlength=n) / spec.trials
+    tv_mixture = total_variation(empirical, degree_pmf(n, m, p, "exact-mixture").pmf)
+    tv_binomial = total_variation(empirical, degree_pmf(n, m, p, "binomial-approx").pmf)
+    pmf = tuple(float(x) for x in empirical)
+    return DegreeDistRecord(n, m, p, spec.trials, tv_mixture, tv_binomial, spec.master_seed, pmf)
+
+
+def _scaling_record(spec, point, degrees) -> DegreeScalingRecord:
+    """X / n**delta against the envelope roots at one (n, alpha) point.
 
     A finite-sample proxy: the asymptotic statements speak of limsup and
     liminf along n, while each record reports one n with exceedance
     frequencies and the reference decay exp(-c * n**delta) for context.
     """
-    _require(
-        spec.kind == "degree-scaling", f"spec kind is {spec.kind!r}, not degree-scaling"
+    params, alpha, a_lower, a_upper = point
+    delta = 1.0 - alpha
+    scale = float(params.n) ** delta
+    degrees = np.asarray(degrees, dtype=np.int64)
+    ratios = np.sort(degrees) / scale
+    ratio_mean = float(int(degrees.sum()) / spec.trials / scale)
+    quartiles = (float(np.quantile(ratios, q)) for q in (0.25, 0.5, 0.75))
+    exceed_lower = float(np.count_nonzero(ratios <= a_lower) / spec.trials)
+    exceed_upper = float(np.count_nonzero(ratios >= a_upper) / spec.trials)
+    chernoff = math.exp(-spec.c * scale)
+    return DegreeScalingRecord(
+        params.n, params.m, alpha, delta, spec.c, params.p, spec.trials,
+        ratio_mean, float(ratios[0]), *quartiles, float(ratios[-1]),
+        a_lower, a_upper, exceed_lower, exceed_upper, chernoff, chernoff, spec.master_seed,
     )
-    records = []
-    a_lower = solve_a(spec.c, "lower").a
-    a_upper = solve_a(spec.c, "upper").a
-    grid = [(n, alpha) for n in spec.n_values for alpha in spec.alphas]
-    for grid_index, (n, alpha) in enumerate(grid):
-        m = resolve_m(spec.m_rule, n)
-        p = threshold_p(alpha, m, n)
-        delta = 1.0 - alpha
-        scale = float(n) ** delta
-
-        def one_trial(seed: int, n=n, m=m, p=p) -> int:
-            return sample_degree(n, m, p, seed)
-
-        degrees = np.asarray(_map(map_fn, one_trial, _trial_seeds(spec, grid_index)), dtype=np.int64)
-        ratios = np.sort(degrees) / scale
-        chernoff = math.exp(-spec.c * scale)
-        records.append(
-            DegreeScalingRecord(
-                n=n,
-                m=m,
-                alpha=alpha,
-                delta=delta,
-                c=spec.c,
-                p=p,
-                trials=spec.trials,
-                master_seed=spec.master_seed,
-                ratio_mean=float(int(degrees.sum()) / spec.trials / scale),
-                ratio_min=float(ratios[0]),
-                ratio_max=float(ratios[-1]),
-                ratio_q25=float(np.quantile(ratios, 0.25)),
-                ratio_median=float(np.quantile(ratios, 0.5)),
-                ratio_q75=float(np.quantile(ratios, 0.75)),
-                a_lower=a_lower,
-                a_upper=a_upper,
-                exceed_lower_freq=float(np.count_nonzero(ratios <= a_lower) / spec.trials),
-                exceed_upper_freq=float(np.count_nonzero(ratios >= a_upper) / spec.trials),
-                chernoff_lower=chernoff,
-                chernoff_upper=chernoff,
-            )
-        )
-    return records
 
 
-_RUNNERS = {
-    "edge-prob": run_edge_prob,
-    "connectivity-sweep": run_connectivity_sweep,
-    "degree-dist": run_degree_dist,
-    "degree-scaling": run_degree_scaling,
+_KINDS = {
+    "edge-prob": (_listed_grid, _pair_trial, _edge_record),
+    "connectivity-sweep": (_sweep_grid, _connected_trial, _connectivity_record),
+    "degree-dist": (_listed_grid, _degree_trial, _dist_record),
+    "degree-scaling": (_scaling_grid, _degree_trial, _scaling_record),
 }
 
 
-def run_experiment(spec: ExperimentSpec, map_fn=None) -> ExperimentResult:
-    """Run whichever experiment the spec describes."""
-    records = _RUNNERS[spec.kind](spec, map_fn=map_fn)
+def run_experiment(spec: ExperimentSpec, map_fn=map) -> ExperimentResult:
+    """Run the spec through its _KINDS row: (grid enumerator, trial, aggregator).
+
+    Every grid point, (ModelParams, *labels), is resolved before any trial
+    runs.  `map_fn` must keep seed order, as ThreadPoolExecutor.map does.
+    """
+    grid, trial, aggregate = _KINDS[spec.kind]
+    records = []
+    for grid_index, point in enumerate(grid(spec)):
+        seeds = [derive_trial_seed(spec.master_seed, grid_index, t) for t in range(spec.trials)]
+        records.append(aggregate(spec, point, list(map_fn(partial(trial, point[0]), seeds))))
     return ExperimentResult(spec=spec, records=tuple(records))
 
 
@@ -564,98 +449,33 @@ def spec_hash(spec: ExperimentSpec) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        raise TypeError("boolean has no CSV representation here")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        # shortest round-trip representation
-        return repr(value)
-    raise TypeError(f"unexpected cell type {type(value)!r}")
-
-
-_ESTIMATE_COLUMNS = ("estimate", "std_error", "ci_low", "ci_high", "trials", "master_seed")
-
-_SCALING_COLUMNS = (
-    "n", "m", "alpha", "delta", "c", "p", "trials",
-    "ratio_mean", "ratio_min", "ratio_q25", "ratio_median", "ratio_q75", "ratio_max",
-    "a_lower", "a_upper",
-    "exceed_lower_freq", "exceed_upper_freq",
-    "chernoff_lower", "chernoff_upper",
-    "master_seed",
-)
-
-_DIST_COLUMNS = ("n", "m", "p", "trials", "tv_exact_mixture", "tv_binomial_approx", "master_seed")
-
-
-def _estimate_rows(records) -> tuple[list[str], list[list[str]]]:
-    first = records[0]
-    grid_names = [name for name, _ in first.grid_point]
-    extra_names = [name for name, _ in first.extras]
-    header = grid_names + list(_ESTIMATE_COLUMNS[:4]) + extra_names + ["trials", "master_seed"]
-    rows = []
-    for rec in records:
-        cells = [value for _, value in rec.grid_point]
-        cells += [rec.estimate, rec.std_error, rec.ci95[0], rec.ci95[1]]
-        cells += [value for _, value in rec.extras]
-        cells += [rec.trials, rec.master_seed]
-        rows.append([_cell(v) for v in cells])
-    return header, rows
-
-
-def _scaling_rows(records) -> tuple[list[str], list[list[str]]]:
-    rows = []
-    for rec in records:
-        rows.append([_cell(getattr(rec, name)) for name in _SCALING_COLUMNS])
-    return list(_SCALING_COLUMNS), rows
-
-
-def _dist_rows(records) -> tuple[list[str], list[list[str]]]:
-    rows = []
-    for rec in records:
-        rows.append([_cell(getattr(rec, name)) for name in _DIST_COLUMNS])
-    return list(_DIST_COLUMNS), rows
+def _flatten(record) -> list[tuple[str, object]]:
+    """(name, value) entries in field (column) order; grid_point, ci95, extras expand in place."""
+    entries = []
+    for field in fields(record):
+        value = getattr(record, field.name)
+        if field.name == "ci95":
+            entries += [("ci_low", value[0]), ("ci_high", value[1])]
+        elif field.name in ("grid_point", "extras"):
+            entries += value
+        else:
+            entries.append((field.name, value))
+    return entries
 
 
 def render_csv(result: ExperimentResult) -> str:
     """Fixed-column CSV with provenance comment lines, stable across reruns."""
     spec = result.spec
-    if spec.kind in ("edge-prob", "connectivity-sweep"):
-        header, rows = _estimate_rows(result.records)
-    elif spec.kind == "degree-dist":
-        header, rows = _dist_rows(result.records)
-    else:
-        header, rows = _scaling_rows(result.records)
+    # cells are ints and floats, written by repr (the shortest round trip);
+    # empirical_pmf, the one tuple entry, stays out of the CSV
+    rows = [[(k, v) for k, v in _flatten(r) if not isinstance(v, tuple)] for r in result.records]
     lines = [
         f"# riglab {__version__}",
         f"# kind={spec.kind} master_seed={spec.master_seed} spec_sha256={spec_hash(spec)}",
-        ",".join(header),
+        ",".join(name for name, _ in rows[0]),
     ]
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(",".join(repr(value) for _, value in row) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def _record_dict(record) -> dict:
-    if isinstance(record, EstimateRecord):
-        out = dict(record.grid_point)
-        out.update(
-            estimate=record.estimate,
-            std_error=record.std_error,
-            ci_low=record.ci95[0],
-            ci_high=record.ci95[1],
-            trials=record.trials,
-            master_seed=record.master_seed,
-        )
-        out.update(dict(record.extras))
-        return out
-    if isinstance(record, DegreeDistRecord):
-        out = {name: getattr(record, name) for name in _DIST_COLUMNS}
-        out["empirical_pmf"] = list(record.empirical_pmf)
-        return out
-    if isinstance(record, DegreeScalingRecord):
-        return {name: getattr(record, name) for name in _SCALING_COLUMNS}
-    raise TypeError(f"unexpected record type {type(record)!r}")
 
 
 def render_summary_json(result: ExperimentResult) -> str:
@@ -667,7 +487,7 @@ def render_summary_json(result: ExperimentResult) -> str:
         "master_seed": result.spec.master_seed,
         "spec": result.spec.to_dict(),
         "spec_sha256": spec_hash(result.spec),
-        "records": [_record_dict(rec) for rec in result.records],
+        "records": [dict(_flatten(rec)) for rec in result.records],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 

@@ -26,9 +26,6 @@ from riglab import (
     rate_H,
     render_csv,
     render_summary_json,
-    run_degree_dist,
-    run_degree_scaling,
-    run_edge_prob,
     run_experiment,
     solve_a,
     tail_bound,
@@ -69,7 +66,7 @@ def test_edge_probability_oracle(capsys):
             kind="edge-prob", trials=100_000, master_seed=MASTER, points=((m, p),)
         )
         start = time.perf_counter()
-        (rec,) = run_edge_prob(spec)
+        (rec,) = run_experiment(spec).records
         elapsed = time.perf_counter() - start
         exact = q_exact(m, p)
         se = math.sqrt(exact * (1.0 - exact) / rec.trials)
@@ -178,7 +175,7 @@ def test_degree_law_oracle(capsys):
     spec = ExperimentSpec(
         kind="degree-dist", trials=100_000, master_seed=MASTER, points=((4, 2, 0.5),)
     )
-    (rec,) = run_degree_dist(spec)
+    (rec,) = run_experiment(spec).records
     elapsed = time.perf_counter() - start
     ok = enum_err <= 1e-9 and rec.tv_exact_mixture < 0.01 and elapsed < 30.0
     _report(
@@ -237,7 +234,7 @@ def test_degree_scaling_envelope(capsys):
         n_values=(10_000,), alphas=(0.5,), c=0.5,
     )
     start = time.perf_counter()
-    (rec,) = run_degree_scaling(spec)
+    (rec,) = run_experiment(spec).records
     elapsed = time.perf_counter() - start
     freq = rec.exceed_upper_freq
     se = math.sqrt(freq * (1.0 - freq) / rec.trials)

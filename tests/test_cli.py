@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import riglab.montecarlo
 from riglab import (
     ModelParams,
     parse_edgelist,
@@ -315,6 +321,135 @@ def test_malformed_spec_json_exit_2(tmp_path, capsys):
         ["sweep", "--spec", str(path), "--out", str(tmp_path / "x")], capsys
     )
     assert code == 2
+
+
+_SUBCOMMAND = {
+    "edge-prob": "sweep",
+    "connectivity-sweep": "sweep",
+    "degree-dist": "degree-dist",
+    "degree-scaling": "degree-scaling",
+}
+
+
+@pytest.mark.parametrize(
+    ("fields", "key_path"),
+    [
+        ({"kind": "edge-prob", "points": [{"m": 2, "p": None}]}, "points[0].p"),
+        ({"kind": "edge-prob", "points": [{"m": 2, "p": "0.5"}]}, "points[0].p"),
+        ({"kind": "edge-prob", "points": [{"m": 2, "p": 0.5}, {"m": 2, "p": 2}]}, "points[1].p"),
+        ({"kind": "degree-dist", "points": [{"n": 4, "m": "2", "p": 0.5}]}, "points[0].m"),
+        ({"kind": "connectivity-sweep", "n": [4], "alpha": [None]}, "alpha[0]"),
+        ({"kind": "connectivity-sweep", "n": [4, 2.5], "alpha": [1.0]}, "n[1]"),
+        ({"kind": "connectivity-sweep", "n": [10], "alpha": [1.0],
+          "m_rule": {"kind": "power", "beta": 1e300}}, "m_rule.beta"),
+        ({"kind": "connectivity-sweep", "n": [10], "alpha": [1.0],
+          "m_rule": {"kind": "fixed", "m": "3"}}, "m_rule.m"),
+        ({"kind": "degree-scaling", "n": [10], "alpha": [0.5], "c": "x"}, "c"),
+        ({"kind": "degree-scaling", "n": [10], "alpha": [0.5], "c": None}, "c"),
+    ],
+)
+def test_malformed_spec_value_exit_2(fields, key_path, tmp_path, capsys):
+    payload = {"trials": 3, "master_seed": 0, **fields}
+    spec_path = _write_spec(tmp_path, payload)
+    out = tmp_path / "x"
+    code, _, err = run_cli(
+        [_SUBCOMMAND[payload["kind"]], "--spec", spec_path, "--out", str(out)], capsys
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+    assert key_path in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_bad_grid_point_rejected_before_sampling(tmp_path, monkeypatch, capsys):
+    # alpha = -3 at n = 4 puts p = 4 on the curve; the first point is valid
+    calls = []
+    original = riglab.montecarlo.sample_assignment
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(riglab.montecarlo, "sample_assignment", counting)
+    spec_path = _write_spec(
+        tmp_path,
+        {"kind": "connectivity-sweep", "trials": 3, "master_seed": 0,
+         "n": [4, 10], "alpha": [1.0, -3.0]},
+    )
+    code, _, err = run_cli(
+        ["sweep", "--spec", spec_path, "--out", str(tmp_path / "x")], capsys
+    )
+    assert code == 2
+    assert "alpha[1]" in err
+    assert not list(tmp_path.glob("*.csv"))
+    assert calls == []
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, 10**30, -1, 0, 2.5, "0.5"]),
+)
+
+
+@st.composite
+def _cli_runs(draw):
+    """(subcommand, spec JSON) near the valid set, with sizes kept small.
+
+    Each value is junk one time in ten, one spec in ten lacks a key, and the
+    subcommand matches the kind nine times in ten.
+    """
+
+    def value(valid):
+        return draw(_JUNK) if draw(st.integers(0, 9)) == 0 else draw(valid)
+
+    count = st.integers(min_value=1, max_value=8)
+    prob = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from([0, 1, 1.5, -0.25])
+    kind = draw(st.sampled_from(sorted(_SUBCOMMAND)))
+    commands = sorted(set(_SUBCOMMAND.values()))
+    command = _SUBCOMMAND[kind] if draw(st.integers(0, 9)) else draw(st.sampled_from(commands))
+    payload = {"kind": value(st.just(kind)), "trials": value(st.integers(1, 3)),
+               "master_seed": value(st.integers(0, 2**70))}
+    if kind in ("edge-prob", "degree-dist"):
+        keys = ("m", "p") if kind == "edge-prob" else ("n", "m", "p")
+        payload["points"] = [
+            {key: value(prob if key == "p" else count) for key in keys}
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+    else:
+        scaling = kind == "degree-scaling"
+        alpha = st.floats(0.01, 0.99) if scaling else st.floats(-60.0, 60.0) | st.integers(-2, 4)
+        payload["n"] = [value(count) for _ in range(draw(st.integers(1, 3)))]
+        payload["alpha"] = [value(alpha) for _ in range(draw(st.integers(1, 3)))]
+        # beta <= 1 keeps m = floor(n ** beta) <= 8
+        rule = {"kind": draw(st.sampled_from(["equal-n", "power", "fixed"]))}
+        if rule["kind"] == "power":
+            rule["beta"] = value(st.floats(0.01, 1.0))
+        elif rule["kind"] == "fixed":
+            rule["m"] = value(count)
+        payload["m_rule"] = value(st.just(rule))
+        if scaling:
+            payload["c"] = value(st.floats(0.01, 0.99))
+    if draw(st.integers(0, 9)) == 0:
+        del payload[draw(st.sampled_from(sorted(payload)))]
+    return command, payload
+
+
+# the autouse fixture clears the seed variable once for the whole test, which
+# is all this test needs from it
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(run=_cli_runs())
+def test_any_spec_exits_0_or_2(run):
+    command, payload = run
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = os.path.join(tmp, "spec.json")
+        with open(spec_path, "w") as fh:
+            json.dump(payload, fh)
+        argv = [command, "--spec", spec_path, "--out", os.path.join(tmp, "x")]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 2)
 
 
 def test_missing_spec_file_exit_3(tmp_path, capsys):

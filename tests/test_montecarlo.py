@@ -20,10 +20,6 @@ from riglab import (
     render_csv,
     render_summary_json,
     resolve_m,
-    run_connectivity_sweep,
-    run_degree_dist,
-    run_degree_scaling,
-    run_edge_prob,
     run_experiment,
     sample_assignment,
     sample_degree,
@@ -179,7 +175,7 @@ def test_edge_prob_degenerate_points_are_exact():
         kind="edge-prob", trials=200, master_seed=1,
         points=((3, 0.0), (3, 1.0)),
     )
-    zero, one = run_edge_prob(spec)
+    zero, one = run_experiment(spec).records
     assert zero.estimate == 0.0
     assert zero.std_error == 0.0
     assert one.estimate == 1.0
@@ -189,7 +185,7 @@ def test_edge_prob_estimate_tracks_q_exact():
     spec = ExperimentSpec(
         kind="edge-prob", trials=4000, master_seed=7, points=((2, 0.5),),
     )
-    (rec,) = run_edge_prob(spec)
+    (rec,) = run_experiment(spec).records
     exact = q_exact(2, 0.5)
     se = math.sqrt(exact * (1.0 - exact) / spec.trials)
     assert abs(rec.estimate - exact) <= 3.0 * se
@@ -209,7 +205,7 @@ def test_edge_prob_coverage_over_many_master_seeds():
         spec = ExperimentSpec(
             kind="edge-prob", trials=trials, master_seed=master, points=((2, 0.5),),
         )
-        (rec,) = run_edge_prob(spec)
+        (rec,) = run_experiment(spec).records
         if abs(rec.estimate - exact) <= 3.0 * se:
             hits += 1
     assert hits >= 97
@@ -256,7 +252,7 @@ def test_connectivity_single_vertex_is_always_connected():
         kind="connectivity-sweep", trials=25, master_seed=0,
         n_values=(1,), alphas=(1.0,),
     )
-    (rec,) = run_connectivity_sweep(spec)
+    (rec,) = run_experiment(spec).records
     assert rec.estimate == 1.0
 
 
@@ -265,7 +261,7 @@ def test_connectivity_grid_order_and_extras():
         kind="connectivity-sweep", trials=5, master_seed=0,
         n_values=(4, 8), alphas=(1.0, 3.0), m_rule=("fixed", 6),
     )
-    records = run_connectivity_sweep(spec)
+    records = run_experiment(spec).records
     grid = [tuple(dict(r.grid_point).values()) for r in records]
     assert grid == [(4, 1.0), (4, 3.0), (8, 1.0), (8, 3.0)]
     for rec in records:
@@ -282,7 +278,7 @@ def test_connectivity_falls_with_alpha():
         kind="connectivity-sweep", trials=60, master_seed=3,
         n_values=(12,), alphas=(0.2, 3.0),
     )
-    dense, sparse = run_connectivity_sweep(spec)
+    dense, sparse = run_experiment(spec).records
     assert dense.estimate > 0.3
     assert sparse.estimate < 0.1
     assert dense.estimate > sparse.estimate
@@ -294,7 +290,7 @@ def test_degree_dist_tracks_exact_mixture_not_binomial():
     spec = ExperimentSpec(
         kind="degree-dist", trials=20_000, master_seed=9, points=((10, 8, 0.2),),
     )
-    (rec,) = run_degree_dist(spec)
+    (rec,) = run_experiment(spec).records
     assert len(rec.empirical_pmf) == 10
     assert sum(rec.empirical_pmf) == pytest.approx(1.0, abs=1e-9)
     assert rec.tv_exact_mixture < 0.03
@@ -334,7 +330,7 @@ def test_degree_scaling_record_fields():
         kind="degree-scaling", trials=400, master_seed=11,
         n_values=(200, 400), alphas=(0.5,), c=0.5,
     )
-    records = run_degree_scaling(spec)
+    records = run_experiment(spec).records
     assert [r.n for r in records] == [200, 400]
     lower = solve_a(0.5, "lower").a
     upper = solve_a(0.5, "upper").a
@@ -413,10 +409,3 @@ def test_write_outputs(tmp_path):
     assert csv_path.read_text() == render_csv(result)
     assert json.loads(json_path.read_text())["kind"] == "edge-prob"
 
-
-def test_runner_kind_mismatch_rejected():
-    spec = ExperimentSpec(
-        kind="edge-prob", trials=5, master_seed=0, points=((2, 0.5),),
-    )
-    with pytest.raises(ValueError, match="not connectivity-sweep"):
-        run_connectivity_sweep(spec)
