@@ -219,7 +219,10 @@ def render_chart(result) -> str:
 
 def _cmd_experiment(args, allowed_kinds: tuple[str, ...]) -> int:
     with open(args.spec) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except RecursionError:
+            raise ValueError("spec JSON is nested too deeply") from None
     spec = ExperimentSpec.from_dict(payload, default_seed=_resolve_seed(args))
     if spec.kind not in allowed_kinds:
         raise ValueError(

@@ -4,7 +4,8 @@ A graph G(n, m, p) is built from a random bipartite attachment: each of n
 vertices picks each of m objects independently with probability p, and two
 vertices are adjacent when their object sets intersect.  This module holds
 the parameter and graph types, the seeded sampler, the bipartite-to-graph
-projection, and the plain-text exchange formats.
+projection, connectivity read from the vertex-object graph without
+projecting, and the plain-text exchange formats.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "ModelParams",
@@ -24,7 +27,6 @@ __all__ = [
     "sample_assignment",
     "pair_adjacent",
     "project",
-    "degree",
     "is_connected",
     "format_edgelist",
     "parse_edgelist",
@@ -193,47 +195,24 @@ def project(assignment: BipartiteAssignment) -> IntersectionGraph:
     return IntersectionGraph(n=assignment.params.n, edges=frozenset(edges))
 
 
-def degree(graph: IntersectionGraph, v: int) -> int:
-    """Number of edges incident to vertex v."""
-    if not isinstance(v, int) or not 0 <= v < graph.n:
-        raise ValueError(f"vertex index {v!r} outside [0, {graph.n})")
-    return sum(1 for i, j in graph.edges if v == i or v == j)
+def is_connected(assignment: BipartiteAssignment) -> bool:
+    """True when the intersection graph of the assignment is connected.
 
-
-class _DisjointSet:
-    """Union-find with path compression and union by size."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
-def is_connected(graph: IntersectionGraph) -> bool:
-    """True when every vertex is reachable from every other.  n=1 counts as connected."""
-    if graph.n == 1:
-        return True
-    dsu = _DisjointSet(graph.n)
-    for i, j in graph.edges:
-        dsu.union(i, j)
-    root0 = dsu.find(0)
-    return all(dsu.find(v) == root0 for v in range(1, graph.n))
+    Two vertices are adjacent exactly when their object sets intersect, so
+    the graph is connected exactly when the bipartite vertex-object graph
+    (vertex v is node v, object w is node n + w) joins all n vertices.  Only
+    vertex labels count: an object nobody picked is a component of its own
+    and disconnects nothing, while a vertex with no objects is isolated.
+    n=1 counts as connected.
+    """
+    n, m = assignment.params.n, assignment.params.m
+    owners = np.repeat(np.arange(n), [len(objects) for objects in assignment.sets])
+    objects = np.fromiter(chain.from_iterable(assignment.sets), dtype=np.intp, count=len(owners))
+    incidence = coo_array(
+        (np.ones(len(owners), dtype=np.int8), (owners, n + objects)), shape=(n + m, n + m)
+    )
+    _, labels = connected_components(incidence, directed=False)
+    return bool((labels[:n] == labels[0]).all())
 
 
 def _format_p(p: float) -> str:

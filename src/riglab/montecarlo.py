@@ -29,7 +29,7 @@ from .analytics import (
     total_variation,
     zeta_bound,
 )
-from .model import ModelParams, is_connected, pair_adjacent, project, sample_assignment, vertex_substream
+from .model import ModelParams, is_connected, pair_adjacent, sample_assignment, vertex_substream
 from .model import _MASK64, _check_int, _check_prob, _check_real, _require
 
 __all__ = [
@@ -354,7 +354,7 @@ def _pair_trial(params: ModelParams, seed: int) -> bool:
 
 
 def _connected_trial(params: ModelParams, seed: int) -> bool:
-    return is_connected(project(sample_assignment(params, seed)))
+    return is_connected(sample_assignment(params, seed))
 
 
 def _degree_trial(params: ModelParams, seed: int) -> int:

@@ -314,13 +314,17 @@ def test_empty_grid_exit_2(tmp_path, capsys):
     assert "empty parameter grid" in err
 
 
-def test_malformed_spec_json_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text", ["{not json", "[" * 200_000 + "]" * 200_000], ids=["not-json", "too-deep"]
+)
+def test_malformed_spec_json_exit_2(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
+    path.write_text(text)
     code, _, err = run_cli(
         ["sweep", "--spec", str(path), "--out", str(tmp_path / "x")], capsys
     )
     assert code == 2
+    assert err.startswith("error: ")
 
 
 _SUBCOMMAND = {

@@ -9,7 +9,6 @@ from riglab import (
     BipartiteAssignment,
     IntersectionGraph,
     ModelParams,
-    degree,
     format_assignment,
     format_edgelist,
     is_connected,
@@ -157,35 +156,36 @@ def test_projection_matches_pairwise_oracle():
         assert project(a) == pairwise_project(a)
 
 
-def test_degree_and_handshake():
-    g = IntersectionGraph(n=4, edges=frozenset({(0, 1), (1, 2), (1, 3)}))
-    assert degree(g, 1) == 3
-    assert degree(g, 0) == 1
-    with pytest.raises(ValueError):
-        degree(g, 4)
-    for seed in range(50):
-        graph = project(sample_assignment(ModelParams(7, 4, 0.4), seed))
-        assert sum(degree(graph, v) for v in range(graph.n)) == 2 * len(graph.edges)
-
-
 # -------------------------------------------------------------- connectivity
 
+def _assignment(m, *sets):
+    return BipartiteAssignment(params=ModelParams(n=len(sets), m=m, p=0.5), sets=sets)
+
+
 def test_single_vertex_is_connected():
-    assert is_connected(IntersectionGraph(n=1, edges=frozenset()))
+    assert is_connected(_assignment(3, ()))
+    assert is_connected(_assignment(3, (0, 2)))
 
 
 def test_connectivity_examples():
-    assert not is_connected(IntersectionGraph(n=2, edges=frozenset()))
-    assert is_connected(IntersectionGraph(n=2, edges=frozenset({(0, 1)})))
-    assert not is_connected(IntersectionGraph(n=3, edges=frozenset({(0, 1)})))
-    path = IntersectionGraph(n=4, edges=frozenset({(0, 1), (1, 2), (2, 3)}))
-    assert is_connected(path)
+    # two vertices that share no object
+    assert not is_connected(_assignment(2, (0,), (1,)))
+    assert is_connected(_assignment(2, (0, 1), (1,)))
+    # a vertex with an empty object set is isolated
+    assert not is_connected(_assignment(2, (0,), (0,), ()))
+    # a path 0 - 1 - 2 - 3 through objects 0, 1, 2
+    assert is_connected(_assignment(3, (0,), (0, 1), (1, 2), (2,)))
+    assert not is_connected(_assignment(3, (0,), (0,), (2,), (2,)))
+    # objects nobody owns disconnect nothing
+    assert is_connected(_assignment(3, (1,), (1,)))
 
 
 def test_connectivity_matches_reachability_closure():
-    for seed in range(300):
-        graph = project(sample_assignment(ModelParams(8, 3, 0.35), seed))
-        assert is_connected(graph) == reachability_connected(graph)
+    # includes m > n with unowned objects and both degenerate p
+    for n, m, p in ((8, 3, 0.35), (5, 12, 0.15), (6, 4, 0.0), (6, 4, 1.0)):
+        for seed in range(300):
+            a = sample_assignment(ModelParams(n, m, p), seed)
+            assert is_connected(a) == reachability_connected(pairwise_project(a))
 
 
 # ------------------------------------------------------------------- formats

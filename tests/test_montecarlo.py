@@ -11,7 +11,6 @@ from riglab import (
     DegreeScalingRecord,
     ExperimentSpec,
     binom_tail_exact,
-    degree,
     degree_pmf,
     derive_trial_seed,
     normal_interval,
@@ -310,7 +309,10 @@ def test_conditional_sampler_agrees_with_full_projection():
     ) / trials
     params = ModelParams(n=n, m=m, p=p)
     full = np.bincount(
-        [degree(project(sample_assignment(params, 70_000 + t)), 0) for t in range(trials)],
+        [
+            sum(0 in edge for edge in project(sample_assignment(params, 70_000 + t)).edges)
+            for t in range(trials)
+        ],
         minlength=n,
     ) / trials
     assert total_variation(shortcut, exact) < 0.02
