@@ -283,6 +283,19 @@ class DegreeModel:
             raise ValueError(f"pmf must be nonnegative and sum to 1, got sum={total}")
 
 
+def _binom_pmf(k, trials: int, p: float):
+    """scipy's Binomial(trials, p) pmf at k.
+
+    scipy's pmf raises OverflowError from its ibeta_derivative for some p at
+    the bottom of the float range (from about 5e-309 up to about 1e-304 at
+    40000 trials); exp(logpmf) answers those p.
+    """
+    try:
+        return _scipy_binom.pmf(k, trials, p)
+    except OverflowError:
+        return np.exp(_scipy_binom.logpmf(k, trials, p))
+
+
 def degree_pmf(n: int, m: int, p: float, kind: str) -> DegreeModel:
     """Degree law of a single vertex under one of two models.
 
@@ -299,16 +312,16 @@ def degree_pmf(n: int, m: int, p: float, kind: str) -> DegreeModel:
         raise ValueError(f"kind must be one of {DEGREE_MODEL_KINDS}, got {kind!r}")
     ks = np.arange(n)
     if kind == "binomial-approx":
-        pmf = _scipy_binom.pmf(ks, n - 1, q_exact(m, p))
+        pmf = _binom_pmf(ks, n - 1, q_exact(m, p))
     else:
         sizes = np.arange(m + 1)
-        weights = _scipy_binom.pmf(sizes, m, p)
+        weights = _binom_pmf(sizes, m, p)
         pmf = np.zeros(n)
         for s, w in zip(sizes, weights):
             if w == 0.0:
                 continue
             share = conditional_adjacency_prob(int(s), p)
-            pmf += w * _scipy_binom.pmf(ks, n - 1, share)
+            pmf += w * _binom_pmf(ks, n - 1, share)
     return DegreeModel(kind=kind, pmf=pmf)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 import sys
+import threading
 from dataclasses import dataclass
 from itertools import chain, combinations
 
@@ -35,6 +36,8 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_ZERO4 = (0, 0, 0, 0)
+_THREAD_LOCAL = threading.local()
 _FLOAT_MAX = sys.float_info.max
 _HEADER_RE = re.compile(
     r"^#\s*rig\s+n=(?P<n>\S+)\s+m=(?P<m>\S+)\s+p=(?P<p>\S+)\s+seed=(?P<seed>\S+)\s*$"
@@ -136,17 +139,52 @@ class IntersectionGraph:
                 raise ValueError(f"edge {edge!r} is not canonical for n={self.n}")
 
 
-def vertex_substream(seed: int, index: int) -> np.random.Generator:
+def vertex_substream(
+    seed: int, index: int, *, bit_generator: np.random.Philox | None = None
+) -> np.random.Generator:
     """Return the dedicated random stream for one substream index.
 
     Streams are Philox counter-based generators keyed by the 128-bit pair
-    (seed mod 2**64, index).  Distinct indices give independent streams, so
-    any vertex's attachments can be regenerated in isolation and sampling is
-    reproducible under any parallel schedule.  This derivation is part of the
-    sampling contract and must not change.
+    (seed mod 2**64, index mod 2**64), starting at counter 0.  Distinct
+    indices give independent streams, so any vertex's attachments can be
+    regenerated in isolation and sampling is reproducible under any parallel
+    schedule.  This derivation is part of the sampling contract and must not
+    change.
+
+    With no `bit_generator` the stream is built on a fresh Philox and is
+    independent of every other call.  With a Philox passed in, that Philox is
+    reseated to the same key at counter 0 with its output buffer emptied and
+    the returned generator draws on it.  A Philox stream is a pure function
+    of (key, counter), so the draws are bit-for-bit the same, without the
+    cost of building a bit generator; but the stream lasts only until the
+    Philox is reseated again.  The samplers here reuse one Philox per thread
+    this way.
     """
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    key = (seed & _MASK64, index & _MASK64)
+    if bit_generator is None:
+        return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": key},
+        "buffer": _ZERO4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bit_generator)
+
+
+def _thread_philox() -> np.random.Philox:
+    """The calling thread's reusable Philox, built on its first use.
+
+    One per thread, because a reseated stream is only valid until the next
+    reseat and trials may run on a thread pool.
+    """
+    try:
+        return _THREAD_LOCAL.philox
+    except AttributeError:
+        _THREAD_LOCAL.philox = np.random.Philox(key=0)
+        return _THREAD_LOCAL.philox
 
 
 def sample_assignment(params: ModelParams, seed: int) -> BipartiteAssignment:
@@ -156,10 +194,11 @@ def sample_assignment(params: ModelParams, seed: int) -> BipartiteAssignment:
     object w is attached when the w-th uniform falls below p.  The same seed
     with a larger p therefore attaches a superset of objects.
     """
+    philox = _thread_philox()
     sets = []
     for v in range(params.n):
-        u = vertex_substream(seed, v).random(params.m)
-        sets.append(tuple(int(w) for w in np.flatnonzero(u < params.p)))
+        u = vertex_substream(seed, v, bit_generator=philox).random(params.m)
+        sets.append(tuple((u < params.p).nonzero()[0].tolist()))
     return BipartiteAssignment(params=params, sets=tuple(sets))
 
 

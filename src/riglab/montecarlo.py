@@ -30,7 +30,7 @@ from .analytics import (
     zeta_bound,
 )
 from .model import ModelParams, is_connected, pair_adjacent, sample_assignment, vertex_substream
-from .model import _MASK64, _check_int, _check_prob, _check_real, _require
+from .model import _MASK64, _check_int, _check_prob, _check_real, _require, _thread_philox
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -318,12 +318,13 @@ def sample_degree(n: int, m: int, p: float, seed: int) -> int:
     is exactly the projected-graph degree law.
     """
     params = ModelParams(n=n, m=m, p=p)
-    u0 = vertex_substream(seed, 0).random(params.m)
+    philox = _thread_philox()
+    u0 = vertex_substream(seed, 0, bit_generator=philox).random(params.m)
     size = int(np.count_nonzero(u0 < params.p))
     if params.n == 1 or size == 0:
         return 0
     share = conditional_adjacency_prob(size, params.p)
-    u = vertex_substream(seed, params.n).random(params.n - 1)
+    u = vertex_substream(seed, params.n, bit_generator=philox).random(params.n - 1)
     return int(np.count_nonzero(u < share))
 
 

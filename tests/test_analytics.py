@@ -310,7 +310,9 @@ def test_degree_pmf_point_masses():
 
 def test_degree_pmf_normalization():
     for kind in ("binomial-approx", "exact-mixture"):
-        for n, m, p in [(2, 1, 0.5), (10, 7, 0.23), (40, 60, 0.05), (25, 4, 0.9)]:
+        # the last three p made scipy's binomial pmf raise OverflowError
+        for n, m, p in [(2, 1, 0.5), (10, 7, 0.23), (40, 60, 0.05), (25, 4, 0.9),
+                        (1, 2, 1.1125369292536007e-308), (8, 5, 1e-307), (300, 40000, 1e-306)]:
             model = degree_pmf(n, m, p, kind)
             assert abs(float(np.sum(model.pmf)) - 1.0) <= 1e-12
 

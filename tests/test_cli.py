@@ -9,7 +9,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import riglab.montecarlo
@@ -444,6 +444,9 @@ def _cli_runs(draw):
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(run=_cli_runs())
+# a p at which scipy's binomial pmf overflowed inside degree_pmf
+@example(run=("degree-dist", {"kind": "degree-dist", "trials": 1, "master_seed": 0,
+                              "points": [{"n": 1, "m": 2, "p": 1.1125369292536007e-308}]}))
 def test_any_spec_exits_0_or_2(run):
     command, payload = run
     with tempfile.TemporaryDirectory() as tmp:

@@ -17,6 +17,7 @@ from riglab import (
     parse_edgelist,
     project,
     sample_assignment,
+    sample_degree,
     vertex_substream,
 )
 
@@ -97,6 +98,35 @@ def test_substream_is_reproducible():
     assert np.array_equal(a, b)
     c = vertex_substream(123, 5).random(8)
     assert not np.array_equal(a, c)
+
+
+def _fresh_stream(seed, index):
+    key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+@pytest.mark.parametrize("leftover", ["fresh", "mid-buffer", "after-uint32"])
+@pytest.mark.parametrize("index", [0, 1, 7, 1600])  # 1600: sample_degree's reserved index at n=1600
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 + 3, -5])
+def test_reseated_substream_matches_fresh_philox(seed, index, leftover):
+    philox = np.random.Philox(key=12345)
+    if leftover == "mid-buffer":
+        np.random.Generator(philox).random(3)
+    elif leftover == "after-uint32":
+        np.random.Generator(philox).integers(0, 2**32, dtype=np.uint32)
+    reseated = vertex_substream(seed, index, bit_generator=philox).random(50)
+    assert np.array_equal(reseated, _fresh_stream(seed, index).random(50))
+    assert np.array_equal(vertex_substream(seed, index).random(50), reseated)
+
+
+def test_plain_substream_survives_internal_sampling():
+    # the samplers reseat a shared per-thread Philox; a caller's own stream must not move
+    stream = vertex_substream(77, 3)
+    first = stream.random(5)
+    sample_assignment(ModelParams(4, 9, 0.5), 77)
+    sample_degree(50, 9, 0.5, 77)
+    second = stream.random(5)
+    assert np.array_equal(np.concatenate([first, second]), _fresh_stream(77, 3).random(10))
 
 
 def test_single_object_set_size_matches_binomial():

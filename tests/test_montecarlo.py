@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -231,6 +232,30 @@ def test_records_independent_of_execution_schedule():
     assert sequential.records == threaded.records
     assert render_csv(sequential) == render_csv(threaded)
     assert render_summary_json(sequential) == render_summary_json(threaded)
+
+
+_THREADED_SPECS = {
+    "edge-prob": dict(points=((20, 0.2), (40, 0.05))),
+    "degree-dist": dict(points=((30, 20, 0.1), (12, 6, 0.3))),
+    "degree-scaling": dict(n_values=(60, 240), alphas=(0.5,), c=0.5),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_THREADED_SPECS))
+def test_reports_identical_on_a_thread_pool(kind):
+    # a tiny switch interval makes threads interleave inside a trial, so any
+    # random state shared between threads would change the reports
+    spec = ExperimentSpec(kind=kind, trials=1000, master_seed=41, **_THREADED_SPECS[kind])
+    sequential = run_experiment(spec)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = run_experiment(spec, map_fn=pool.map)
+    finally:
+        sys.setswitchinterval(interval)
+    assert render_csv(threaded) == render_csv(sequential)
+    assert render_summary_json(threaded) == render_summary_json(sequential)
 
 
 def test_rerun_is_byte_identical():
