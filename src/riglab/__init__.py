@@ -6,100 +6,10 @@ curve, degree laws), and a seeded Monte Carlo harness that checks the one
 against the other.
 """
 
+from . import analytics, model, montecarlo
 from ._version import __version__
-from .analytics import (
-    DEGREE_MODEL_KINDS,
-    DegreeModel,
-    RootResult,
-    TailBoundQuery,
-    binom_tail_exact,
-    conditional_adjacency_prob,
-    degree_pmf,
-    q_approx,
-    q_exact,
-    rate_H,
-    solve_a,
-    tail_bound,
-    threshold_p,
-    total_variation,
-    zeta_bound,
-)
-from .model import (
-    BipartiteAssignment,
-    IntersectionGraph,
-    ModelParams,
-    format_assignment,
-    format_edgelist,
-    is_connected,
-    pair_adjacent,
-    parse_assignment,
-    parse_edgelist,
-    project,
-    sample_assignment,
-    vertex_substream,
-)
-from .montecarlo import (
-    EXPERIMENT_KINDS,
-    DegreeDistRecord,
-    DegreeScalingRecord,
-    EstimateRecord,
-    ExperimentResult,
-    ExperimentSpec,
-    derive_trial_seed,
-    normal_interval,
-    render_csv,
-    render_summary_json,
-    resolve_m,
-    run_experiment,
-    sample_degree,
-    spec_hash,
-    wilson_interval,
-    write_outputs,
-)
+from .model import *  # noqa: F403
+from .analytics import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    "ModelParams",
-    "BipartiteAssignment",
-    "IntersectionGraph",
-    "vertex_substream",
-    "sample_assignment",
-    "pair_adjacent",
-    "project",
-    "is_connected",
-    "format_edgelist",
-    "parse_edgelist",
-    "format_assignment",
-    "parse_assignment",
-    "TailBoundQuery",
-    "RootResult",
-    "DegreeModel",
-    "DEGREE_MODEL_KINDS",
-    "q_exact",
-    "q_approx",
-    "zeta_bound",
-    "rate_H",
-    "tail_bound",
-    "binom_tail_exact",
-    "solve_a",
-    "threshold_p",
-    "conditional_adjacency_prob",
-    "degree_pmf",
-    "total_variation",
-    "EXPERIMENT_KINDS",
-    "ExperimentSpec",
-    "EstimateRecord",
-    "DegreeDistRecord",
-    "DegreeScalingRecord",
-    "ExperimentResult",
-    "derive_trial_seed",
-    "resolve_m",
-    "wilson_interval",
-    "normal_interval",
-    "sample_degree",
-    "run_experiment",
-    "spec_hash",
-    "render_csv",
-    "render_summary_json",
-    "write_outputs",
-]
+__all__ = ["__version__", *model.__all__, *analytics.__all__, *montecarlo.__all__]

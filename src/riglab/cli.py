@@ -80,33 +80,31 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _print_value(value: float) -> None:
-    # shortest round-trip decimal form
-    sys.stdout.write(repr(float(value)) + "\n")
+_SIDES = ("upper", "lower")
+
+# probe quantity -> (function of the flag values in flag order, flags); a flag
+# is (name, type or choices[, help]) and every flag is required
+_PROBES = {
+    "q-exact": (q_exact, (("m", int), ("p", float))),
+    "q-approx": (q_approx, (("m", int), ("p", float))),
+    "zeta": (zeta_bound, (("m", int), ("p", float))),
+    "H": (rate_H, (("t", float, "argument; 'inf' is accepted"),)),
+    "tail-bound": (
+        lambda trials, p, cutoff, direction: tail_bound(
+            TailBoundQuery(trials=trials, success_prob=p, cutoff=cutoff, direction=direction)
+        ),
+        (("trials", int), ("p", float), ("cutoff", float), ("direction", _SIDES)),
+    ),
+    "a-root": (lambda c, branch: solve_a(c, branch).a, (("c", float), ("branch", _SIDES))),
+    "threshold-p": (threshold_p, (("alpha", float), ("m", int), ("n", int))),
+}
 
 
 def cmd_probe(args) -> int:
-    quantity = args.quantity
-    if quantity == "q-exact":
-        _print_value(q_exact(args.m, args.p))
-    elif quantity == "q-approx":
-        _print_value(q_approx(args.m, args.p))
-    elif quantity == "zeta":
-        _print_value(zeta_bound(args.m, args.p))
-    elif quantity == "H":
-        _print_value(rate_H(args.t))
-    elif quantity == "tail-bound":
-        query = TailBoundQuery(
-            trials=args.trials,
-            success_prob=args.p,
-            cutoff=args.cutoff,
-            direction=args.direction,
-        )
-        _print_value(tail_bound(query))
-    elif quantity == "a-root":
-        _print_value(solve_a(args.c, args.branch).a)
-    else:
-        _print_value(threshold_p(args.alpha, args.m, args.n))
+    func, flags = _PROBES[args.quantity]
+    value = func(*(getattr(args, flag[0]) for flag in flags))
+    # shortest round-trip decimal form
+    sys.stdout.write(repr(float(value)) + "\n")
     return 0
 
 
@@ -217,13 +215,22 @@ def render_chart(result) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _cmd_experiment(args, allowed_kinds: tuple[str, ...]) -> int:
+# experiment subcommand -> (help line, spec kinds it runs)
+_EXPERIMENTS = {
+    "sweep": ("run an edge-prob or connectivity-sweep spec", ("edge-prob", "connectivity-sweep")),
+    "degree-dist": ("run a degree-dist spec", ("degree-dist",)),
+    "degree-scaling": ("run a degree-scaling spec", ("degree-scaling",)),
+}
+
+
+def _cmd_experiment(args) -> int:
     with open(args.spec) as fh:
         try:
             payload = json.load(fh)
         except RecursionError:
             raise ValueError("spec JSON is nested too deeply") from None
     spec = ExperimentSpec.from_dict(payload, default_seed=_resolve_seed(args))
+    allowed_kinds = _EXPERIMENTS[args.command][1]
     if spec.kind not in allowed_kinds:
         raise ValueError(
             f"spec kind {spec.kind!r} does not belong to this subcommand "
@@ -243,18 +250,6 @@ def _cmd_experiment(args, allowed_kinds: tuple[str, ...]) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    return _cmd_experiment(args, ("edge-prob", "connectivity-sweep"))
-
-
-def cmd_degree_dist(args) -> int:
-    return _cmd_experiment(args, ("degree-dist",))
-
-
-def cmd_degree_scaling(args) -> int:
-    return _cmd_experiment(args, ("degree-scaling",))
-
-
 def _add_seed_option(parser) -> None:
     parser.add_argument(
         "--seed",
@@ -262,13 +257,6 @@ def _add_seed_option(parser) -> None:
         default=None,
         help=f"sampling seed (default: ${ENV_SEED} if set, else 0)",
     )
-
-
-def _add_experiment_options(parser) -> None:
-    parser.add_argument("--spec", required=True, help="path to JSON experiment spec")
-    parser.add_argument("--out", required=True, help="output path prefix (.csv/.json appended)")
-    parser.add_argument("--svg", action="store_true", help="also write an SVG chart")
-    _add_seed_option(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,41 +279,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     probe = sub.add_parser("probe", help="print one closed-form quantity")
     quantity = probe.add_subparsers(dest="quantity", required=True)
-    for name in ("q-exact", "q-approx", "zeta"):
+    for name, (_, flags) in _PROBES.items():
         q = quantity.add_parser(name)
-        q.add_argument("--m", type=int, required=True)
-        q.add_argument("--p", type=float, required=True)
+        for flag, kind, *help_text in flags:
+            values = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            values["help"] = help_text[0] if help_text else None
+            q.add_argument(f"--{flag}", required=True, **values)
         q.set_defaults(func=cmd_probe)
-    h = quantity.add_parser("H")
-    h.add_argument("--t", type=float, required=True, help="argument; 'inf' is accepted")
-    h.set_defaults(func=cmd_probe)
-    tb = quantity.add_parser("tail-bound")
-    tb.add_argument("--trials", type=int, required=True)
-    tb.add_argument("--p", type=float, required=True)
-    tb.add_argument("--cutoff", type=float, required=True)
-    tb.add_argument("--direction", choices=("upper", "lower"), required=True)
-    tb.set_defaults(func=cmd_probe)
-    ar = quantity.add_parser("a-root")
-    ar.add_argument("--c", type=float, required=True)
-    ar.add_argument("--branch", choices=("upper", "lower"), required=True)
-    ar.set_defaults(func=cmd_probe)
-    tp = quantity.add_parser("threshold-p")
-    tp.add_argument("--alpha", type=float, required=True)
-    tp.add_argument("--m", type=int, required=True)
-    tp.add_argument("--n", type=int, required=True)
-    tp.set_defaults(func=cmd_probe)
 
-    sweep = sub.add_parser("sweep", help="run an edge-prob or connectivity-sweep spec")
-    _add_experiment_options(sweep)
-    sweep.set_defaults(func=cmd_sweep)
-
-    dd = sub.add_parser("degree-dist", help="run a degree-dist spec")
-    _add_experiment_options(dd)
-    dd.set_defaults(func=cmd_degree_dist)
-
-    ds = sub.add_parser("degree-scaling", help="run a degree-scaling spec")
-    _add_experiment_options(ds)
-    ds.set_defaults(func=cmd_degree_scaling)
+    for command, (help_line, _) in _EXPERIMENTS.items():
+        experiment = sub.add_parser(command, help=help_line)
+        experiment.add_argument("--spec", required=True, help="path to JSON experiment spec")
+        experiment.add_argument(
+            "--out", required=True, help="output path prefix (.csv/.json appended)"
+        )
+        experiment.add_argument("--svg", action="store_true", help="also write an SVG chart")
+        _add_seed_option(experiment)
+        experiment.set_defaults(func=_cmd_experiment)
 
     return parser
 

@@ -151,21 +151,20 @@ def vertex_substream(
     schedule.  This derivation is part of the sampling contract and must not
     change.
 
-    With no `bit_generator` the stream is built on a fresh Philox and is
-    independent of every other call.  With a Philox passed in, that Philox is
-    reseated to the same key at counter 0 with its output buffer emptied and
-    the returned generator draws on it.  A Philox stream is a pure function
-    of (key, counter), so the draws are bit-for-bit the same, without the
-    cost of building a bit generator; but the stream lasts only until the
-    Philox is reseated again.  The samplers here reuse one Philox per thread
-    this way.
+    The given Philox, or a fresh one when `bit_generator` is None, is
+    reseated to that key at counter 0 with its output buffer emptied, and the
+    returned generator draws on it.  A Philox stream is a pure function of
+    (key, counter), so the draws are bit-for-bit those of a Philox built with
+    that key.  A fresh Philox makes the stream independent of every other
+    call; a passed-in one saves the cost of building a bit generator, but the
+    stream lasts only until that Philox is reseated again.  The samplers here
+    reuse one Philox per thread this way.
     """
-    key = (seed & _MASK64, index & _MASK64)
     if bit_generator is None:
-        return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+        bit_generator = np.random.Philox(key=0)
     bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZERO4, "key": key},
+        "state": {"counter": _ZERO4, "key": (seed & _MASK64, index & _MASK64)},
         "buffer": _ZERO4,
         "buffer_pos": 4,
         "has_uint32": 0,

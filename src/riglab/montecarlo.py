@@ -42,7 +42,6 @@ __all__ = [
     "derive_trial_seed",
     "resolve_m",
     "wilson_interval",
-    "normal_interval",
     "sample_degree",
     "run_experiment",
     "spec_hash",
@@ -50,8 +49,6 @@ __all__ = [
     "render_summary_json",
     "write_outputs",
 ]
-
-EXPERIMENT_KINDS = ("edge-prob", "connectivity-sweep", "degree-dist", "degree-scaling")
 
 # 97.5% standard normal quantile, fixed so intervals never depend on library versions
 _Z95 = 1.959963984540054
@@ -115,14 +112,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return (lower, upper)
 
 
-def normal_interval(mean: float, std_error: float) -> tuple[float, float]:
-    """95% normal interval mean +/- z * std_error, for mean-type estimates."""
-    if std_error < 0.0:
-        raise ValueError(f"std_error must be >= 0, got {std_error}")
-    half = _Z95 * std_error
-    return (mean - half, mean + half)
-
-
 def _unpack(entry, keys: tuple, where: str) -> tuple:
     """Values of a JSON object that must have exactly `keys`, in that order."""
     _require(
@@ -155,6 +144,11 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         _require(self.kind in EXPERIMENT_KINDS, f"unknown experiment kind {self.kind!r}")
         _check_int(self.trials, "trials", 1)
+        _require(
+            self.trials <= 1 << 64,
+            f"trials must be at most 2**64, because trial seeds are keyed by a 64-bit "
+            f"trial index, got {self.trials}",
+        )
         _check_int(self.master_seed, "master_seed")
         keys = _POINT_KEYS.get(self.kind)
         if keys:
@@ -428,6 +422,7 @@ _KINDS = {
     "degree-dist": (_listed_grid, _degree_trial, _dist_record),
     "degree-scaling": (_scaling_grid, _degree_trial, _scaling_record),
 }
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def run_experiment(spec: ExperimentSpec, map_fn=map) -> ExperimentResult:

@@ -14,15 +14,14 @@ from math import comb
 
 import numpy as np
 
-from riglab import BipartiteAssignment, IntersectionGraph, pair_adjacent
+from riglab import BipartiteAssignment, IntersectionGraph
 
 
 def pairwise_project(assignment: BipartiteAssignment) -> IntersectionGraph:
-    """O(n^2) projection: test every pair through pair_adjacent."""
+    """O(n^2) projection: intersect the object sets of every pair."""
     n = assignment.params.n
-    edges = frozenset(
-        (i, j) for i, j in combinations(range(n), 2) if pair_adjacent(assignment, i, j)
-    )
+    sets = [set(objects) for objects in assignment.sets]
+    edges = frozenset((i, j) for i, j in combinations(range(n), 2) if sets[i] & sets[j])
     return IntersectionGraph(n=n, edges=edges)
 
 

@@ -350,6 +350,7 @@ _SUBCOMMAND = {
           "m_rule": {"kind": "fixed", "m": "3"}}, "m_rule.m"),
         ({"kind": "degree-scaling", "n": [10], "alpha": [0.5], "c": "x"}, "c"),
         ({"kind": "degree-scaling", "n": [10], "alpha": [0.5], "c": None}, "c"),
+        ({"kind": "edge-prob", "points": [{"m": 2, "p": 0.5}], "trials": 2**64 + 1}, "trials"),
     ],
 )
 def test_malformed_spec_value_exit_2(fields, key_path, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -215,7 +216,10 @@ def test_connectivity_matches_reachability_closure():
     for n, m, p in ((8, 3, 0.35), (5, 12, 0.15), (6, 4, 0.0), (6, 4, 1.0)):
         for seed in range(300):
             a = sample_assignment(ModelParams(n, m, p), seed)
-            assert is_connected(a) == reachability_connected(pairwise_project(a))
+            graph = pairwise_project(a)
+            assert is_connected(a) == reachability_connected(graph)
+            for i, j in combinations(range(n), 2):
+                assert pair_adjacent(a, i, j) == ((i, j) in graph.edges)
 
 
 # ------------------------------------------------------------------- formats

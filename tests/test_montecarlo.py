@@ -14,7 +14,6 @@ from riglab import (
     binom_tail_exact,
     degree_pmf,
     derive_trial_seed,
-    normal_interval,
     project,
     q_exact,
     render_csv,
@@ -73,12 +72,6 @@ def test_wilson_interval_brackets_estimate(trials, data):
     assert 0.0 <= lo <= phat <= hi <= 1.0
 
 
-def test_normal_interval_is_symmetric():
-    lo, hi = normal_interval(2.0, 0.5)
-    assert hi - 2.0 == pytest.approx(2.0 - lo, abs=1e-12)
-    assert normal_interval(1.0, 0.0) == (1.0, 1.0)
-
-
 # ------------------------------------------------------------ spec validation
 
 def test_spec_rejects_unknown_kind():
@@ -102,6 +95,14 @@ def test_spec_rejects_bad_trials_and_points():
         ExperimentSpec(kind="edge-prob", trials=10, master_seed=0, points=((2, 0.5, 3),))
     with pytest.raises(ValueError):
         ExperimentSpec(kind="degree-dist", trials=10, master_seed=0, points=((0, 2, 0.5),))
+
+
+def test_spec_trials_fit_the_64_bit_trial_index():
+    # trial indices 0 .. 2**64 - 1 are all distinct under derive_trial_seed's mask
+    spec = ExperimentSpec(kind="edge-prob", trials=2**64, master_seed=0, points=((2, 0.5),))
+    assert spec.trials == 2**64
+    with pytest.raises(ValueError, match="trials must be at most 2\\*\\*64"):
+        ExperimentSpec(kind="edge-prob", trials=2**64 + 1, master_seed=0, points=((2, 0.5),))
 
 
 def test_spec_degree_scaling_constraints():
