@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 from scipy.stats import binom as _scipy_binom
@@ -27,7 +26,6 @@ __all__ = [
     "zeta_bound",
     "rate_H",
     "tail_bound",
-    "binom_tail_exact",
     "solve_a",
     "threshold_p",
     "conditional_adjacency_prob",
@@ -138,27 +136,6 @@ def tail_bound(query: TailBoundQuery) -> float:
     np_ = query.mean
     k = query.cutoff
     return math.exp(k * math.log(np_ / k) + (k - np_))
-
-
-def binom_tail_exact(trials: int, p: float, cutoff: int, direction: str) -> float:
-    """Exact P[X >= cutoff] or P[X <= cutoff] for X ~ Binomial(trials, p).
-
-    Sums pmf terms with math.fsum; each term uses the exact integer binomial
-    coefficient, so the result is accurate to a few ulps even deep in a tail.
-    """
-    _check_int(trials, "trials", 1)
-    p = _check_prob(p, "p")
-    _check_int(cutoff, "cutoff", 0)
-    _require(cutoff <= trials, f"cutoff must be an integer in [0, {trials}], got {cutoff!r}")
-    if direction == "upper":
-        ks = range(cutoff, trials + 1)
-    elif direction == "lower":
-        ks = range(0, cutoff + 1)
-    else:
-        raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
-    q = 1.0 - p
-    total = math.fsum(comb(trials, k) * p**k * q ** (trials - k) for k in ks)
-    return min(1.0, total)
 
 
 def _envelope(a: float) -> float:

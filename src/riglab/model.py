@@ -6,6 +6,12 @@ vertices are adjacent when their object sets intersect.  This module holds
 the parameter and graph types, the seeded sampler, the bipartite-to-graph
 projection, connectivity read from the vertex-object graph without
 projecting, and the plain-text exchange formats.
+
+One per-vertex loop, ``_object_rows``, draws every attachment.  The public
+sampler turns its rows into a validated ``BipartiteAssignment``; the
+connectivity trial reads them as index arrays, stops at the first vertex
+with no objects (that vertex is isolated), and otherwise hands them to
+``_rows_connected``, the routine ``is_connected`` also uses.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 import numpy as np
-from scipy.sparse import coo_array
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 __all__ = [
@@ -186,6 +192,20 @@ def _thread_philox() -> np.random.Philox:
         return _THREAD_LOCAL.philox
 
 
+def _object_rows(params: ModelParams, seed: int):
+    """Yield each vertex's attached objects, in vertex order, as an intp index array.
+
+    Vertex v consumes exactly m uniforms from ``vertex_substream(seed, v)``;
+    object w is attached when the w-th uniform falls below p.  Each row is
+    drawn in full before it is yielded, so a suspended generator holds no
+    stream state that a later reseat of the thread's Philox could disturb.
+    """
+    philox = _thread_philox()
+    m, p = params.m, params.p
+    for v in range(params.n):
+        yield (vertex_substream(seed, v, bit_generator=philox).random(m) < p).nonzero()[0]
+
+
 def sample_assignment(params: ModelParams, seed: int) -> BipartiteAssignment:
     """Draw a bipartite attachment: each (vertex, object) pair kept with probability p.
 
@@ -193,12 +213,8 @@ def sample_assignment(params: ModelParams, seed: int) -> BipartiteAssignment:
     object w is attached when the w-th uniform falls below p.  The same seed
     with a larger p therefore attaches a superset of objects.
     """
-    philox = _thread_philox()
-    sets = []
-    for v in range(params.n):
-        u = vertex_substream(seed, v, bit_generator=philox).random(params.m)
-        sets.append(tuple((u < params.p).nonzero()[0].tolist()))
-    return BipartiteAssignment(params=params, sets=tuple(sets))
+    sets = tuple([tuple(row.tolist()) for row in _object_rows(params, seed)])
+    return BipartiteAssignment(params=params, sets=sets)
 
 
 def pair_adjacent(assignment: BipartiteAssignment, i: int, j: int) -> bool:
@@ -212,8 +228,7 @@ def pair_adjacent(assignment: BipartiteAssignment, i: int, j: int) -> bool:
     a, b = assignment.sets[i], assignment.sets[j]
     if len(b) < len(a):
         a, b = b, a
-    other = set(b)
-    return any(w in other for w in a)
+    return not set(b).isdisjoint(a)
 
 
 def project(assignment: BipartiteAssignment) -> IntersectionGraph:
@@ -233,6 +248,23 @@ def project(assignment: BipartiteAssignment) -> IntersectionGraph:
     return IntersectionGraph(n=assignment.params.n, edges=frozenset(edges))
 
 
+def _rows_connected(sizes: list[int], objects: np.ndarray, m: int) -> bool:
+    """True when the vertex-object graph of these object rows joins every vertex.
+
+    Vertex v is node v and object w is node n + w.  Row v holds sizes[v]
+    entries of the flat intp array `objects`, so the two are CSR index arrays
+    of that graph as they stand: the m object rows are left empty, because
+    ``connected_components`` with directed=False follows each edge both ways.
+    """
+    n = len(sizes)
+    indptr = np.zeros(n + m + 1, dtype=np.intp)
+    np.cumsum(sizes, out=indptr[1 : n + 1])
+    indptr[n + 1 :] = indptr[n]
+    graph = csr_array((np.ones(len(objects)), objects + n, indptr), shape=(n + m, n + m))
+    _, labels = connected_components(graph, directed=False)
+    return bool((labels[:n] == labels[0]).all())
+
+
 def is_connected(assignment: BipartiteAssignment) -> bool:
     """True when the intersection graph of the assignment is connected.
 
@@ -241,16 +273,13 @@ def is_connected(assignment: BipartiteAssignment) -> bool:
     (vertex v is node v, object w is node n + w) joins all n vertices.  Only
     vertex labels count: an object nobody picked is a component of its own
     and disconnects nothing, while a vertex with no objects is isolated.
-    n=1 counts as connected.
+    n=1 counts as connected.  The connectivity trial gets the same answer
+    from ``_object_rows`` and ``_rows_connected`` without building the
+    assignment, and stops sampling at the first vertex with no objects.
     """
-    n, m = assignment.params.n, assignment.params.m
-    owners = np.repeat(np.arange(n), [len(objects) for objects in assignment.sets])
-    objects = np.fromiter(chain.from_iterable(assignment.sets), dtype=np.intp, count=len(owners))
-    incidence = coo_array(
-        (np.ones(len(owners), dtype=np.int8), (owners, n + objects)), shape=(n + m, n + m)
-    )
-    _, labels = connected_components(incidence, directed=False)
-    return bool((labels[:n] == labels[0]).all())
+    sizes = [len(objects) for objects in assignment.sets]
+    objects = np.fromiter(chain.from_iterable(assignment.sets), dtype=np.intp, count=sum(sizes))
+    return _rows_connected(sizes, objects, assignment.params.m)
 
 
 def _format_p(p: float) -> str:

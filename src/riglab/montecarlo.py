@@ -29,8 +29,9 @@ from .analytics import (
     total_variation,
     zeta_bound,
 )
-from .model import ModelParams, is_connected, pair_adjacent, sample_assignment, vertex_substream
-from .model import _MASK64, _check_int, _check_prob, _check_real, _require, _thread_philox
+from .model import ModelParams, pair_adjacent, sample_assignment, vertex_substream
+from .model import _MASK64, _check_int, _check_prob, _check_real, _require
+from .model import _object_rows, _rows_connected, _thread_philox
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -52,6 +53,9 @@ __all__ = [
 
 # 97.5% standard normal quantile, fixed so intervals never depend on library versions
 _Z95 = 1.959963984540054
+
+# trial seeds are derived this many at a time (see _trial_seeds)
+_SEED_CHUNK = 1024
 
 # JSON keys of an explicit grid point, and of each m_rule kind ("kind" included)
 _POINT_KEYS = {"edge-prob": ("m", "p"), "degree-dist": ("n", "m", "p")}
@@ -349,7 +353,17 @@ def _pair_trial(params: ModelParams, seed: int) -> bool:
 
 
 def _connected_trial(params: ModelParams, seed: int) -> bool:
-    return is_connected(sample_assignment(params, seed))
+    """``is_connected(sample_assignment(params, seed))``, sampling only what it needs.
+
+    When n > 1 the first vertex with no objects is isolated, so the trial
+    returns False without sampling any later vertex.
+    """
+    rows = []
+    for row in _object_rows(params, seed):
+        if not len(row) and params.n > 1:
+            return False
+        rows.append(row)
+    return _rows_connected([len(row) for row in rows], np.concatenate(rows), params.m)
 
 
 def _degree_trial(params: ModelParams, seed: int) -> int:
@@ -416,6 +430,18 @@ def _scaling_record(spec, point, degrees) -> DegreeScalingRecord:
     )
 
 
+def _trial_seeds(spec: ExperimentSpec, grid_index: int):
+    """Yield one grid point's trial seeds in trial order, a chunk at a time.
+
+    Lazy, so memory stays bounded for any trial count.  Each chunk is hashed
+    in one tight loop, because deriving one seed between every two trials
+    is measurably slower on short trials such as edge-prob's two vertices.
+    """
+    for start in range(0, spec.trials, _SEED_CHUNK):
+        stop = min(start + _SEED_CHUNK, spec.trials)
+        yield from [derive_trial_seed(spec.master_seed, grid_index, t) for t in range(start, stop)]
+
+
 _KINDS = {
     "edge-prob": (_listed_grid, _pair_trial, _edge_record),
     "connectivity-sweep": (_sweep_grid, _connected_trial, _connectivity_record),
@@ -429,12 +455,14 @@ def run_experiment(spec: ExperimentSpec, map_fn=map) -> ExperimentResult:
     """Run the spec through its _KINDS row: (grid enumerator, trial, aggregator).
 
     Every grid point, (ModelParams, *labels), is resolved before any trial
-    runs.  `map_fn` must keep seed order, as ThreadPoolExecutor.map does.
+    runs.  A point's trial seeds reach `map_fn` as a lazy iterator
+    (_trial_seeds); `map_fn` must keep seed order, as ThreadPoolExecutor.map
+    does.
     """
     grid, trial, aggregate = _KINDS[spec.kind]
     records = []
     for grid_index, point in enumerate(grid(spec)):
-        seeds = [derive_trial_seed(spec.master_seed, grid_index, t) for t in range(spec.trials)]
+        seeds = _trial_seeds(spec, grid_index)
         records.append(aggregate(spec, point, list(map_fn(partial(trial, point[0]), seeds))))
     return ExperimentResult(spec=spec, records=tuple(records))
 

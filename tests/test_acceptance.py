@@ -19,7 +19,6 @@ import pytest
 from riglab import (
     ExperimentSpec,
     TailBoundQuery,
-    binom_tail_exact,
     degree_pmf,
     q_approx,
     q_exact,
@@ -32,7 +31,7 @@ from riglab import (
     zeta_bound,
 )
 
-from oracles import enum_degree_pmf
+from oracles import binom_tail_exact, enum_degree_pmf
 
 MASTER = 20260822
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from riglab import (
     TailBoundQuery,
-    binom_tail_exact,
     conditional_adjacency_prob,
     degree_pmf,
     q_approx,
@@ -21,7 +20,12 @@ from riglab import (
     zeta_bound,
 )
 
-from oracles import enum_degree_pmf, enum_two_vertex_share_prob, rational_binom_tail
+from oracles import (
+    binom_tail_exact,
+    enum_degree_pmf,
+    enum_two_vertex_share_prob,
+    rational_binom_tail,
+)
 
 
 # ----------------------------------------------------------- edge probability

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import riglab.montecarlo
+import riglab.model
 from riglab import (
     ModelParams,
     parse_edgelist,
@@ -367,20 +367,19 @@ def test_malformed_spec_value_exit_2(fields, key_path, tmp_path, capsys):
 
 
 def test_bad_grid_point_rejected_before_sampling(tmp_path, monkeypatch, capsys):
-    # alpha = -3 at n = 4 puts p = 4 on the curve; the first point is valid
+    # alpha = -3 at n = 4 puts p = 4 on the curve; the first point is valid.
+    # Every vertex a connectivity trial samples goes through vertex_substream.
     calls = []
-    original = riglab.montecarlo.sample_assignment
+    original = riglab.model.vertex_substream
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(riglab.montecarlo, "sample_assignment", counting)
-    spec_path = _write_spec(
-        tmp_path,
-        {"kind": "connectivity-sweep", "trials": 3, "master_seed": 0,
-         "n": [4, 10], "alpha": [1.0, -3.0]},
-    )
+    monkeypatch.setattr(riglab.model, "vertex_substream", counting)
+    payload = {"kind": "connectivity-sweep", "trials": 3, "master_seed": 0,
+               "n": [4, 10], "alpha": [1.0, -3.0]}
+    spec_path = _write_spec(tmp_path, payload)
     code, _, err = run_cli(
         ["sweep", "--spec", spec_path, "--out", str(tmp_path / "x")], capsys
     )
@@ -388,6 +387,14 @@ def test_bad_grid_point_rejected_before_sampling(tmp_path, monkeypatch, capsys):
     assert "alpha[1]" in err
     assert not list(tmp_path.glob("*.csv"))
     assert calls == []
+
+    # positive control: the same counter sees the sampling of a valid spec
+    spec_path = _write_spec(tmp_path, {**payload, "alpha": [1.0]})
+    code, _, _ = run_cli(
+        ["sweep", "--spec", spec_path, "--out", str(tmp_path / "x")], capsys
+    )
+    assert code == 0
+    assert calls
 
 
 _JUNK = st.one_of(

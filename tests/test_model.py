@@ -22,6 +22,8 @@ from riglab import (
     vertex_substream,
 )
 
+from riglab.montecarlo import _connected_trial
+
 from oracles import pairwise_project, reachability_connected
 
 
@@ -212,12 +214,19 @@ def test_connectivity_examples():
 
 
 def test_connectivity_matches_reachability_closure():
-    # includes m > n with unowned objects and both degenerate p
-    for n, m, p in ((8, 3, 0.35), (5, 12, 0.15), (6, 4, 0.0), (6, 4, 1.0)):
+    # includes m > n with unowned objects, both degenerate p, and n = 1
+    # without objects (p = 0) and with them; the connectivity trial, which
+    # stops sampling at the first empty set, must agree as well
+    shapes = ((8, 3, 0.35), (5, 12, 0.15), (6, 4, 0.0), (6, 4, 1.0),
+              (1, 4, 0.0), (1, 4, 1.0), (1, 5, 0.5))
+    for n, m, p in shapes:
+        params = ModelParams(n, m, p)
         for seed in range(300):
-            a = sample_assignment(ModelParams(n, m, p), seed)
+            a = sample_assignment(params, seed)
             graph = pairwise_project(a)
-            assert is_connected(a) == reachability_connected(graph)
+            connected = reachability_connected(graph)
+            assert is_connected(a) == connected
+            assert _connected_trial(params, seed) == connected
             for i, j in combinations(range(n), 2):
                 assert pair_adjacent(a, i, j) == ((i, j) in graph.edges)
 

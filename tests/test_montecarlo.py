@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from riglab import (
     DegreeScalingRecord,
     ExperimentSpec,
-    binom_tail_exact,
     degree_pmf,
     derive_trial_seed,
     project,
@@ -29,7 +28,9 @@ from riglab import (
     wilson_interval,
     write_outputs,
 )
+import riglab.model
 from riglab.model import ModelParams
+from riglab.montecarlo import _connected_trial
 
 
 # ---------------------------------------------------------------- trial seeds
@@ -235,7 +236,25 @@ def test_records_independent_of_execution_schedule():
     assert render_summary_json(sequential) == render_summary_json(threaded)
 
 
+def test_trial_seeds_reach_map_fn_lazily_in_trial_order():
+    # three seed chunks at each of two grid points, the last one partial
+    trials = 2 * 1024 + 3
+    spec = ExperimentSpec(kind="edge-prob", trials=trials, master_seed=5, points=((1, 0.5), (2, 0.5)))
+    seen = []
+
+    def recording_map(func, seeds):
+        assert iter(seeds) is seeds
+        seen.append(list(seeds))
+        return map(func, seen[-1])
+
+    assert run_experiment(spec, map_fn=recording_map) == run_experiment(spec)
+    assert seen == [[derive_trial_seed(5, g, t) for t in range(trials)] for g in (0, 1)]
+
+
 _THREADED_SPECS = {
+    # both outcomes occur at every point, so trials stop early on some
+    # vertices and run the full connectivity check on others
+    "connectivity-sweep": dict(n_values=(6, 12), alphas=(0.0, 0.5), m_rule=("fixed", 5)),
     "edge-prob": dict(points=((20, 0.2), (40, 0.05))),
     "degree-dist": dict(points=((30, 20, 0.1), (12, 6, 0.3))),
     "degree-scaling": dict(n_values=(60, 240), alphas=(0.5,), c=0.5),
@@ -279,6 +298,35 @@ def test_connectivity_single_vertex_is_always_connected():
     )
     (rec,) = run_experiment(spec).records
     assert rec.estimate == 1.0
+
+
+def test_connected_trial_stops_at_the_first_isolated_vertex(monkeypatch):
+    # p = n**-2 leaves vertex 0 empty with probability about 1 - 1/n
+    n = 1600
+    sparse = ModelParams(n, n, n**-2.0)
+    seed = next(s for s in range(20) if not sample_assignment(ModelParams(1, n, sparse.p), s).sets[0])
+    # at p = 1/n the first empty set turns up after a few vertices
+    params = ModelParams(40, 40, 1 / 40)
+    prefixes = []
+    for s in range(30):
+        sets = sample_assignment(params, s).sets
+        prefixes.append(next((v + 1 for v, objects in enumerate(sets) if not objects), params.n))
+    assert min(prefixes) < max(prefixes) < params.n
+
+    calls = []
+    original = riglab.model.vertex_substream
+
+    def counting(seed, index, **kwargs):
+        calls.append(index)
+        return original(seed, index, **kwargs)
+
+    monkeypatch.setattr(riglab.model, "vertex_substream", counting)
+    assert _connected_trial(sparse, seed) is False
+    assert calls == [0]
+    for s, prefix in enumerate(prefixes):
+        calls.clear()
+        assert _connected_trial(params, s) is False
+        assert calls == list(range(prefix))
 
 
 def test_connectivity_grid_order_and_extras():
