@@ -108,37 +108,33 @@ def cmd_probe(args) -> int:
     return 0
 
 
+# kind -> (record fields for x (also the x label), y, band low and band high; y
+# label; the record field, also a spec key, whose spec values split records into series)
+_CHARTS = {
+    "edge-prob": ("p", "estimate", "ci_low", "ci_high", "adjacency probability", None),
+    "connectivity-sweep": ("alpha", "estimate", "ci_low", "ci_high", "connected fraction", "n"),
+    "degree-scaling": (
+        "n", "ratio_mean", "ratio_q25", "ratio_q75", "mean normalized degree", "alpha"
+    ),
+}
+
+
 def _chart_series(result):
-    kind = result.spec.kind
-    if kind == "edge-prob":
-        points = [
-            (dict(rec.grid_point)["p"], rec.estimate, rec.ci95[0], rec.ci95[1])
-            for rec in result.records
-        ]
-        return "p", "adjacency probability", [("estimate", points)]
-    if kind == "connectivity-sweep":
-        series = []
-        for n in result.spec.n_values:
-            points = [
-                (dict(rec.grid_point)["alpha"], rec.estimate, rec.ci95[0], rec.ci95[1])
-                for rec in result.records
-                if dict(rec.grid_point)["n"] == n
-            ]
-            series.append((f"n={n}", points))
-        return "alpha", "connected fraction", series
-    if kind == "degree-scaling":
-        series = []
-        for alpha in result.spec.alphas:
-            points = [
-                (rec.n, rec.ratio_mean, rec.ratio_q25, rec.ratio_q75)
-                for rec in result.records
-                if rec.alpha == alpha
-            ]
-            series.append((f"alpha={alpha}", points))
-        return "n", "mean normalized degree", series
-    first = result.records[0]
-    points = [(k, v, v, v) for k, v in enumerate(first.empirical_pmf)]
-    return "degree", "relative frequency", [(f"n={first.n} m={first.m} p={first.p}", points)]
+    """(x label, y label, [(series label, [(x, y, low, high), ...]), ...])."""
+    records = result.records
+    if result.spec.kind == "degree-dist":
+        first = records[0]
+        points = [(k, v, v, v) for k, v in enumerate(first.empirical_pmf)]
+        return "degree", "relative frequency", [(f"n={first.n} m={first.m} p={first.p}", points)]
+    *columns, ylabel, split = _CHARTS[result.spec.kind]
+    groups = [("estimate", records)] if split is None else [
+        (f"{split}={value}", [rec for rec in records if getattr(rec, split) == value])
+        for value in result.spec.to_dict()[split]
+    ]
+    return columns[0], ylabel, [
+        (label, [tuple(getattr(rec, name) for name in columns) for rec in group])
+        for label, group in groups
+    ]
 
 
 def render_chart(result) -> str:

@@ -7,11 +7,10 @@ the parameter and graph types, the seeded sampler, the bipartite-to-graph
 projection, connectivity read from the vertex-object graph without
 projecting, and the plain-text exchange formats.
 
-One per-vertex loop, ``_object_rows``, draws every attachment.  The public
-sampler turns its rows into a validated ``BipartiteAssignment``; the
-connectivity trial reads them as index arrays, stops at the first vertex
-with no objects (that vertex is isolated), and otherwise hands them to
-``_rows_connected``, the routine ``is_connected`` also uses.
+One per-vertex loop, ``_object_rows``, draws every attachment, and one
+routine, ``_rows_connected``, reads connectivity off such rows.  It stops
+at the first vertex with no objects (that vertex is isolated), so the
+connectivity trial samples no vertex after it.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import re
 import sys
 import threading
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -209,9 +208,8 @@ def _object_rows(params: ModelParams, seed: int):
 def sample_assignment(params: ModelParams, seed: int) -> BipartiteAssignment:
     """Draw a bipartite attachment: each (vertex, object) pair kept with probability p.
 
-    Vertex v consumes exactly m uniforms from ``vertex_substream(seed, v)``;
-    object w is attached when the w-th uniform falls below p.  The same seed
-    with a larger p therefore attaches a superset of objects.
+    The rows come from ``_object_rows``, so the same seed with a larger p
+    attaches a superset of objects.
     """
     sets = tuple([tuple(row.tolist()) for row in _object_rows(params, seed)])
     return BipartiteAssignment(params=params, sets=sets)
@@ -248,19 +246,26 @@ def project(assignment: BipartiteAssignment) -> IntersectionGraph:
     return IntersectionGraph(n=assignment.params.n, edges=frozenset(edges))
 
 
-def _rows_connected(sizes: list[int], objects: np.ndarray, m: int) -> bool:
-    """True when the vertex-object graph of these object rows joins every vertex.
+def _rows_connected(params: ModelParams, rows) -> bool:
+    """True when the vertex-object graph of these object rows joins all n vertices.
 
-    Vertex v is node v and object w is node n + w.  Row v holds sizes[v]
-    entries of the flat intp array `objects`, so the two are CSR index arrays
-    of that graph as they stand: the m object rows are left empty, because
-    ``connected_components`` with directed=False follows each edge both ways.
+    `rows` yields each vertex's object indices in vertex order.  When n > 1
+    the first empty row is an isolated vertex: the answer is False and no
+    later row is read.  Otherwise vertex v is node v and object w is node
+    n + w, and the rows laid end to end are the CSR index arrays of that
+    graph: the m object rows stay empty, because ``connected_components``
+    with directed=False follows each edge both ways.
     """
-    n = len(sizes)
+    n, m = params.n, params.m
+    kept = []
+    for row in rows:
+        if not len(row) and n > 1:
+            return False
+        kept.append(row)
     indptr = np.zeros(n + m + 1, dtype=np.intp)
-    np.cumsum(sizes, out=indptr[1 : n + 1])
+    np.cumsum([len(row) for row in kept], out=indptr[1 : n + 1])
     indptr[n + 1 :] = indptr[n]
-    graph = csr_array((np.ones(len(objects)), objects + n, indptr), shape=(n + m, n + m))
+    graph = csr_array((np.ones(indptr[n]), np.concatenate(kept) + n, indptr), shape=(n + m, n + m))
     _, labels = connected_components(graph, directed=False)
     return bool((labels[:n] == labels[0]).all())
 
@@ -270,16 +275,11 @@ def is_connected(assignment: BipartiteAssignment) -> bool:
 
     Two vertices are adjacent exactly when their object sets intersect, so
     the graph is connected exactly when the bipartite vertex-object graph
-    (vertex v is node v, object w is node n + w) joins all n vertices.  Only
-    vertex labels count: an object nobody picked is a component of its own
-    and disconnects nothing, while a vertex with no objects is isolated.
-    n=1 counts as connected.  The connectivity trial gets the same answer
-    from ``_object_rows`` and ``_rows_connected`` without building the
-    assignment, and stops sampling at the first vertex with no objects.
+    joins all n vertices.  Only vertex labels count: an object nobody picked
+    is a component of its own and disconnects nothing, while a vertex with
+    no objects is isolated.  n=1 counts as connected.
     """
-    sizes = [len(objects) for objects in assignment.sets]
-    objects = np.fromiter(chain.from_iterable(assignment.sets), dtype=np.intp, count=sum(sizes))
-    return _rows_connected(sizes, objects, assignment.params.m)
+    return _rows_connected(assignment.params, (np.array(s, dtype=np.intp) for s in assignment.sets))
 
 
 def _format_p(p: float) -> str:

@@ -2,7 +2,7 @@
 
 Four experiment kinds share one discipline: every trial draws its own seed
 from (master_seed, grid_index, trial_index) through a fixed hash, per-trial
-results are integers or booleans collected by trial index, and aggregation
+results are integers or booleans folded in trial order, and aggregation
 is commutative.  Reruns of the same spec therefore produce byte-identical
 CSV and JSON outputs no matter how the trials were scheduled.
 """
@@ -36,7 +36,8 @@ from .model import _object_rows, _rows_connected, _thread_philox
 __all__ = [
     "EXPERIMENT_KINDS",
     "ExperimentSpec",
-    "EstimateRecord",
+    "EdgeProbRecord",
+    "ConnectivityRecord",
     "DegreeDistRecord",
     "DegreeScalingRecord",
     "ExperimentResult",
@@ -163,6 +164,10 @@ class ExperimentSpec:
                 for key, value in zip(keys[:-1], point):
                     _check_int(value, f"points[{i}].{key}", 1)
                 points.append((*point[:-1], _check_prob(point[-1], f"points[{i}].p")))
+                _require(  # the degree law of vertex 0 is an array of n entries
+                    self.kind != "degree-dist" or point[0] < 1 << 63,
+                    f"points[{i}].n must be below 2**63 for degree-dist, got {point[0]}",
+                )
             object.__setattr__(self, "points", tuple(points))
         else:
             _require(len(self.n_values) > 0 and len(self.alphas) > 0, "empty parameter grid")
@@ -243,14 +248,37 @@ class ExperimentSpec:
 
 
 @dataclass(frozen=True)
-class EstimateRecord:
-    """One grid point's proportion estimate with its uncertainty."""
+class EdgeProbRecord:
+    """Two-vertex adjacency frequency at one (m, p) against q_exact, q_approx and zeta_bound."""
 
-    grid_point: tuple[tuple[str, float | int], ...]
+    m: int
+    p: float
     estimate: float
     std_error: float
-    ci95: tuple[float, float]
-    extras: tuple[tuple[str, float | int], ...]
+    ci_low: float
+    ci_high: float
+    q_exact: float
+    q_approx: float
+    zeta_bound: float
+    abs_error: float
+    trials: int
+    master_seed: int
+
+
+@dataclass(frozen=True)
+class ConnectivityRecord:
+    """Connected fraction at one (n, alpha) sweep point, with pairwise adjacency alongside."""
+
+    n: int
+    alpha: float
+    estimate: float
+    std_error: float
+    ci_low: float
+    ci_high: float
+    m: int
+    p: float
+    q_exact: float
+    pair_bound: float
     trials: int
     master_seed: int
 
@@ -306,23 +334,19 @@ class ExperimentResult:
     records: tuple
 
 
-def sample_degree(n: int, m: int, p: float, seed: int) -> int:
+def sample_degree(params: ModelParams, seed: int) -> int:
     """Draw the degree of vertex 0 in one G(n, m, p) sample.
 
-    Vertex 0's object set comes from its usual substream.  Conditioned on
-    that set having size s, the other n-1 adjacency indicators are
-    independent Bernoulli(1 - (1-p)^s), drawn here from reserved substream
-    index n, so a full graph is never materialized.  The output distribution
-    is exactly the projected-graph degree law.
+    Vertex 0's objects are the first row of ``_object_rows``.  Given s of
+    them, the other n-1 adjacency indicators are independent
+    Bernoulli(1 - (1-p)^s), drawn from reserved substream index n, so no
+    graph is built and the result follows the projected-graph degree law exactly.
     """
-    params = ModelParams(n=n, m=m, p=p)
-    philox = _thread_philox()
-    u0 = vertex_substream(seed, 0, bit_generator=philox).random(params.m)
-    size = int(np.count_nonzero(u0 < params.p))
+    size = len(next(_object_rows(params, seed)))
     if params.n == 1 or size == 0:
         return 0
     share = conditional_adjacency_prob(size, params.p)
-    u = vertex_substream(seed, params.n, bit_generator=philox).random(params.n - 1)
+    u = vertex_substream(seed, params.n, bit_generator=_thread_philox()).random(params.n - 1)
     return int(np.count_nonzero(u < share))
 
 
@@ -348,58 +372,47 @@ def _scaling_grid(spec: ExperimentSpec) -> list[tuple]:
     return [point + envelope for point in _sweep_grid(spec)]
 
 
+# trials find sample_assignment and sample_degree as module globals, so a wrapper sees each call
 def _pair_trial(params: ModelParams, seed: int) -> bool:
     return pair_adjacent(sample_assignment(params, seed), 0, 1)
 
 
 def _connected_trial(params: ModelParams, seed: int) -> bool:
-    """``is_connected(sample_assignment(params, seed))``, sampling only what it needs.
-
-    When n > 1 the first vertex with no objects is isolated, so the trial
-    returns False without sampling any later vertex.
-    """
-    rows = []
-    for row in _object_rows(params, seed):
-        if not len(row) and params.n > 1:
-            return False
-        rows.append(row)
-    return _rows_connected([len(row) for row in rows], np.concatenate(rows), params.m)
+    """One sample's connectivity, drawn no further than its first isolated vertex."""
+    return _rows_connected(params, _object_rows(params, seed))
 
 
 def _degree_trial(params: ModelParams, seed: int) -> int:
-    return sample_degree(params.n, params.m, params.p, seed)
+    return sample_degree(params, seed)
 
 
-def _estimate_record(spec, grid_point, successes: int, extras) -> EstimateRecord:
+def _estimate(spec, outcomes) -> tuple[float, float, float, float]:
+    """Success fraction of the boolean trial outcomes, its standard error and Wilson interval."""
+    successes = int(sum(outcomes))
     phat = successes / spec.trials
     std_error = math.sqrt(phat * (1.0 - phat) / spec.trials)
-    ci95 = wilson_interval(successes, spec.trials)
-    return EstimateRecord(grid_point, phat, std_error, ci95, extras, spec.trials, spec.master_seed)
+    return (phat, std_error, *wilson_interval(successes, spec.trials))
 
 
-def _edge_record(spec, point, hits) -> EstimateRecord:
-    """Two-vertex adjacency against q_exact, q_approx and the remainder bound."""
+def _edge_record(spec, point, hits) -> EdgeProbRecord:
     m, p = point[0].m, point[0].p
-    successes = int(sum(hits))
+    estimate = _estimate(spec, hits)
     exact = q_exact(m, p)
-    extras = (("q_exact", exact), ("q_approx", q_approx(m, p)), ("zeta_bound", zeta_bound(m, p)),
-              ("abs_error", abs(successes / spec.trials - exact)))
-    return _estimate_record(spec, (("m", m), ("p", p)), successes, extras)
+    return EdgeProbRecord(m, p, *estimate, exact, q_approx(m, p), zeta_bound(m, p),
+                          abs(estimate[0] - exact), spec.trials, spec.master_seed)
 
 
-def _connectivity_record(spec, point, flags) -> EstimateRecord:
-    """Connected samples along p(alpha), with the pairwise adjacency story alongside."""
+def _connectivity_record(spec, point, flags) -> ConnectivityRecord:
     params, alpha = point
     n, m, p = params.n, params.m, params.p
-    pair_bound = float(n) ** (-alpha / 2.0)
-    extras = (("m", m), ("p", p), ("q_exact", q_exact(m, p)), ("pair_bound", pair_bound))
-    return _estimate_record(spec, (("n", n), ("alpha", alpha)), int(sum(flags)), extras)
+    return ConnectivityRecord(n, alpha, *_estimate(spec, flags), m, p, q_exact(m, p),
+                              float(n) ** (-alpha / 2.0), spec.trials, spec.master_seed)
 
 
 def _dist_record(spec, point, degrees) -> DegreeDistRecord:
     """The sampled degree law of vertex 0 against both analytic models."""
     n, m, p = point[0].n, point[0].m, point[0].p
-    empirical = np.bincount(np.asarray(degrees, dtype=np.int64), minlength=n) / spec.trials
+    empirical = np.bincount(np.fromiter(degrees, np.int64), minlength=n) / spec.trials
     tv_mixture = total_variation(empirical, degree_pmf(n, m, p, "exact-mixture").pmf)
     tv_binomial = total_variation(empirical, degree_pmf(n, m, p, "binomial-approx").pmf)
     pmf = tuple(float(x) for x in empirical)
@@ -416,7 +429,7 @@ def _scaling_record(spec, point, degrees) -> DegreeScalingRecord:
     params, alpha, a_lower, a_upper = point
     delta = 1.0 - alpha
     scale = float(params.n) ** delta
-    degrees = np.asarray(degrees, dtype=np.int64)
+    degrees = np.fromiter(degrees, np.int64)
     ratios = np.sort(degrees) / scale
     ratio_mean = float(int(degrees.sum()) / spec.trials / scale)
     quartiles = (float(np.quantile(ratios, q)) for q in (0.25, 0.5, 0.75))
@@ -457,13 +470,13 @@ def run_experiment(spec: ExperimentSpec, map_fn=map) -> ExperimentResult:
     Every grid point, (ModelParams, *labels), is resolved before any trial
     runs.  A point's trial seeds reach `map_fn` as a lazy iterator
     (_trial_seeds); `map_fn` must keep seed order, as ThreadPoolExecutor.map
-    does.
+    does.  The aggregator folds the results as `map_fn` yields them.
     """
     grid, trial, aggregate = _KINDS[spec.kind]
     records = []
     for grid_index, point in enumerate(grid(spec)):
-        seeds = _trial_seeds(spec, grid_index)
-        records.append(aggregate(spec, point, list(map_fn(partial(trial, point[0]), seeds))))
+        results = map_fn(partial(trial, point[0]), _trial_seeds(spec, grid_index))
+        records.append(aggregate(spec, point, results))
     return ExperimentResult(spec=spec, records=tuple(records))
 
 
@@ -474,24 +487,15 @@ def spec_hash(spec: ExperimentSpec) -> str:
 
 
 def _flatten(record) -> list[tuple[str, object]]:
-    """(name, value) entries in field (column) order; grid_point, ci95, extras expand in place."""
-    entries = []
-    for field in fields(record):
-        value = getattr(record, field.name)
-        if field.name == "ci95":
-            entries += [("ci_low", value[0]), ("ci_high", value[1])]
-        elif field.name in ("grid_point", "extras"):
-            entries += value
-        else:
-            entries.append((field.name, value))
-    return entries
+    """(name, value) entries in field order, which is the report's column order."""
+    return [(field.name, getattr(record, field.name)) for field in fields(record)]
 
 
 def render_csv(result: ExperimentResult) -> str:
     """Fixed-column CSV with provenance comment lines, stable across reruns."""
     spec = result.spec
     # cells are ints and floats, written by repr (the shortest round trip);
-    # empirical_pmf, the one tuple entry, stays out of the CSV
+    # tuple fields (the degree-dist pmf) stay out of the CSV
     rows = [[(k, v) for k, v in _flatten(r) if not isinstance(v, tuple)] for r in result.records]
     lines = [
         f"# riglab {__version__}",

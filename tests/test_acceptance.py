@@ -202,10 +202,7 @@ def test_connectivity_threshold_trend(capsys):
     start = time.perf_counter()
     result = run_experiment(spec)
     elapsed = time.perf_counter() - start
-    frac = {
-        (dict(r.grid_point)["n"], dict(r.grid_point)["alpha"]): r.estimate
-        for r in result.records
-    }
+    frac = {(r.n, r.alpha): r.estimate for r in result.records}
     sparse = [frac[(n, 3.0)] for n in (100, 400, 1600)]
     dense = [frac[(n, 1.0)] for n in (100, 400, 1600)]
     ok = (

@@ -455,6 +455,9 @@ def _cli_runs(draw):
 # a p at which scipy's binomial pmf overflowed inside degree_pmf
 @example(run=("degree-dist", {"kind": "degree-dist", "trials": 1, "master_seed": 0,
                               "points": [{"n": 1, "m": 2, "p": 1.1125369292536007e-308}]}))
+# an n >= 2**63, which overflowed np.bincount's minlength in the degree-dist aggregate
+@example(run=("degree-dist", {"kind": "degree-dist", "trials": 1, "master_seed": 0,
+                              "points": [{"n": 2**63, "m": 1, "p": 0.0}]}))
 def test_any_spec_exits_0_or_2(run):
     command, payload = run
     with tempfile.TemporaryDirectory() as tmp:

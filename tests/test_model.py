@@ -127,7 +127,7 @@ def test_plain_substream_survives_internal_sampling():
     stream = vertex_substream(77, 3)
     first = stream.random(5)
     sample_assignment(ModelParams(4, 9, 0.5), 77)
-    sample_degree(50, 9, 0.5, 77)
+    sample_degree(ModelParams(50, 9, 0.5), 77)
     second = stream.random(5)
     assert np.array_equal(np.concatenate([first, second]), _fresh_stream(77, 3).random(10))
 

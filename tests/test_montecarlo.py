@@ -191,10 +191,9 @@ def test_edge_prob_estimate_tracks_q_exact():
     exact = q_exact(2, 0.5)
     se = math.sqrt(exact * (1.0 - exact) / spec.trials)
     assert abs(rec.estimate - exact) <= 3.0 * se
-    assert rec.ci95[0] <= rec.estimate <= rec.ci95[1]
-    extras = dict(rec.extras)
-    assert extras["q_exact"] == exact
-    assert extras["abs_error"] == abs(rec.estimate - exact)
+    assert rec.ci_low <= rec.estimate <= rec.ci_high
+    assert rec.q_exact == exact
+    assert rec.abs_error == abs(rec.estimate - exact)
 
 
 def test_edge_prob_coverage_over_many_master_seeds():
@@ -335,14 +334,12 @@ def test_connectivity_grid_order_and_extras():
         n_values=(4, 8), alphas=(1.0, 3.0), m_rule=("fixed", 6),
     )
     records = run_experiment(spec).records
-    grid = [tuple(dict(r.grid_point).values()) for r in records]
+    grid = [(r.n, r.alpha) for r in records]
     assert grid == [(4, 1.0), (4, 3.0), (8, 1.0), (8, 3.0)]
     for rec in records:
-        point = dict(rec.grid_point)
-        extras = dict(rec.extras)
-        assert extras["m"] == 6
-        assert extras["p"] == threshold_p(point["alpha"], 6, point["n"])
-        assert extras["pair_bound"] == float(point["n"]) ** (-point["alpha"] / 2.0)
+        assert rec.m == 6
+        assert rec.p == threshold_p(rec.alpha, 6, rec.n)
+        assert rec.pair_bound == float(rec.n) ** (-rec.alpha / 2.0)
 
 
 def test_connectivity_falls_with_alpha():
@@ -378,10 +375,10 @@ def test_conditional_sampler_agrees_with_full_projection():
     n, m, p = 5, 3, 0.4
     trials = 20_000
     exact = degree_pmf(n, m, p, "exact-mixture").pmf
-    shortcut = np.bincount(
-        [sample_degree(n, m, p, 70_000 + t) for t in range(trials)], minlength=n
-    ) / trials
     params = ModelParams(n=n, m=m, p=p)
+    shortcut = np.bincount(
+        [sample_degree(params, 70_000 + t) for t in range(trials)], minlength=n
+    ) / trials
     full = np.bincount(
         [
             sum(0 in edge for edge in project(sample_assignment(params, 70_000 + t)).edges)
@@ -394,9 +391,9 @@ def test_conditional_sampler_agrees_with_full_projection():
 
 
 def test_sample_degree_degenerate_cases():
-    assert sample_degree(1, 5, 0.9, 123) == 0
-    assert sample_degree(6, 3, 0.0, 123) == 0
-    assert sample_degree(6, 3, 1.0, 123) == 5
+    assert sample_degree(ModelParams(1, 5, 0.9), 123) == 0
+    assert sample_degree(ModelParams(6, 3, 0.0), 123) == 0
+    assert sample_degree(ModelParams(6, 3, 1.0), 123) == 5
 
 
 # ------------------------------------------------------------- degree scaling
