@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import binom as _scipy_binom
 
-from .model import _check_int, _check_prob, _check_real, _require
+from .model import _FLOAT_MAX, _check_int, _check_prob, _check_real, _require
 
 __all__ = [
     "TailBoundQuery",
@@ -44,7 +44,7 @@ def q_exact(m: int, p: float) -> float:
     second-order sandwich holds as written even where it is mathematically
     tight; larger m goes through expm1/log1p for relative accuracy at small p.
     """
-    _check_int(m, "m", 1)
+    _check_int(m, "m", 1, _FLOAT_MAX)
     p = _check_prob(p, "p")
     s = p * p
     if m == 1:
@@ -58,14 +58,14 @@ def q_exact(m: int, p: float) -> float:
 
 def q_approx(m: int, p: float) -> float:
     """First-order edge probability m * p^2.  May exceed 1 for large m*p^2."""
-    _check_int(m, "m", 1)
+    _check_int(m, "m", 1, _FLOAT_MAX)
     p = _check_prob(p, "p")
     return m * (p * p)
 
 
 def zeta_bound(m: int, p: float) -> float:
     """Upper bound (m*(m-1)/2) * p^4 on the second-order remainder q_approx - q_exact."""
-    _check_int(m, "m", 1)
+    _check_int(m, "m", 1, _FLOAT_MAX)
     p = _check_prob(p, "p")
     s = p * p
     return 0.5 * m * (m - 1) * (s * s)
@@ -101,7 +101,7 @@ class TailBoundQuery:
     direction: str
 
     def __post_init__(self) -> None:
-        _check_int(self.trials, "trials", 1)
+        _check_int(self.trials, "trials", 1, _FLOAT_MAX)
         object.__setattr__(
             self, "success_prob", _check_prob(self.success_prob, "success_prob", low_open=True)
         )
@@ -236,7 +236,7 @@ def threshold_p(alpha: float, m: int, n: int) -> float:
 
 def conditional_adjacency_prob(size: int, p: float) -> float:
     """P[another vertex touches a fixed set of `size` objects] = 1 - (1-p)^size."""
-    _check_int(size, "size", 0)
+    _check_int(size, "size", 0, _FLOAT_MAX)
     p = _check_prob(p, "p")
     if size == 0:
         return 0.0

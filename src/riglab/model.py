@@ -44,6 +44,9 @@ _MASK64 = (1 << 64) - 1
 _ZERO4 = (0, 0, 0, 0)
 _THREAD_LOCAL = threading.local()
 _FLOAT_MAX = sys.float_info.max
+# the largest n and m: the largest array riglab allocates, _rows_connected's
+# indptr, then has n + m + 1 < 2**60 eight-byte entries, which numpy can address
+_MAX_SIZE = (1 << 59) - 1
 _HEADER_RE = re.compile(
     r"^#\s*rig\s+n=(?P<n>\S+)\s+m=(?P<m>\S+)\s+p=(?P<p>\S+)\s+seed=(?P<seed>\S+)\s*$"
 )
@@ -59,12 +62,14 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _check_int(value, name: str, minimum: int | None = None) -> int:
-    """An int (not a bool), at least `minimum` when one is given."""
+def _check_int(value, name: str, minimum: int | None = None, maximum: float | None = None) -> int:
+    """An int (not a bool), at least `minimum` and at most `maximum` when given."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be at most {maximum!r}, got {value!r}")
     return value
 
 
@@ -90,15 +95,18 @@ def _check_prob(value, name: str, low_open: bool = False) -> float:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model parameters: n vertices, m objects, attachment probability p."""
+    """Model parameters: n vertices, m objects, attachment probability p.
+
+    n and m lie in [1, 2**59 - 1].  Each error message starts with the field's name.
+    """
 
     n: int
     m: int
     p: float
 
     def __post_init__(self) -> None:
-        _check_int(self.n, "n", 1)
-        _check_int(self.m, "m", 1)
+        _check_int(self.n, "n", 1, _MAX_SIZE)
+        _check_int(self.m, "m", 1, _MAX_SIZE)
         object.__setattr__(self, "p", _check_prob(self.p, "p"))
 
 

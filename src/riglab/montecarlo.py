@@ -5,6 +5,10 @@ from (master_seed, grid_index, trial_index) through a fixed hash, per-trial
 results are integers or booleans folded in trial order, and aggregation
 is commutative.  Reruns of the same spec therefore produce byte-identical
 CSV and JSON outputs no matter how the trials were scheduled.
+
+Building an ExperimentSpec validates it and resolves its grid into
+ModelParams points, so a bad value fails before any sampling and
+run_experiment only runs trials and aggregates them.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -30,7 +34,7 @@ from .analytics import (
     zeta_bound,
 )
 from .model import ModelParams, pair_adjacent, sample_assignment, vertex_substream
-from .model import _MASK64, _check_int, _check_prob, _check_real, _require
+from .model import _MASK64, _MAX_SIZE, _check_int, _check_real, _require
 from .model import _object_rows, _rows_connected, _thread_philox
 
 __all__ = [
@@ -126,15 +130,25 @@ def _unpack(entry, keys: tuple, where: str) -> tuple:
     return tuple(entry[key] for key in keys)
 
 
+def _params(where: str, n, m, p) -> ModelParams:
+    """ModelParams(n, m, p), its error message prefixed with `where`, the spec key path."""
+    try:
+        return ModelParams(n, m, p)
+    except ValueError as exc:
+        raise ValueError(f"{where}{exc}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A validated experiment description.
+    """A validated experiment description with its grid resolved.
 
     `points` carries explicit grid points for edge-prob ((m, p) pairs) and
     degree-dist ((n, m, p) triples); sweeps use the n_values x alphas product
     with m chosen by m_rule.  `c` is the rate constant for degree scaling.
-    This is the spec's only validation; errors name the key path, such as
-    points[1].p, and integer p, alpha, beta and c are stored as floats.
+    Construction is the spec's only validation: it resolves every grid point
+    into `grid`, a tuple of (ModelParams, *labels), whose ModelParams checks
+    the point's (n, m, p).  Errors name the key path, such as points[1].p,
+    and integer p, alpha, beta and c are stored as floats.
     """
 
     kind: str
@@ -145,6 +159,7 @@ class ExperimentSpec:
     alphas: tuple = ()
     m_rule: tuple = ("equal-n",)
     c: float | None = None
+    grid: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require(self.kind in EXPERIMENT_KINDS, f"unknown experiment kind {self.kind!r}")
@@ -156,23 +171,17 @@ class ExperimentSpec:
         )
         _check_int(self.master_seed, "master_seed")
         keys = _POINT_KEYS.get(self.kind)
+        grid = []
         if keys:
             _require(len(self.points) > 0, "empty parameter grid")
-            points = []
+            two = (2,) if self.kind == "edge-prob" else ()  # an edge-prob point has two vertices
             for i, point in enumerate(self.points):
                 _require(len(point) == len(keys), f"{self.kind} point must have {len(keys)} fields")
-                for key, value in zip(keys[:-1], point):
-                    _check_int(value, f"points[{i}].{key}", 1)
-                points.append((*point[:-1], _check_prob(point[-1], f"points[{i}].p")))
-                _require(  # the degree law of vertex 0 is an array of n entries
-                    self.kind != "degree-dist" or point[0] < 1 << 63,
-                    f"points[{i}].n must be below 2**63 for degree-dist, got {point[0]}",
-                )
-            object.__setattr__(self, "points", tuple(points))
+                grid.append((_params(f"points[{i}].", *two, *point),))
+            points = tuple(tuple(getattr(point[0], key) for key in keys) for point in grid)
+            object.__setattr__(self, "points", points)
         else:
             _require(len(self.n_values) > 0 and len(self.alphas) > 0, "empty parameter grid")
-            for i, n in enumerate(self.n_values):
-                _check_int(n, f"n[{i}]", 1)
             alphas = tuple(_check_real(a, f"alpha[{i}]") for i, a in enumerate(self.alphas))
             object.__setattr__(self, "alphas", alphas)
             rule = self.m_rule
@@ -180,9 +189,15 @@ class ExperimentSpec:
                 rule = ("power", _check_real(rule[1], "m_rule.beta"))
                 _require(rule[1] > 0.0, f"m_rule.beta must be > 0, got {rule[1]}")
             elif rule[0] == "fixed":
-                rule = ("fixed", _check_int(rule[1], "m_rule.m", 1))
-            resolve_m(rule, 1)  # rejects an unknown kind
+                rule = ("fixed", _check_int(rule[1], "m_rule.m", 1, _MAX_SIZE))
             object.__setattr__(self, "m_rule", rule)
+            for i, n in enumerate(self.n_values):
+                m = resolve_m(rule, _check_int(n, f"n[{i}]", 1, _MAX_SIZE))
+                for j, alpha in enumerate(alphas):
+                    p = threshold_p(alpha, m, n)
+                    _require(p <= 1.0, f"alpha[{j}]={alpha} gives p={p} > 1 at n={n}, m={m}")
+                    # n and a fixed m are checked above, so only a power-rule m can fail here
+                    grid.append((_params("m_rule.beta: ", n, m, p), alpha))
         if self.kind == "degree-scaling":
             _require(self.c is not None, "degree-scaling requires the rate constant c")
             c = _check_real(self.c, "c")
@@ -194,6 +209,9 @@ class ExperimentSpec:
                     f"degree scaling requires alpha in (0, 1) so that delta = 1 - alpha > 0, "
                     f"got alpha={alpha}",
                 )
+            envelope = (solve_a(c, "lower").a, solve_a(c, "upper").a)
+            grid = [point + envelope for point in grid]
+        object.__setattr__(self, "grid", tuple(grid))
 
     @classmethod
     def from_dict(cls, payload: dict, default_seed: int | None = None) -> "ExperimentSpec":
@@ -350,28 +368,6 @@ def sample_degree(params: ModelParams, seed: int) -> int:
     return int(np.count_nonzero(u < share))
 
 
-def _listed_grid(spec: ExperimentSpec) -> list[tuple]:
-    if spec.kind == "edge-prob":  # (m, p) points of a two-vertex graph
-        return [(ModelParams(2, m, p),) for m, p in spec.points]
-    return [(ModelParams(n, m, p),) for n, m, p in spec.points]
-
-
-def _sweep_grid(spec: ExperimentSpec) -> list[tuple]:
-    points = []
-    for n in spec.n_values:
-        m = resolve_m(spec.m_rule, n)
-        for j, alpha in enumerate(spec.alphas):
-            p = threshold_p(alpha, m, n)
-            _require(p <= 1.0, f"alpha[{j}]={alpha} gives p={p} > 1 at n={n}, m={m}")
-            points.append((ModelParams(n, m, p), alpha))
-    return points
-
-
-def _scaling_grid(spec: ExperimentSpec) -> list[tuple]:
-    envelope = (solve_a(spec.c, "lower").a, solve_a(spec.c, "upper").a)
-    return [point + envelope for point in _sweep_grid(spec)]
-
-
 # trials find sample_assignment and sample_degree as module globals, so a wrapper sees each call
 def _pair_trial(params: ModelParams, seed: int) -> bool:
     return pair_adjacent(sample_assignment(params, seed), 0, 1)
@@ -456,25 +452,26 @@ def _trial_seeds(spec: ExperimentSpec, grid_index: int):
 
 
 _KINDS = {
-    "edge-prob": (_listed_grid, _pair_trial, _edge_record),
-    "connectivity-sweep": (_sweep_grid, _connected_trial, _connectivity_record),
-    "degree-dist": (_listed_grid, _degree_trial, _dist_record),
-    "degree-scaling": (_scaling_grid, _degree_trial, _scaling_record),
+    "edge-prob": (_pair_trial, _edge_record),
+    "connectivity-sweep": (_connected_trial, _connectivity_record),
+    "degree-dist": (_degree_trial, _dist_record),
+    "degree-scaling": (_degree_trial, _scaling_record),
 }
 EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def run_experiment(spec: ExperimentSpec, map_fn=map) -> ExperimentResult:
-    """Run the spec through its _KINDS row: (grid enumerator, trial, aggregator).
+    """Run each point of `spec.grid` through the kind's _KINDS row: (trial, aggregator).
 
-    Every grid point, (ModelParams, *labels), is resolved before any trial
-    runs.  A point's trial seeds reach `map_fn` as a lazy iterator
-    (_trial_seeds); `map_fn` must keep seed order, as ThreadPoolExecutor.map
-    does.  The aggregator folds the results as `map_fn` yields them.
+    The grid, (ModelParams, *labels) per point, was resolved and checked when
+    the spec was built.  A point's trial seeds reach `map_fn` as a lazy
+    iterator (_trial_seeds); `map_fn` must keep seed order, as
+    ThreadPoolExecutor.map does.  The aggregator folds the results as
+    `map_fn` yields them.
     """
-    grid, trial, aggregate = _KINDS[spec.kind]
+    trial, aggregate = _KINDS[spec.kind]
     records = []
-    for grid_index, point in enumerate(grid(spec)):
+    for grid_index, point in enumerate(spec.grid):
         results = map_fn(partial(trial, point[0]), _trial_seeds(spec, grid_index))
         records.append(aggregate(spec, point, results))
     return ExperimentResult(spec=spec, records=tuple(records))

@@ -109,6 +109,12 @@ def test_gen_invalid_params_exit_2(capsys):
     assert "error:" in err
 
 
+def test_gen_size_past_bound_exit_2(capsys):
+    code, _, err = run_cli(["gen", "--n", "2", "--m", str(10**30), "--p", "0.5"], capsys)
+    assert code == 2
+    assert err.startswith("error: m must be at most ")
+
+
 def test_unknown_option_exit_2(capsys):
     code, _, _ = run_cli(["gen", "--vertices", "4"], capsys)
     assert code == 2
@@ -176,6 +182,23 @@ def test_probe_tail_bound_window_violation(capsys):
     )
     assert code == 2
     assert "cutoff" in err
+
+
+@pytest.mark.parametrize(
+    ("argv", "name"),
+    [
+        (["probe", "q-exact", "--m", str(10**400), "--p", "0.5"], "m"),
+        (["probe", "q-approx", "--m", str(10**400), "--p", "0.5"], "m"),
+        (["probe", "zeta", "--m", str(10**400), "--p", "0.5"], "m"),
+        (["probe", "tail-bound", "--trials", str(10**400), "--p", "0.5",
+          "--cutoff", "1", "--direction", "lower"], "trials"),
+    ],
+    ids=["q-exact", "q-approx", "zeta", "tail-bound"],
+)
+def test_probe_count_past_float_range_exit_2(argv, name, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"error: {name} must be at most ")
 
 
 def test_probe_a_root(capsys):
@@ -351,6 +374,14 @@ _SUBCOMMAND = {
         ({"kind": "degree-scaling", "n": [10], "alpha": [0.5], "c": "x"}, "c"),
         ({"kind": "degree-scaling", "n": [10], "alpha": [0.5], "c": None}, "c"),
         ({"kind": "edge-prob", "points": [{"m": 2, "p": 0.5}], "trials": 2**64 + 1}, "trials"),
+        # sizes past the 2**59 - 1 bound on n and m, beyond any array riglab could allocate
+        ({"kind": "edge-prob", "points": [{"m": 10**30, "p": 0.5}]}, "points[0].m"),
+        ({"kind": "degree-dist", "points": [{"n": 4, "m": 10**30, "p": 0.5}]}, "points[0].m"),
+        ({"kind": "degree-dist", "points": [{"n": 2**63 - 1, "m": 2, "p": 0.5}]}, "points[0].n"),
+        ({"kind": "connectivity-sweep", "n": [10**30], "alpha": [1.0]}, "n[0]"),
+        ({"kind": "degree-scaling", "n": [10**30], "alpha": [0.5], "c": 0.5}, "n[0]"),
+        ({"kind": "connectivity-sweep", "n": [4], "alpha": [1.0],
+          "m_rule": {"kind": "power", "beta": 40}}, "m_rule.beta"),
     ],
 )
 def test_malformed_spec_value_exit_2(fields, key_path, tmp_path, capsys):

@@ -96,6 +96,20 @@ def test_spec_rejects_bad_trials_and_points():
         ExperimentSpec(kind="edge-prob", trials=10, master_seed=0, points=((2, 0.5, 3),))
     with pytest.raises(ValueError):
         ExperimentSpec(kind="degree-dist", trials=10, master_seed=0, points=((0, 2, 0.5),))
+    # a sweep point is resolved when the spec is built, not when it runs
+    with pytest.raises(ValueError, match=r"alpha\[0\]"):
+        ExperimentSpec(
+            kind="connectivity-sweep", trials=1, master_seed=0, n_values=(4,), alphas=(-3.0,)
+        )
+
+
+def test_spec_grid_lists_sweep_points_n_major():
+    spec = ExperimentSpec(
+        kind="connectivity-sweep", trials=1, master_seed=0, n_values=(4, 9), alphas=(0.5, 1.0)
+    )
+    assert spec.grid == tuple(
+        (ModelParams(n, n, threshold_p(alpha, n, n)), alpha) for n in (4, 9) for alpha in (0.5, 1.0)
+    )
 
 
 def test_spec_trials_fit_the_64_bit_trial_index():
