@@ -9,7 +9,6 @@ the two competing degree laws for a single vertex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import binom as _scipy_binom
@@ -17,9 +16,6 @@ from scipy.stats import binom as _scipy_binom
 from .model import _FLOAT_MAX, _check_int, _check_prob, _check_real, _require
 
 __all__ = [
-    "TailBoundQuery",
-    "RootResult",
-    "DegreeModel",
     "DEGREE_MODEL_KINDS",
     "q_exact",
     "q_approx",
@@ -87,90 +83,41 @@ def rate_H(t: float) -> float:
     return (math.log(t) + 1.0) / t - 1.0
 
 
-@dataclass(frozen=True)
-class TailBoundQuery:
-    """One binomial tail query: n trials, success probability, cutoff, side.
-
-    The bound is only valid on one side of the mean, so construction rejects
-    cutoffs on the wrong side of trials * success_prob.
-    """
-
-    trials: int
-    success_prob: float
-    cutoff: float
-    direction: str
-
-    def __post_init__(self) -> None:
-        _check_int(self.trials, "trials", 1, _FLOAT_MAX)
-        object.__setattr__(
-            self, "success_prob", _check_prob(self.success_prob, "success_prob", low_open=True)
-        )
-        cutoff = _check_real(self.cutoff, "cutoff")
-        _require(cutoff > 0.0, f"cutoff must be positive, got {cutoff!r}")
-        object.__setattr__(self, "cutoff", cutoff)
-        if self.direction not in ("upper", "lower"):
-            raise ValueError(f"direction must be 'upper' or 'lower', got {self.direction!r}")
-        mean = self.trials * self.success_prob
-        if self.direction == "upper" and self.cutoff < mean:
-            raise ValueError(
-                "upper tail bound requires cutoff >= trials * success_prob, "
-                f"got cutoff={self.cutoff} < {mean}"
-            )
-        if self.direction == "lower" and self.cutoff > mean:
-            raise ValueError(
-                "lower tail bound requires 0 < cutoff <= trials * success_prob, "
-                f"got cutoff={self.cutoff} > {mean}"
-            )
-
-    @property
-    def mean(self) -> float:
-        return self.trials * self.success_prob
-
-
-def tail_bound(query: TailBoundQuery) -> float:
-    """Evaluate (np/k)^k * exp(k - np) in log space.
+def tail_bound(trials: int, success_prob: float, cutoff: float, direction: str) -> float:
+    """Evaluate (np/k)^k * exp(k - np) in log space, np = trials * success_prob, k = cutoff.
 
     Equals exp(np * H(np/k)) and dominates the exact binomial tail on the
-    query's side of the mean.
+    `direction` side of the mean.  The bound holds only on that side, so a
+    cutoff on the wrong side of trials * success_prob is rejected.
     """
-    np_ = query.mean
-    k = query.cutoff
-    return math.exp(k * math.log(np_ / k) + (k - np_))
+    _check_int(trials, "trials", 1, _FLOAT_MAX)
+    mean = trials * _check_prob(success_prob, "success_prob", low_open=True)
+    k = _check_real(cutoff, "cutoff")
+    _require(k > 0.0, f"cutoff must be positive, got {k!r}")
+    _require(direction in ("upper", "lower"), f"direction must be 'upper' or 'lower', got {direction!r}")
+    _require(
+        direction == "lower" or k >= mean,
+        f"upper tail bound requires cutoff >= trials * success_prob, got cutoff={k} < {mean}",
+    )
+    _require(
+        direction == "upper" or k <= mean,
+        "lower tail bound requires 0 < cutoff <= trials * success_prob, "
+        f"got cutoff={k} > {mean}",
+    )
+    return math.exp(k * math.log(mean / k) + (k - mean))
 
 
 def _envelope(a: float) -> float:
     return a * math.log(a) - (a - 1.0)
 
 
-@dataclass(frozen=True)
-class RootResult:
-    """A solved envelope root with its defining residual."""
-
-    c: float
-    branch: str
-    a: float
-    residual: float
-
-    def __post_init__(self) -> None:
-        if self.branch not in ("upper", "lower"):
-            raise ValueError(f"branch must be 'upper' or 'lower', got {self.branch!r}")
-        if self.branch == "upper" and self.a < 1.0:
-            raise ValueError(f"upper-branch root must satisfy a >= 1, got {self.a}")
-        if self.branch == "lower" and not 0.0 < self.a <= 1.0:
-            raise ValueError(f"lower-branch root must satisfy 0 < a <= 1, got {self.a}")
-        if self.residual > _RESIDUAL_TOL:
-            raise ValueError(
-                f"residual {self.residual} exceeds {_RESIDUAL_TOL}; solver did not converge"
-            )
-
-
-def solve_a(c: float, branch: str) -> RootResult:
-    """Solve a*log(a) - a + 1 = c on the requested branch.
+def solve_a(c: float, branch: str) -> float:
+    """The root a of a*log(a) - a + 1 = c on the requested branch.
 
     The upper branch lives in [1, inf) and exists for every c >= 0; the lower
     branch lives in (0, 1] and exists only for 0 <= c < 1 because the left
     side tends to 1 as a -> 0.  Bracketed Newton iteration with bisection
-    fallback; the returned residual is at most 1e-12.
+    fallback; raises ValueError if the root's residual exceeds 1e-12.
     """
     if branch not in ("upper", "lower"):
         raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
@@ -182,7 +129,7 @@ def solve_a(c: float, branch: str) -> RootResult:
         )
     if c == 0.0:
         # both branches meet at the double root a = 1
-        return RootResult(c=c, branch=branch, a=1.0, residual=0.0)
+        return 1.0
 
     if branch == "upper":
         # exp(1 + c) already lands past the root; cap to avoid overflow
@@ -218,7 +165,11 @@ def solve_a(c: float, branch: str) -> RootResult:
                 break
         x = trial
     residual = abs(g(x))
-    return RootResult(c=c, branch=branch, a=x, residual=residual)
+    _require(
+        residual <= _RESIDUAL_TOL,
+        f"residual {residual} exceeds {_RESIDUAL_TOL}; solver did not converge",
+    )
+    return x
 
 
 def threshold_p(alpha: float, m: int, n: int) -> float:
@@ -245,21 +196,6 @@ def conditional_adjacency_prob(size: int, p: float) -> float:
     return -math.expm1(size * math.log1p(-p))
 
 
-@dataclass(frozen=True, eq=False)
-class DegreeModel:
-    """A degree law for one vertex: pmf over 0..n-1 plus the kind that produced it."""
-
-    kind: str
-    pmf: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.kind not in DEGREE_MODEL_KINDS:
-            raise ValueError(f"kind must be one of {DEGREE_MODEL_KINDS}, got {self.kind!r}")
-        total = float(np.sum(self.pmf))
-        if abs(total - 1.0) > 1e-12 or np.any(self.pmf < 0.0):
-            raise ValueError(f"pmf must be nonnegative and sum to 1, got sum={total}")
-
-
 def _binom_pmf(k, trials: int, p: float):
     """scipy's Binomial(trials, p) pmf at k.
 
@@ -273,8 +209,8 @@ def _binom_pmf(k, trials: int, p: float):
         return np.exp(_scipy_binom.logpmf(k, trials, p))
 
 
-def degree_pmf(n: int, m: int, p: float, kind: str) -> DegreeModel:
-    """Degree law of a single vertex under one of two models.
+def degree_pmf(n: int, m: int, p: float, kind: str) -> np.ndarray:
+    """Degree law of a single vertex under one of two models, as a pmf over 0..n-1.
 
     'binomial-approx' treats the n-1 adjacency indicators as independent,
     giving Binomial(n-1, q_exact).  'exact-mixture' conditions on the vertex's
@@ -299,7 +235,12 @@ def degree_pmf(n: int, m: int, p: float, kind: str) -> DegreeModel:
                 continue
             share = conditional_adjacency_prob(int(s), p)
             pmf += w * _binom_pmf(ks, n - 1, share)
-    return DegreeModel(kind=kind, pmf=pmf)
+    total = float(np.sum(pmf))
+    _require(
+        abs(total - 1.0) <= 1e-12 and not np.any(pmf < 0.0),
+        f"pmf must be nonnegative and sum to 1, got sum={total}",
+    )
+    return pmf
 
 
 def total_variation(pmf_a, pmf_b) -> float:

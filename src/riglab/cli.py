@@ -16,7 +16,6 @@ import sys
 
 from ._version import __version__
 from .analytics import (
-    TailBoundQuery,
     q_approx,
     q_exact,
     rate_H,
@@ -90,12 +89,9 @@ _PROBES = {
     "zeta": (zeta_bound, (("m", int), ("p", float))),
     "H": (rate_H, (("t", float, "argument; 'inf' is accepted"),)),
     "tail-bound": (
-        lambda trials, p, cutoff, direction: tail_bound(
-            TailBoundQuery(trials=trials, success_prob=p, cutoff=cutoff, direction=direction)
-        ),
-        (("trials", int), ("p", float), ("cutoff", float), ("direction", _SIDES)),
+        tail_bound, (("trials", int), ("p", float), ("cutoff", float), ("direction", _SIDES))
     ),
-    "a-root": (lambda c, branch: solve_a(c, branch).a, (("c", float), ("branch", _SIDES))),
+    "a-root": (solve_a, (("c", float), ("branch", _SIDES))),
     "threshold-p": (threshold_p, (("alpha", float), ("m", int), ("n", int))),
 }
 
@@ -307,6 +303,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

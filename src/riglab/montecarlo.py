@@ -130,10 +130,10 @@ def _unpack(entry, keys: tuple, where: str) -> tuple:
     return tuple(entry[key] for key in keys)
 
 
-def _params(where: str, n, m, p) -> ModelParams:
-    """ModelParams(n, m, p), its error message prefixed with `where`, the spec key path."""
+def _at(where: str, func, *args):
+    """func(*args), its ValueError message prefixed with `where`, the spec key path."""
     try:
-        return ModelParams(n, m, p)
+        return func(*args)
     except ValueError as exc:
         raise ValueError(f"{where}{exc}") from None
 
@@ -177,7 +177,7 @@ class ExperimentSpec:
             two = (2,) if self.kind == "edge-prob" else ()  # an edge-prob point has two vertices
             for i, point in enumerate(self.points):
                 _require(len(point) == len(keys), f"{self.kind} point must have {len(keys)} fields")
-                grid.append((_params(f"points[{i}].", *two, *point),))
+                grid.append((_at(f"points[{i}].", ModelParams, *two, *point),))
             points = tuple(tuple(getattr(point[0], key) for key in keys) for point in grid)
             object.__setattr__(self, "points", points)
         else:
@@ -185,6 +185,11 @@ class ExperimentSpec:
             alphas = tuple(_check_real(a, f"alpha[{i}]") for i, a in enumerate(self.alphas))
             object.__setattr__(self, "alphas", alphas)
             rule = self.m_rule
+            _require(
+                isinstance(rule, tuple) and rule[:1] in [(kind,) for kind in _M_RULE_KEYS]
+                and len(rule) == len(_M_RULE_KEYS[rule[0]]),
+                f"m_rule must be ('equal-n',), ('power', beta) or ('fixed', m), got {rule!r}",
+            )
             if rule[0] == "power":
                 rule = ("power", _check_real(rule[1], "m_rule.beta"))
                 _require(rule[1] > 0.0, f"m_rule.beta must be > 0, got {rule[1]}")
@@ -194,31 +199,28 @@ class ExperimentSpec:
             for i, n in enumerate(self.n_values):
                 m = resolve_m(rule, _check_int(n, f"n[{i}]", 1, _MAX_SIZE))
                 for j, alpha in enumerate(alphas):
-                    p = threshold_p(alpha, m, n)
+                    p = _at(f"alpha[{j}]: ", threshold_p, alpha, m, n)
                     _require(p <= 1.0, f"alpha[{j}]={alpha} gives p={p} > 1 at n={n}, m={m}")
                     # n and a fixed m are checked above, so only a power-rule m can fail here
-                    grid.append((_params("m_rule.beta: ", n, m, p), alpha))
+                    grid.append((_at("m_rule.beta: ", ModelParams, n, m, p), alpha))
         if self.kind == "degree-scaling":
             _require(self.c is not None, "degree-scaling requires the rate constant c")
             c = _check_real(self.c, "c")
             _require(c > 0.0, f"c must be > 0, got {c}")
             object.__setattr__(self, "c", c)
-            for alpha in self.alphas:
+            for j, alpha in enumerate(self.alphas):
                 _require(
                     0.0 < alpha < 1.0,
                     f"degree scaling requires alpha in (0, 1) so that delta = 1 - alpha > 0, "
-                    f"got alpha={alpha}",
+                    f"got alpha[{j}]={alpha}",
                 )
-            envelope = (solve_a(c, "lower").a, solve_a(c, "upper").a)
+            envelope = (_at("c: ", solve_a, c, "lower"), _at("c: ", solve_a, c, "upper"))
             grid = [point + envelope for point in grid]
         object.__setattr__(self, "grid", tuple(grid))
 
     @classmethod
     def from_dict(cls, payload: dict, default_seed: int | None = None) -> "ExperimentSpec":
         _require(isinstance(payload, dict), "experiment spec must be a JSON object")
-        allowed = {"kind", "trials", "master_seed", "points", "n", "alpha", "m_rule", "c"}
-        unknown = set(payload) - allowed
-        _require(not unknown, f"unknown spec keys: {sorted(unknown)}")
         kind = payload.get("kind")
         _require(kind in EXPERIMENT_KINDS, f"unknown experiment kind {kind!r}")
         seed = payload.get("master_seed", default_seed)
@@ -245,7 +247,11 @@ class ExperimentSpec:
             kwargs["m_rule"] = _unpack(rule, _M_RULE_KEYS[rule_kind], "m_rule")
         if kind == "degree-scaling":
             kwargs["c"] = payload.get("c")
-        return cls(**kwargs)
+        spec = cls(**kwargs)
+        # a key the spec does not echo would be ignored and left out of the spec hash
+        unknown = set(payload) - set(spec.to_dict())
+        _require(not unknown, f"unknown spec keys for kind {kind!r}: {sorted(unknown)}")
+        return spec
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -409,8 +415,8 @@ def _dist_record(spec, point, degrees) -> DegreeDistRecord:
     """The sampled degree law of vertex 0 against both analytic models."""
     n, m, p = point[0].n, point[0].m, point[0].p
     empirical = np.bincount(np.fromiter(degrees, np.int64), minlength=n) / spec.trials
-    tv_mixture = total_variation(empirical, degree_pmf(n, m, p, "exact-mixture").pmf)
-    tv_binomial = total_variation(empirical, degree_pmf(n, m, p, "binomial-approx").pmf)
+    tv_mixture = total_variation(empirical, degree_pmf(n, m, p, "exact-mixture"))
+    tv_binomial = total_variation(empirical, degree_pmf(n, m, p, "binomial-approx"))
     pmf = tuple(float(x) for x in empirical)
     return DegreeDistRecord(n, m, p, spec.trials, tv_mixture, tv_binomial, spec.master_seed, pmf)
 

@@ -68,6 +68,11 @@ def enum_degree_pmf(n: int, m: int, p: float) -> np.ndarray:
     return pmf
 
 
+def envelope_residual(a: float, c: float) -> float:
+    """|a*log(a) - a + 1 - c|, the four terms summed by math.fsum with one rounding."""
+    return abs(math.fsum((a * math.log(a), -a, 1.0, -c)))
+
+
 def rational_binom_tail(trials: int, p_num: int, p_den: int, cutoff: int, direction: str) -> Fraction:
     """Exact binomial tail as a rational number, for p = p_num / p_den."""
     p = Fraction(p_num, p_den)

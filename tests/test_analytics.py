@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riglab import analytics
 from riglab import (
-    TailBoundQuery,
     conditional_adjacency_prob,
     degree_pmf,
     q_approx,
@@ -24,6 +24,7 @@ from oracles import (
     binom_tail_exact,
     enum_degree_pmf,
     enum_two_vertex_share_prob,
+    envelope_residual,
     rational_binom_tail,
 )
 
@@ -112,25 +113,22 @@ def test_rate_H_domain_errors(bad):
 # ----------------------------------------------------------------- tail bound
 
 def test_tail_bound_frozen_values():
-    up = TailBoundQuery(trials=10, success_prob=0.5, cutoff=10, direction="upper")
-    assert tail_bound(up) == pytest.approx(math.exp(5.0) / 1024.0, rel=1e-12)
-    at_mean_up = TailBoundQuery(trials=10, success_prob=0.5, cutoff=5, direction="upper")
-    at_mean_lo = TailBoundQuery(trials=10, success_prob=0.5, cutoff=5, direction="lower")
-    assert tail_bound(at_mean_up) == 1.0
-    assert tail_bound(at_mean_lo) == 1.0
+    assert tail_bound(10, 0.5, 10, "upper") == pytest.approx(math.exp(5.0) / 1024.0, rel=1e-12)
+    assert tail_bound(10, 0.5, 5, "upper") == 1.0
+    assert tail_bound(10, 0.5, 5, "lower") == 1.0
 
 
 def test_tail_bound_window_validation():
     with pytest.raises(ValueError, match=r"cutoff >= trials \* success_prob"):
-        TailBoundQuery(trials=10, success_prob=0.5, cutoff=4, direction="upper")
+        tail_bound(10, 0.5, 4, "upper")
     with pytest.raises(ValueError, match=r"cutoff <= trials \* success_prob"):
-        TailBoundQuery(trials=10, success_prob=0.5, cutoff=6, direction="lower")
+        tail_bound(10, 0.5, 6, "lower")
     with pytest.raises(ValueError):
-        TailBoundQuery(trials=10, success_prob=0.5, cutoff=0.0, direction="lower")
+        tail_bound(10, 0.5, 0.0, "lower")
     with pytest.raises(ValueError):
-        TailBoundQuery(trials=10, success_prob=0.0, cutoff=1, direction="upper")
+        tail_bound(10, 0.0, 1, "upper")
     with pytest.raises(ValueError):
-        TailBoundQuery(trials=10, success_prob=0.5, cutoff=5, direction="sideways")
+        tail_bound(10, 0.5, 5, "sideways")
 
 
 def test_tail_bound_equals_rate_function_form():
@@ -139,14 +137,12 @@ def test_tail_bound_equals_rate_function_form():
             for cutoff in range(1, trials + 1):
                 for direction in ("upper", "lower"):
                     try:
-                        query = TailBoundQuery(
-                            trials=trials, success_prob=p, cutoff=cutoff, direction=direction
-                        )
+                        bound = tail_bound(trials, p, cutoff, direction)
                     except ValueError:
                         continue
                     mean = trials * p
                     via_h = math.exp(mean * rate_H(mean / cutoff))
-                    assert tail_bound(query) == pytest.approx(via_h, rel=1e-12)
+                    assert bound == pytest.approx(via_h, rel=1e-12)
 
 
 def test_tail_bound_dominates_exact_tail_small_grid():
@@ -155,12 +151,10 @@ def test_tail_bound_dominates_exact_tail_small_grid():
             for cutoff in range(1, trials + 1):
                 for direction in ("upper", "lower"):
                     try:
-                        query = TailBoundQuery(
-                            trials=trials, success_prob=p, cutoff=cutoff, direction=direction
-                        )
+                        bound = tail_bound(trials, p, cutoff, direction)
                     except ValueError:
                         continue
-                    assert tail_bound(query) >= binom_tail_exact(trials, p, cutoff, direction)
+                    assert bound >= binom_tail_exact(trials, p, cutoff, direction)
 
 
 # ----------------------------------------------------------------- exact tail
@@ -207,30 +201,30 @@ def test_binom_tail_exact_domain_errors():
 
 def test_solve_a_double_root_at_zero():
     for branch in ("upper", "lower"):
-        result = solve_a(0.0, branch)
-        assert result.a == 1.0
-        assert result.residual == 0.0
+        a = solve_a(0.0, branch)
+        assert a == 1.0
+        assert envelope_residual(a, 0.0) == 0.0
 
 
 def test_solve_a_analytic_points():
-    assert solve_a(1.0, "upper").a == pytest.approx(math.e, abs=1e-9)
-    assert solve_a(1.0 - 2.0 / math.e, "lower").a == pytest.approx(1.0 / math.e, abs=1e-9)
+    assert solve_a(1.0, "upper") == pytest.approx(math.e, abs=1e-9)
+    assert solve_a(1.0 - 2.0 / math.e, "lower") == pytest.approx(1.0 / math.e, abs=1e-9)
 
 
 def test_solve_a_residuals_on_grid():
-    for c in np.linspace(0.0, 50.0, 101):
-        result = solve_a(float(c), "upper")
-        assert result.residual <= 1e-12
-        assert result.a >= 1.0
-    for c in np.linspace(0.0, 0.999, 101):
-        result = solve_a(float(c), "lower")
-        assert result.residual <= 1e-12
-        assert 0.0 < result.a <= 1.0
+    for c in np.linspace(0.0, 50.0, 101).tolist():
+        a = solve_a(c, "upper")
+        assert envelope_residual(a, c) <= 1e-12
+        assert a >= 1.0
+    for c in np.linspace(0.0, 0.999, 101).tolist():
+        a = solve_a(c, "lower")
+        assert envelope_residual(a, c) <= 1e-12
+        assert 0.0 < a <= 1.0
 
 
 def test_solve_a_branch_monotonicity():
-    uppers = [solve_a(float(c), "upper").a for c in np.linspace(0.0, 10.0, 41)]
-    lowers = [solve_a(float(c), "lower").a for c in np.linspace(0.0, 0.99, 41)]
+    uppers = [solve_a(float(c), "upper") for c in np.linspace(0.0, 10.0, 41)]
+    lowers = [solve_a(float(c), "lower") for c in np.linspace(0.0, 0.99, 41)]
     assert all(b > a for a, b in zip(uppers, uppers[1:]))
     assert all(b < a for a, b in zip(lowers, lowers[1:]))
 
@@ -238,17 +232,17 @@ def test_solve_a_branch_monotonicity():
 @given(c=st.floats(min_value=0.0, max_value=50.0))
 @settings(max_examples=200, deadline=None)
 def test_solve_a_upper_property(c):
-    result = solve_a(c, "upper")
-    assert result.residual <= 1e-12
-    assert result.a >= 1.0
+    a = solve_a(c, "upper")
+    assert envelope_residual(a, c) <= 1e-12
+    assert a >= 1.0
 
 
 @given(c=st.floats(min_value=0.0, max_value=0.999))
 @settings(max_examples=200, deadline=None)
 def test_solve_a_lower_property(c):
-    result = solve_a(c, "lower")
-    assert result.residual <= 1e-12
-    assert 0.0 < result.a <= 1.0
+    a = solve_a(c, "lower")
+    assert envelope_residual(a, c) <= 1e-12
+    assert 0.0 < a <= 1.0
 
 
 def test_solve_a_domain_errors():
@@ -264,6 +258,13 @@ def test_solve_a_domain_errors():
         solve_a(1.0 - 1e-15, "lower")
     with pytest.raises(ValueError):
         solve_a(0.5, "middle")
+
+
+def test_solve_a_reports_nonconvergence(monkeypatch):
+    # no residual meets a negative tolerance, so the convergence check must fire
+    monkeypatch.setattr(analytics, "_RESIDUAL_TOL", -1.0)
+    with pytest.raises(ValueError, match="solver did not converge"):
+        solve_a(0.5, "upper")
 
 
 # ------------------------------------------------------------------ threshold
@@ -303,11 +304,11 @@ def test_conditional_adjacency_prob():
 
 def test_degree_pmf_point_masses():
     for kind in ("binomial-approx", "exact-mixture"):
-        at_zero = degree_pmf(5, 3, 0.0, kind).pmf
+        at_zero = degree_pmf(5, 3, 0.0, kind)
         assert at_zero[0] == pytest.approx(1.0, abs=1e-12)
-        at_full = degree_pmf(5, 3, 1.0, kind).pmf
+        at_full = degree_pmf(5, 3, 1.0, kind)
         assert at_full[-1] == pytest.approx(1.0, abs=1e-12)
-        single = degree_pmf(1, 3, 0.6, kind).pmf
+        single = degree_pmf(1, 3, 0.6, kind)
         assert single.shape == (1,)
         assert single[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -317,34 +318,43 @@ def test_degree_pmf_normalization():
         # the last three p made scipy's binomial pmf raise OverflowError
         for n, m, p in [(2, 1, 0.5), (10, 7, 0.23), (40, 60, 0.05), (25, 4, 0.9),
                         (1, 2, 1.1125369292536007e-308), (8, 5, 1e-307), (300, 40000, 1e-306)]:
-            model = degree_pmf(n, m, p, kind)
-            assert abs(float(np.sum(model.pmf)) - 1.0) <= 1e-12
+            pmf = degree_pmf(n, m, p, kind)
+            assert abs(float(np.sum(pmf)) - 1.0) <= 1e-12
 
 
 def test_exact_mixture_matches_enumeration():
     for n, m, p in [(4, 2, 0.5), (3, 4, 0.3), (2, 6, 0.85), (4, 3, 0.6)]:
-        mixture = degree_pmf(n, m, p, "exact-mixture").pmf
+        mixture = degree_pmf(n, m, p, "exact-mixture")
         reference = enum_degree_pmf(n, m, p)
         assert np.max(np.abs(mixture - reference)) <= 1e-9
 
 
 def test_binomial_approx_is_not_the_exact_law():
     # the independence approximation visibly misses for n > 2
-    mixture = degree_pmf(4, 2, 0.5, "exact-mixture").pmf
-    binomial = degree_pmf(4, 2, 0.5, "binomial-approx").pmf
+    mixture = degree_pmf(4, 2, 0.5, "exact-mixture")
+    binomial = degree_pmf(4, 2, 0.5, "binomial-approx")
     assert total_variation(mixture, binomial) > 0.01
 
 
 def test_binomial_approx_is_exact_for_two_vertices():
     # with one indicator there is nothing to approximate
-    mixture = degree_pmf(2, 5, 0.4, "exact-mixture").pmf
-    binomial = degree_pmf(2, 5, 0.4, "binomial-approx").pmf
+    mixture = degree_pmf(2, 5, 0.4, "exact-mixture")
+    binomial = degree_pmf(2, 5, 0.4, "binomial-approx")
     assert np.max(np.abs(mixture - binomial)) <= 1e-12
 
 
 def test_degree_pmf_kind_validation():
     with pytest.raises(ValueError):
         degree_pmf(4, 2, 0.5, "exact")
+
+
+def test_degree_pmf_rejects_a_law_that_is_not_a_pmf(monkeypatch):
+    # halving every binomial term leaves a law that sums to 1/2 or 1/4
+    original = analytics._binom_pmf
+    monkeypatch.setattr(analytics, "_binom_pmf", lambda k, trials, p: 0.5 * original(k, trials, p))
+    for kind in ("binomial-approx", "exact-mixture"):
+        with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+            degree_pmf(4, 2, 0.5, kind)
 
 
 def test_total_variation_basics():

@@ -382,6 +382,9 @@ _SUBCOMMAND = {
         ({"kind": "degree-scaling", "n": [10**30], "alpha": [0.5], "c": 0.5}, "n[0]"),
         ({"kind": "connectivity-sweep", "n": [4], "alpha": [1.0],
           "m_rule": {"kind": "power", "beta": 40}}, "m_rule.beta"),
+        # p(alpha) overflows the float range, and an alpha outside degree scaling's (0, 1)
+        ({"kind": "connectivity-sweep", "n": [10], "alpha": [-400]}, "alpha[0]"),
+        ({"kind": "degree-scaling", "n": [10], "alpha": [1.5], "c": 0.5}, "alpha[0]"),
     ],
 )
 def test_malformed_spec_value_exit_2(fields, key_path, tmp_path, capsys):
@@ -394,6 +397,18 @@ def test_malformed_spec_value_exit_2(fields, key_path, tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: ")
     assert key_path in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_out_of_memory_exit_2(tmp_path, capsys):
+    # m = 2**59 - 1 passes the size bound, but one vertex's 2**59 - 1 uniforms
+    # exceed any address space, so numpy refuses the allocation at once
+    payload = {"kind": "edge-prob", "trials": 1, "master_seed": 0,
+               "points": [{"m": 2**59 - 1, "p": 0.5}]}
+    spec_path = _write_spec(tmp_path, payload)
+    code, _, err = run_cli(["sweep", "--spec", spec_path, "--out", str(tmp_path / "x")], capsys)
+    assert code == 2
+    assert err.startswith("error: ")
     assert not (tmp_path / "x.csv").exists()
 
 

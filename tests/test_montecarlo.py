@@ -101,6 +101,12 @@ def test_spec_rejects_bad_trials_and_points():
         ExperimentSpec(
             kind="connectivity-sweep", trials=1, master_seed=0, n_values=(4,), alphas=(-3.0,)
         )
+    # an m_rule without its parameter is a ValueError, not an IndexError
+    with pytest.raises(ValueError, match="m_rule"):
+        ExperimentSpec(
+            kind="connectivity-sweep", trials=1, master_seed=0, n_values=(4,), alphas=(1.0,),
+            m_rule=("power",),
+        )
 
 
 def test_spec_grid_lists_sweep_points_n_major():
@@ -169,6 +175,12 @@ def test_from_dict_rejects_unknown_keys():
         ExperimentSpec.from_dict(
             {"kind": "edge-prob", "trials": 5, "master_seed": 0,
              "points": [{"m": 2, "p": 0.5}], "label": "x"}
+        )
+    # keys of another kind are rejected too, not ignored and left out of the spec hash
+    with pytest.raises(ValueError, match=r"unknown spec keys.*\['alpha', 'c', 'm_rule'\]"):
+        ExperimentSpec.from_dict(
+            {"kind": "edge-prob", "trials": 5, "master_seed": 0, "points": [{"m": 2, "p": 0.5}],
+             "alpha": [3], "c": "junk", "m_rule": {"kind": "bogus"}}
         )
     with pytest.raises(ValueError, match="exactly keys"):
         ExperimentSpec.from_dict(
@@ -388,7 +400,7 @@ def test_conditional_sampler_agrees_with_full_projection():
     # analytic mixture pmf
     n, m, p = 5, 3, 0.4
     trials = 20_000
-    exact = degree_pmf(n, m, p, "exact-mixture").pmf
+    exact = degree_pmf(n, m, p, "exact-mixture")
     params = ModelParams(n=n, m=m, p=p)
     shortcut = np.bincount(
         [sample_degree(params, 70_000 + t) for t in range(trials)], minlength=n
@@ -419,8 +431,8 @@ def test_degree_scaling_record_fields():
     )
     records = run_experiment(spec).records
     assert [r.n for r in records] == [200, 400]
-    lower = solve_a(0.5, "lower").a
-    upper = solve_a(0.5, "upper").a
+    lower = solve_a(0.5, "lower")
+    upper = solve_a(0.5, "upper")
     for rec in records:
         assert rec.delta == 1.0 - rec.alpha
         assert rec.m == rec.n
