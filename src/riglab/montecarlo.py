@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -62,8 +62,7 @@ _Z95 = 1.959963984540054
 # trial seeds are derived this many at a time (see _trial_seeds)
 _SEED_CHUNK = 1024
 
-# JSON keys of an explicit grid point, and of each m_rule kind ("kind" included)
-_POINT_KEYS = {"edge-prob": ("m", "p"), "degree-dist": ("n", "m", "p")}
+# JSON keys of each m_rule kind ("kind" included)
 _M_RULE_KEYS = {"equal-n": ("kind",), "power": ("kind", "beta"), "fixed": ("kind", "m")}
 
 
@@ -145,6 +144,7 @@ class ExperimentSpec:
     `points` carries explicit grid points for edge-prob ((m, p) pairs) and
     degree-dist ((n, m, p) triples); sweeps use the n_values x alphas product
     with m chosen by m_rule.  `c` is the rate constant for degree scaling.
+    A field that the kind does not read (see _KINDS) must keep its default.
     Construction is the spec's only validation: it resolves every grid point
     into `grid`, a tuple of (ModelParams, *labels), whose ModelParams checks
     the point's (n, m, p).  Errors name the key path, such as points[1].p,
@@ -170,14 +170,22 @@ class ExperimentSpec:
             f"trial index, got {self.trials}",
         )
         _check_int(self.master_seed, "master_seed")
-        keys = _POINT_KEYS.get(self.kind)
+        reads = _KINDS[self.kind][2]
+        for f in fields(self):
+            value = getattr(self, f.name, None)  # grid is not set yet
+            # a field the kind does not read would be left out of to_dict and the spec hash
+            stray = f.default is not MISSING and f.name not in reads and value != f.default
+            _require(not stray, f"unknown spec field for kind {self.kind!r}: {f.name}={value!r}")
+            wrong = isinstance(f.default, tuple) and not isinstance(value, tuple)
+            _require(not wrong, f"{f.name} must be a tuple, got {value!r}")
         grid = []
-        if keys:
+        if "points" in reads:
+            _, fixed, keys = reads["points"]
             _require(len(self.points) > 0, "empty parameter grid")
-            two = (2,) if self.kind == "edge-prob" else ()  # an edge-prob point has two vertices
             for i, point in enumerate(self.points):
-                _require(len(point) == len(keys), f"{self.kind} point must have {len(keys)} fields")
-                grid.append((_at(f"points[{i}].", ModelParams, *two, *point),))
+                shaped = isinstance(point, tuple) and len(point) == len(keys)
+                _require(shaped, f"points[{i}] must be a tuple of {len(keys)} values {keys}")
+                grid.append((_at(f"points[{i}].", ModelParams, *fixed, *point),))
             points = tuple(tuple(getattr(point[0], key) for key in keys) for point in grid)
             object.__setattr__(self, "points", points)
         else:
@@ -186,7 +194,7 @@ class ExperimentSpec:
             object.__setattr__(self, "alphas", alphas)
             rule = self.m_rule
             _require(
-                isinstance(rule, tuple) and rule[:1] in [(kind,) for kind in _M_RULE_KEYS]
+                rule[:1] in [(kind,) for kind in _M_RULE_KEYS]
                 and len(rule) == len(_M_RULE_KEYS[rule[0]]),
                 f"m_rule must be ('equal-n',), ('power', beta) or ('fixed', m), got {rule!r}",
             )
@@ -203,8 +211,9 @@ class ExperimentSpec:
                     _require(p <= 1.0, f"alpha[{j}]={alpha} gives p={p} > 1 at n={n}, m={m}")
                     # n and a fixed m are checked above, so only a power-rule m can fail here
                     grid.append((_at("m_rule.beta: ", ModelParams, n, m, p), alpha))
-        if self.kind == "degree-scaling":
-            _require(self.c is not None, "degree-scaling requires the rate constant c")
+        if "c" in reads:
+            # a kind that reads c compares X / n**(1 - alpha) with the envelope roots of c
+            _require(self.c is not None, f"{self.kind} requires the rate constant c")
             c = _check_real(self.c, "c")
             _require(c > 0.0, f"c must be > 0, got {c}")
             object.__setattr__(self, "c", c)
@@ -223,51 +232,38 @@ class ExperimentSpec:
         _require(isinstance(payload, dict), "experiment spec must be a JSON object")
         kind = payload.get("kind")
         _require(kind in EXPERIMENT_KINDS, f"unknown experiment kind {kind!r}")
+        reads = _KINDS[kind][2]
+        # a key the kind does not read would be ignored and left out of the spec hash
+        unknown = set(payload) - {"kind", "trials", "master_seed", *(k for k, *_ in reads.values())}
+        _require(not unknown, f"unknown spec keys for kind {kind!r}: {sorted(unknown)}")
         seed = payload.get("master_seed", default_seed)
         _require(seed is not None, "master_seed is required")
         kwargs = {"kind": kind, "trials": payload.get("trials"), "master_seed": seed}
-        keys = _POINT_KEYS.get(kind)
-        if keys:
-            raw_points = payload.get("points")
-            _require(isinstance(raw_points, list), f"{kind} spec needs a 'points' list")
-            kwargs["points"] = tuple(
-                _unpack(entry, keys, f"points[{i}]") for i, entry in enumerate(raw_points)
-            )
-        else:
-            for key in ("n", "alpha"):
-                _require(isinstance(payload.get(key), list), f"{kind} spec needs an '{key}' list")
-            kwargs.update(n_values=tuple(payload["n"]), alphas=tuple(payload["alpha"]))
-            rule = payload.get("m_rule")
-            rule = {"kind": "equal-n"} if rule is None else rule
-            rule_kind = rule.get("kind") if isinstance(rule, dict) else None
-            _require(
-                isinstance(rule_kind, str) and rule_kind in _M_RULE_KEYS,
-                f"m_rule must be an object of kind 'equal-n', 'power' or 'fixed', got {rule!r}",
-            )
-            kwargs["m_rule"] = _unpack(rule, _M_RULE_KEYS[rule_kind], "m_rule")
-        if kind == "degree-scaling":
-            kwargs["c"] = payload.get("c")
-        spec = cls(**kwargs)
-        # a key the spec does not echo would be ignored and left out of the spec hash
-        unknown = set(payload) - set(spec.to_dict())
-        _require(not unknown, f"unknown spec keys for kind {kind!r}: {sorted(unknown)}")
-        return spec
+        for name, (key, *shape) in reads.items():
+            value = payload.get(key)
+            if name == "m_rule":
+                value = {"kind": "equal-n"} if value is None else value
+                rule_kind = value.get("kind") if isinstance(value, dict) else None
+                known = isinstance(rule_kind, str) and rule_kind in _M_RULE_KEYS
+                _require(known, f"m_rule kind must be 'equal-n', 'power' or 'fixed', got {value!r}")
+                value = _unpack(value, _M_RULE_KEYS[rule_kind], "m_rule")
+            elif name != "c":
+                _require(isinstance(value, list), f"{kind} spec needs a list {key!r}")
+                if name == "points":
+                    value = [_unpack(p, shape[1], f"points[{i}]") for i, p in enumerate(value)]
+                value = tuple(value)
+            kwargs[name] = value
+        return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "kind": self.kind,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-        }
-        keys = _POINT_KEYS.get(self.kind)
-        if keys:
-            out["points"] = [dict(zip(keys, point)) for point in self.points]
-        else:
-            out["n"] = list(self.n_values)
-            out["alpha"] = list(self.alphas)
-            out["m_rule"] = dict(zip(_M_RULE_KEYS[self.m_rule[0]], self.m_rule))
-        if self.kind == "degree-scaling":
-            out["c"] = self.c
+        out: dict = {"kind": self.kind, "trials": self.trials, "master_seed": self.master_seed}
+        for name, (key, *shape) in _KINDS[self.kind][2].items():
+            value = getattr(self, name)
+            if name == "points":
+                value = [dict(zip(shape[1], point)) for point in value]
+            elif name == "m_rule":
+                value = dict(zip(_M_RULE_KEYS[value[0]], value))
+            out[key] = list(value) if isinstance(value, tuple) else value
         return out
 
 
@@ -457,17 +453,21 @@ def _trial_seeds(spec: ExperimentSpec, grid_index: int):
         yield from [derive_trial_seed(spec.master_seed, grid_index, t) for t in range(start, stop)]
 
 
+# kind: (trial, aggregator, {spec field the kind reads: (its JSON key, *shape)}).
+# A points shape is the ModelParams arguments every point shares and the JSON
+# keys of the rest: an edge-prob point is an (m, p) pair at two vertices.
+_SWEEP = {"n_values": ("n",), "alphas": ("alpha",), "m_rule": ("m_rule",)}
 _KINDS = {
-    "edge-prob": (_pair_trial, _edge_record),
-    "connectivity-sweep": (_connected_trial, _connectivity_record),
-    "degree-dist": (_degree_trial, _dist_record),
-    "degree-scaling": (_degree_trial, _scaling_record),
+    "edge-prob": (_pair_trial, _edge_record, {"points": ("points", (2,), ("m", "p"))}),
+    "connectivity-sweep": (_connected_trial, _connectivity_record, _SWEEP),
+    "degree-dist": (_degree_trial, _dist_record, {"points": ("points", (), ("n", "m", "p"))}),
+    "degree-scaling": (_degree_trial, _scaling_record, {**_SWEEP, "c": ("c",)}),
 }
 EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def run_experiment(spec: ExperimentSpec, map_fn=map) -> ExperimentResult:
-    """Run each point of `spec.grid` through the kind's _KINDS row: (trial, aggregator).
+    """Run each point of `spec.grid` through the kind's _KINDS trial and aggregator.
 
     The grid, (ModelParams, *labels) per point, was resolved and checked when
     the spec was built.  A point's trial seeds reach `map_fn` as a lazy
@@ -475,7 +475,7 @@ def run_experiment(spec: ExperimentSpec, map_fn=map) -> ExperimentResult:
     ThreadPoolExecutor.map does.  The aggregator folds the results as
     `map_fn` yields them.
     """
-    trial, aggregate = _KINDS[spec.kind]
+    trial, aggregate, _ = _KINDS[spec.kind]
     records = []
     for grid_index, point in enumerate(spec.grid):
         results = map_fn(partial(trial, point[0]), _trial_seeds(spec, grid_index))

@@ -68,6 +68,57 @@ def enum_degree_pmf(n: int, m: int, p: float) -> np.ndarray:
     return pmf
 
 
+def enum_connected_prob(n: int, m: int, p: float) -> Fraction:
+    """P[the intersection graph is connected], summed over all 2**(n*m) attachment outcomes.
+
+    Exact: the outcomes are counted by their number of attachments, and p is
+    taken exactly from its float.
+    """
+    counts = [0] * (n * m + 1)
+    for bits in range(2 ** (n * m)):
+        sets = [{w for w in range(m) if bits >> (v * m + w) & 1} for v in range(n)]
+        reached, frontier = {0}, [0]
+        while frontier:
+            v = frontier.pop()
+            for u in range(n):
+                if u not in reached and sets[v] & sets[u]:
+                    reached.add(u)
+                    frontier.append(u)
+        if len(reached) == n:
+            counts[bin(bits).count("1")] += 1
+    p = Fraction(p)
+    return sum(count * p**k * (1 - p) ** (n * m - k) for k, count in enumerate(counts))
+
+
+def gilbert_connected_prob(n: int, m: int, p: float) -> Fraction:
+    """Exact P[the intersection graph is connected] by Gilbert's recursion (1959).
+
+    W(t, j) is the probability that t vertices and j objects form one
+    connected vertex-object graph.  Vertex 1's component has some t' vertices
+    and j' objects and no edge to the rest, so with q = 1 - p
+
+        W(t, j) = 1 - sum over (t', j') != (t, j) of
+                  C(t-1, t'-1) C(j, j') W(t', j') q**(t'(j-j') + (t-t')j'),
+
+    with W(1, 0) = 1.  For n >= 2 the graph is connected when all n vertices
+    and the j objects they touch form one component and the other m - j
+    objects are touched by no vertex.  p is taken exactly from its float.
+    """
+    if n == 1:
+        return Fraction(1)
+    q = 1 - Fraction(p)
+    w = {}
+    for t in range(1, n + 1):
+        for j in range(m + 1):
+            w[t, j] = 1 - sum(
+                comb(t - 1, a - 1) * comb(j, b) * w[a, b] * q ** (a * (j - b) + (t - a) * b)
+                for a in range(1, t + 1)
+                for b in range(j + 1)
+                if (a, b) != (t, j)
+            )
+    return sum(comb(m, j) * w[n, j] * q ** (n * (m - j)) for j in range(m + 1))
+
+
 def envelope_residual(a: float, c: float) -> float:
     """|a*log(a) - a + 1 - c|, the four terms summed by math.fsum with one rounding."""
     return abs(math.fsum((a * math.log(a), -a, 1.0, -c)))

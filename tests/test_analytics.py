@@ -116,6 +116,13 @@ def test_tail_bound_frozen_values():
     assert tail_bound(10, 0.5, 10, "upper") == pytest.approx(math.exp(5.0) / 1024.0, rel=1e-12)
     assert tail_bound(10, 0.5, 5, "upper") == 1.0
     assert tail_bound(10, 0.5, 5, "lower") == 1.0
+    # mean / cutoff overflows to inf here and underflows to 0 below; the bound
+    # still dominates the exact tail (X <= 1e-320 means X = 0, and X >= 1e300
+    # is empty, inside X >= 10)
+    assert tail_bound(10, 0.5, 1e-320, "lower") == pytest.approx(math.exp(-5.0), rel=1e-12)
+    assert tail_bound(10, 0.5, 1e-320, "lower") >= binom_tail_exact(10, 0.5, 0, "lower")
+    assert tail_bound(10, 1e-300, 1e300, "upper") == 0.0
+    assert tail_bound(10, 1e-300, 1e300, "upper") >= binom_tail_exact(10, 1e-300, 10, "upper")
 
 
 def test_tail_bound_window_validation():
@@ -220,6 +227,12 @@ def test_solve_a_residuals_on_grid():
         a = solve_a(c, "lower")
         assert envelope_residual(a, c) <= 1e-12
         assert 0.0 < a <= 1.0
+    # for large c the terms a*log(a) and a are as large as c, so the residual is
+    # bounded relative to c
+    for c in (1e6, 1e20, 1e300):
+        a = solve_a(c, "upper")
+        assert envelope_residual(a, c) <= 1e-12 * c
+        assert a >= 1.0
 
 
 def test_solve_a_branch_monotonicity():

@@ -32,6 +32,8 @@ import riglab.model
 from riglab.model import ModelParams
 from riglab.montecarlo import _connected_trial
 
+from oracles import binom_tail_exact, enum_connected_prob, gilbert_connected_prob
+
 
 # ---------------------------------------------------------------- trial seeds
 
@@ -92,10 +94,18 @@ def test_spec_rejects_bad_trials_and_points():
         ExperimentSpec(kind="edge-prob", trials=0, master_seed=0, points=((2, 0.5),))
     with pytest.raises(ValueError):
         ExperimentSpec(kind="edge-prob", trials=10, master_seed=0, points=((2, 1.5),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^points\[0\] must be a tuple of 2 values"):
         ExperimentSpec(kind="edge-prob", trials=10, master_seed=0, points=((2, 0.5, 3),))
     with pytest.raises(ValueError):
         ExperimentSpec(kind="degree-dist", trials=10, master_seed=0, points=((0, 2, 0.5),))
+    # the grid fields are tuples, as JSON's lists are
+    with pytest.raises(ValueError, match="^points must be a tuple"):
+        ExperimentSpec(kind="edge-prob", trials=10, master_seed=0, points=5)
+    with pytest.raises(ValueError, match=r"^points\[0\] must be a tuple"):
+        ExperimentSpec(kind="edge-prob", trials=10, master_seed=0, points=(5,))
+    with pytest.raises(ValueError, match="^n_values must be a tuple"):
+        ExperimentSpec(kind="connectivity-sweep", trials=10, master_seed=0, n_values=None,
+                       alphas=(1.0,))
     # a sweep point is resolved when the spec is built, not when it runs
     with pytest.raises(ValueError, match=r"alpha\[0\]"):
         ExperimentSpec(
@@ -187,6 +197,25 @@ def test_from_dict_rejects_unknown_keys():
             {"kind": "edge-prob", "trials": 5, "master_seed": 0,
              "points": [{"m": 2, "p": 0.5, "n": 4}]}
         )
+
+
+def test_spec_rejects_fields_of_another_kind():
+    # the Python constructor holds to the same contract as test_from_dict_rejects_unknown_keys
+    edge = dict(kind="edge-prob", trials=5, master_seed=0, points=((2, 0.5),))
+    with pytest.raises(ValueError, match="unknown spec field for kind 'edge-prob': alphas"):
+        ExperimentSpec(**edge, c="junk", alphas=("x",), m_rule=("bogus",))
+    for name, value in [("c", "junk"), ("m_rule", ("bogus",)), ("n_values", (4,))]:
+        with pytest.raises(ValueError, match=f"unknown spec field for kind 'edge-prob': {name}="):
+            ExperimentSpec(**edge, **{name: value})
+    with pytest.raises(ValueError, match="unknown spec field for kind 'degree-scaling': points="):
+        ExperimentSpec(
+            kind="degree-scaling", trials=5, master_seed=0, n_values=(10,), alphas=(0.5,), c=0.5,
+            points=((4, 2, 0.5),),
+        )
+    # a field left at its default is not read, so it changes neither the spec nor its hash
+    spec = ExperimentSpec(**edge, m_rule=("equal-n",), c=None)
+    assert spec == ExperimentSpec(**edge)
+    assert spec_hash(spec) == spec_hash(ExperimentSpec(**edge))
 
 
 def test_from_dict_default_seed():
@@ -378,6 +407,33 @@ def test_connectivity_falls_with_alpha():
     assert dense.estimate > 0.3
     assert sparse.estimate < 0.1
     assert dense.estimate > sparse.estimate
+
+
+def test_gilbert_recursion_matches_enumeration():
+    for n, m in [(1, 3), (2, 1), (2, 3), (3, 2), (3, 3), (4, 2), (2, 5), (4, 3), (3, 4)]:
+        for p in (0.0, 0.3, 0.5, 1.0):
+            assert gilbert_connected_prob(n, m, p) == enum_connected_prob(n, m, p)
+
+
+def test_connectivity_sweep_agrees_with_exact_probability():
+    # 20 points with exact P(connected) from 4e-5 to 0.99.  At each, the 95%
+    # Wilson interval of 1000 trials misses the exact value with probability at
+    # most 0.062 (summed over the binomial law of the count), so the number of
+    # misses is bounded by Binomial(20, 0.07) and exceeds `limit` with
+    # probability below 1e-3; a biased sampler misses at most of them.
+    spec = ExperimentSpec(
+        kind="connectivity-sweep", trials=1000, master_seed=1959,
+        n_values=(2, 3, 5, 8), alphas=(-0.5, 0.0, 0.5, 1.0, 1.5), m_rule=("fixed", 5),
+    )
+    records = run_experiment(spec).records
+    misses = sum(
+        not rec.ci_low <= float(gilbert_connected_prob(rec.n, rec.m, rec.p)) <= rec.ci_high
+        for rec in records
+    )
+    count = len(records)
+    limit = next(k for k in range(count) if binom_tail_exact(count, 0.07, k + 1, "upper") < 1e-3)
+    assert count == 20
+    assert misses <= limit
 
 
 # ---------------------------------------------------------------- degree dist
