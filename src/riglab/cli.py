@@ -119,9 +119,9 @@ def _chart_series(result):
     """(x label, y label, [(series label, [(x, y, low, high), ...]), ...])."""
     records = result.records
     if result.spec.kind == "degree-dist":
-        first = records[0]
-        points = [(k, v, v, v) for k, v in enumerate(first.empirical_pmf)]
-        return "degree", "relative frequency", [(f"n={first.n} m={first.m} p={first.p}", points)]
+        series = [[(k, v, v, v) for k, v in enumerate(rec.empirical_pmf)] for rec in records]
+        labels = [f"n={rec.n} m={rec.m} p={rec.p}" for rec in records]
+        return "degree", "relative frequency", list(zip(labels, series))
     *columns, ylabel, split = _CHARTS[result.spec.kind]
     groups = [("estimate", records)] if split is None else [
         (f"{split}={value}", [rec for rec in records if getattr(rec, split) == value])

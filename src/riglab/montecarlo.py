@@ -46,7 +46,6 @@ __all__ = [
     "DegreeScalingRecord",
     "ExperimentResult",
     "derive_trial_seed",
-    "resolve_m",
     "wilson_interval",
     "sample_degree",
     "run_experiment",
@@ -61,9 +60,6 @@ _Z95 = 1.959963984540054
 
 # trial seeds are derived this many at a time (see _trial_seeds)
 _SEED_CHUNK = 1024
-
-# JSON keys of each m_rule kind ("kind" included)
-_M_RULE_KEYS = {"equal-n": ("kind",), "power": ("kind", "beta"), "fixed": ("kind", "m")}
 
 
 def derive_trial_seed(master_seed: int, grid_index: int, trial_index: int) -> int:
@@ -81,19 +77,28 @@ def derive_trial_seed(master_seed: int, grid_index: int, trial_index: int) -> in
     return int.from_bytes(digest, "little")
 
 
-def resolve_m(m_rule: tuple, n: int) -> int:
-    """Object count for a sweep at size n: equal-n, power-law, or fixed."""
-    kind = m_rule[0]
-    if kind == "equal-n":
-        return n
-    if kind == "power":
-        try:
-            return max(1, math.floor(float(n) ** m_rule[1]))
-        except OverflowError:
-            raise ValueError(f"m_rule.beta={m_rule[1]} makes m overflow at n={n}") from None
-    if kind == "fixed":
-        return m_rule[1]
-    raise ValueError(f"unknown m rule {m_rule!r}")
+def _positive(value, name: str) -> float:
+    """A finite real > 0, returned as a float."""
+    value = _check_real(value, name)
+    _require(value > 0.0, f"{name} must be > 0, got {value}")
+    return value
+
+
+def _power_m(n: int, beta: float) -> int:
+    try:
+        m = max(1, math.floor(float(n) ** beta))
+    except OverflowError:
+        m = math.inf
+    _require(m <= _MAX_SIZE, f"m_rule.beta={beta} makes m = {m} > {_MAX_SIZE} at n={n}")
+    return m
+
+
+# m_rule kind: (JSON keys of its parameters, their validator, m as a function of n and them)
+_M_RULES = {
+    "equal-n": ((), None, lambda n: n),
+    "power": (("beta",), _positive, _power_m),
+    "fixed": (("m",), partial(_check_int, minimum=1, maximum=_MAX_SIZE), lambda n, m: m),
+}
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -181,7 +186,7 @@ class ExperimentSpec:
         grid = []
         if "points" in reads:
             _, fixed, keys = reads["points"]
-            _require(len(self.points) > 0, "empty parameter grid")
+            _require(len(self.points) > 0, "empty parameter grid: points is empty")
             for i, point in enumerate(self.points):
                 shaped = isinstance(point, tuple) and len(point) == len(keys)
                 _require(shaped, f"points[{i}] must be a tuple of {len(keys)} values {keys}")
@@ -189,33 +194,26 @@ class ExperimentSpec:
             points = tuple(tuple(getattr(point[0], key) for key in keys) for point in grid)
             object.__setattr__(self, "points", points)
         else:
-            _require(len(self.n_values) > 0 and len(self.alphas) > 0, "empty parameter grid")
+            _require(self.n_values and self.alphas, "empty parameter grid: n or alpha is empty")
             alphas = tuple(_check_real(a, f"alpha[{i}]") for i, a in enumerate(self.alphas))
             object.__setattr__(self, "alphas", alphas)
             rule = self.m_rule
-            _require(
-                rule[:1] in [(kind,) for kind in _M_RULE_KEYS]
-                and len(rule) == len(_M_RULE_KEYS[rule[0]]),
-                f"m_rule must be ('equal-n',), ('power', beta) or ('fixed', m), got {rule!r}",
-            )
-            if rule[0] == "power":
-                rule = ("power", _check_real(rule[1], "m_rule.beta"))
-                _require(rule[1] > 0.0, f"m_rule.beta must be > 0, got {rule[1]}")
-            elif rule[0] == "fixed":
-                rule = ("fixed", _check_int(rule[1], "m_rule.m", 1, _MAX_SIZE))
+            known = rule[:1] in [(kind,) for kind in _M_RULES]
+            _require(known, f"m_rule kind must be one of {list(_M_RULES)}, got {rule!r}")
+            keys, check, m_of = _M_RULES[rule[0]]
+            _require(len(rule) == 1 + len(keys), f"m_rule must be {(rule[0], *keys)}, got {rule!r}")
+            rule = (rule[0], *(check(v, f"m_rule.{key}") for key, v in zip(keys, rule[1:])))
             object.__setattr__(self, "m_rule", rule)
             for i, n in enumerate(self.n_values):
-                m = resolve_m(rule, _check_int(n, f"n[{i}]", 1, _MAX_SIZE))
+                m = m_of(_check_int(n, f"n[{i}]", 1, _MAX_SIZE), *rule[1:])
                 for j, alpha in enumerate(alphas):
                     p = _at(f"alpha[{j}]: ", threshold_p, alpha, m, n)
                     _require(p <= 1.0, f"alpha[{j}]={alpha} gives p={p} > 1 at n={n}, m={m}")
-                    # n and a fixed m are checked above, so only a power-rule m can fail here
-                    grid.append((_at("m_rule.beta: ", ModelParams, n, m, p), alpha))
+                    grid.append((ModelParams(n, m, p), alpha))
         if "c" in reads:
             # a kind that reads c compares X / n**(1 - alpha) with the envelope roots of c
             _require(self.c is not None, f"{self.kind} requires the rate constant c")
-            c = _check_real(self.c, "c")
-            _require(c > 0.0, f"c must be > 0, got {c}")
+            c = _positive(self.c, "c")
             object.__setattr__(self, "c", c)
             for j, alpha in enumerate(self.alphas):
                 _require(
@@ -240,13 +238,14 @@ class ExperimentSpec:
         _require(seed is not None, "master_seed is required")
         kwargs = {"kind": kind, "trials": payload.get("trials"), "master_seed": seed}
         for name, (key, *shape) in reads.items():
-            value = payload.get(key)
+            if key not in payload:
+                continue  # the field keeps its default, which __post_init__ judges
+            value = payload[key]
             if name == "m_rule":
-                value = {"kind": "equal-n"} if value is None else value
                 rule_kind = value.get("kind") if isinstance(value, dict) else None
-                known = isinstance(rule_kind, str) and rule_kind in _M_RULE_KEYS
-                _require(known, f"m_rule kind must be 'equal-n', 'power' or 'fixed', got {value!r}")
-                value = _unpack(value, _M_RULE_KEYS[rule_kind], "m_rule")
+                known = isinstance(rule_kind, str) and rule_kind in _M_RULES
+                _require(known, f"m_rule kind must be one of {list(_M_RULES)}, got {value!r}")
+                value = _unpack(value, ("kind", *_M_RULES[rule_kind][0]), "m_rule")
             elif name != "c":
                 _require(isinstance(value, list), f"{kind} spec needs a list {key!r}")
                 if name == "points":
@@ -262,7 +261,7 @@ class ExperimentSpec:
             if name == "points":
                 value = [dict(zip(shape[1], point)) for point in value]
             elif name == "m_rule":
-                value = dict(zip(_M_RULE_KEYS[value[0]], value))
+                value = dict(zip(("kind", *_M_RULES[value[0]][0]), value))
             out[key] = list(value) if isinstance(value, tuple) else value
         return out
 

@@ -18,6 +18,36 @@ import numpy as np
 from riglab import BipartiteAssignment, IntersectionGraph
 
 
+# Philox4x64 round multipliers and key increments (Salmon et al., SC 2011)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_MASK64 = 2**64 - 1
+
+
+def philox4x64_raw(seed: int, index: int, count: int) -> list[int]:
+    """The first `count` 64-bit words of Philox4x64-10 keyed by (seed, index), in plain ints.
+
+    The sampling contract's stream: key (seed mod 2**64, index mod 2**64) and a
+    256-bit counter that starts at 0 and is incremented before each block, as
+    numpy's Philox does, so the first block is counter 1.  Each block of ten
+    rounds yields four words in order.
+    """
+    key = (seed & _MASK64, index & _MASK64)
+    words: list[int] = []
+    block = 0
+    while len(words) < count:
+        block += 1
+        x = [(block >> (64 * i)) & _MASK64 for i in range(4)]
+        k0, k1 = key
+        for r in range(10):
+            if r:
+                k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+            lo, hi = _PHILOX_M[0] * x[0], _PHILOX_M[1] * x[2]
+            x = [(hi >> 64) ^ x[1] ^ k0, hi & _MASK64, (lo >> 64) ^ x[3] ^ k1, lo & _MASK64]
+        words.extend(x)
+    return words[:count]
+
+
 def pairwise_project(assignment: BipartiteAssignment) -> IntersectionGraph:
     """O(n^2) projection: intersect the object sets of every pair."""
     n = assignment.params.n
@@ -152,3 +182,23 @@ def binom_tail_exact(trials: int, p: float, cutoff: int, direction: str) -> floa
         raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
     q = 1.0 - p
     return min(1.0, math.fsum(comb(trials, k) * p**k * q ** (trials - k) for k in ks))
+
+
+def mixture_degree_pmf(n: int, m: int, p: float) -> list[float]:
+    """Degree law of vertex 0 as a mixture over its object count S ~ Binomial(m, p).
+
+    Given S = s, each of the other n - 1 vertices shares one of those objects
+    independently with probability r = 1 - (1 - p)**s, so the degree is
+    Binomial(n - 1, r).  Each term uses exact integer binomial coefficients and
+    each degree's mass is summed by math.fsum.
+    """
+    q = 1.0 - p
+    weights = [comb(m, s) * p**s * q ** (m - s) for s in range(m + 1)]
+    shares = [1.0 - q**s for s in range(m + 1)]
+    return [
+        math.fsum(
+            weight * comb(n - 1, k) * r**k * (1.0 - r) ** (n - 1 - k)
+            for weight, r in zip(weights, shares)
+        )
+        for k in range(n)
+    ]

@@ -278,6 +278,20 @@ def test_degree_dist_end_to_end(tmp_path, capsys):
     assert len(record["empirical_pmf"]) == 6
 
 
+def test_degree_dist_svg_draws_every_point(tmp_path, capsys):
+    points = [{"n": 6, "m": 3, "p": 0.3}, {"n": 4, "m": 2, "p": 0.5}, {"n": 1, "m": 2, "p": 0.5}]
+    spec_path = _write_spec(
+        tmp_path, {"kind": "degree-dist", "trials": 20, "master_seed": 6, "points": points}
+    )
+    out = str(tmp_path / "dist")
+    code, _, _ = run_cli(["degree-dist", "--spec", spec_path, "--out", out, "--svg"], capsys)
+    assert code == 0
+    svg = (tmp_path / "dist.svg").read_text()
+    assert svg.count("<polyline") == len(points)
+    for point in points:
+        assert ">n={n} m={m} p={p}</text>".format(**point) in svg
+
+
 def test_degree_scaling_end_to_end(tmp_path, capsys):
     spec_path = _write_spec(
         tmp_path,

@@ -22,9 +22,10 @@ from riglab import (
     vertex_substream,
 )
 
+from riglab.model import _object_rows
 from riglab.montecarlo import _connected_trial
 
-from oracles import pairwise_project, reachability_connected
+from oracles import pairwise_project, philox4x64_raw, reachability_connected
 
 
 # ---------------------------------------------------------------- parameters
@@ -120,6 +121,38 @@ def test_reseated_substream_matches_fresh_philox(seed, index, leftover):
     reseated = vertex_substream(seed, index, bit_generator=philox).random(50)
     assert np.array_equal(reseated, _fresh_stream(seed, index).random(50))
     assert np.array_equal(vertex_substream(seed, index).random(50), reseated)
+
+
+# (seed, index) keys for the stream contract; seed 2**64 - 1 fills the key's first word
+_PHILOX_KEYS = [(7, 3), (123456789, 40000), (0, 0), (2**64 - 1, 5), (2**64 - 1, 2**64 - 1)]
+
+
+@pytest.mark.parametrize(("seed", "index"), _PHILOX_KEYS)
+def test_substream_matches_independent_philox(seed, index):
+    # 11 words span three blocks, so the counter increments are checked too
+    raw = philox4x64_raw(seed, index, 11)
+    assert vertex_substream(seed, index).bit_generator.random_raw(11).tolist() == raw
+    assert vertex_substream(seed, index).random(11).tolist() == [(w >> 11) * 2**-53 for w in raw]
+
+
+def test_independent_philox_pinned_words():
+    # literals, so the oracle and numpy cannot drift together unseen
+    assert philox4x64_raw(7, 3, 6) == [
+        0x7B6CC7B1862CC5F2, 0xB960F2EA4B3F8D9F, 0x0CDD72E015DEB1A6, 0x50EDB0D22A6A6FD5,
+        0xAE45891BF7AB4DF3, 0x32005AAE5C700F2C,
+    ]
+    assert philox4x64_raw(123456789, 40000, 1) == [0x99DEBBEBE042B78F]
+    assert philox4x64_raw(2**64 - 1, 2**64 - 1, 1) == [0x6D46CC0E71F0BE7E]
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-300, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("seed", [11, 2**64 - 1])
+def test_object_rows_follow_independent_philox(seed, p):
+    # vertex v attaches object w exactly when the w-th uniform of stream (seed, v) is below p
+    params = ModelParams(4, 13, p)
+    for v, row in enumerate(_object_rows(params, seed)):
+        uniforms = [(w >> 11) * 2**-53 for w in philox4x64_raw(seed, v, params.m)]
+        assert row.tolist() == [w for w, u in enumerate(uniforms) if u < p]
 
 
 def test_plain_substream_survives_internal_sampling():

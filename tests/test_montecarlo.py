@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from riglab import (
     DegreeScalingRecord,
@@ -17,7 +18,6 @@ from riglab import (
     q_exact,
     render_csv,
     render_summary_json,
-    resolve_m,
     run_experiment,
     sample_assignment,
     sample_degree,
@@ -32,7 +32,13 @@ import riglab.model
 from riglab.model import ModelParams
 from riglab.montecarlo import _connected_trial
 
-from oracles import binom_tail_exact, enum_connected_prob, gilbert_connected_prob
+from oracles import (
+    binom_tail_exact,
+    enum_connected_prob,
+    enum_degree_pmf,
+    gilbert_connected_prob,
+    mixture_degree_pmf,
+)
 
 
 # ---------------------------------------------------------------- trial seeds
@@ -154,12 +160,22 @@ def test_spec_degree_scaling_constraints():
         )
 
 
-def test_resolve_m_rules():
-    assert resolve_m(("equal-n",), 17) == 17
-    assert resolve_m(("power", 2.0), 5) == 25
-    assert resolve_m(("fixed", 9), 123) == 9
-    with pytest.raises(ValueError):
-        resolve_m(("cubed",), 4)
+def test_m_rules_set_m_in_the_grid():
+    def grid_m(n, rule):
+        spec = ExperimentSpec(kind="connectivity-sweep", trials=1, master_seed=0,
+                              n_values=(n,), alphas=(1.0,), m_rule=rule)
+        return spec.grid[0][0].m
+
+    assert grid_m(17, ("equal-n",)) == 17
+    assert grid_m(5, ("power", 2.0)) == 25
+    assert grid_m(123, ("fixed", 9)) == 9
+    # JSON and the constructor give the same message, listing the kinds of the rule table
+    message = r"^m_rule kind must be one of \['equal-n', 'power', 'fixed'\], got "
+    with pytest.raises(ValueError, match=message):
+        grid_m(4, ("cubed",))
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec.from_dict({"kind": "connectivity-sweep", "trials": 1, "master_seed": 0,
+                                  "n": [4], "alpha": [1.0], "m_rule": {"kind": "cubed"}})
 
 
 def test_from_dict_round_trip_all_kinds():
@@ -504,6 +520,50 @@ def test_degree_scaling_record_fields():
         assert 0.0 <= rec.exceed_upper_freq <= 1.0
         # mean normalized degree concentrates near 1 on the sqrt curve
         assert 0.8 < rec.ratio_mean < 1.25
+
+
+def test_mixture_oracle_matches_enumeration():
+    for n, m, p in [(1, 3, 0.4), (2, 3, 0.5), (4, 2, 0.5), (3, 4, 0.3), (4, 3, 0.0), (3, 3, 1.0)]:
+        mixture = np.array(mixture_degree_pmf(n, m, p))
+        assert np.max(np.abs(mixture - enum_degree_pmf(n, m, p))) <= 1e-12
+
+
+def test_degree_scaling_exceedance_agrees_with_exact_mixture():
+    # 18 points, 2000 trials each.  At every point both exceedance masses of
+    # the exact degree law lie in (0.004, 0.53), where the 95% Wilson interval
+    # of 2000 trials misses the mass with probability at most 0.07 (summed over
+    # the binomial law of the count, checked below).  A point misses when
+    # either interval does, so with probability at most 0.14, and the number
+    # of missed points exceeds `limit` with probability below 1e-3.
+    trials = 2000
+    records = [
+        rec
+        for rule in [("equal-n",), ("fixed", 6), ("power", 0.5)]
+        for rec in run_experiment(ExperimentSpec(
+            kind="degree-scaling", trials=trials, master_seed=2008,
+            n_values=(8, 16, 30), alphas=(0.5, 0.75), c=0.5, m_rule=rule,
+        )).records
+    ]
+    counts = np.arange(trials + 1)
+    intervals = np.array([wilson_interval(k, trials) for k in counts])
+    missed = 0
+    for rec in records:
+        pmf = mixture_degree_pmf(rec.n, rec.m, rec.p)
+        ratios = [k / float(rec.n) ** rec.delta for k in range(rec.n)]
+        miss = False
+        for freq, inside in [(rec.exceed_lower_freq, [r <= rec.a_lower for r in ratios]),
+                             (rec.exceed_upper_freq, [r >= rec.a_upper for r in ratios])]:
+            mass = math.fsum(x for x, hit in zip(pmf, inside) if hit)
+            assert 0.004 < mass < 0.53
+            outside = (intervals[:, 0] > mass) | (mass > intervals[:, 1])
+            assert stats.binom.pmf(counts, trials, mass)[outside].sum() <= 0.07
+            low, high = wilson_interval(round(freq * trials), trials)
+            miss |= not low <= mass <= high
+        missed += miss
+    count = len(records)
+    limit = next(k for k in range(count) if binom_tail_exact(count, 0.14, k + 1, "upper") < 1e-3)
+    assert count == 18
+    assert missed <= limit
 
 
 # -------------------------------------------------------------------- outputs
