@@ -38,7 +38,7 @@ def q_exact(m: int, p: float) -> float:
 
     m = 1 and m = 2 are returned through the plain polynomial so that the
     second-order sandwich holds as written even where it is mathematically
-    tight; larger m goes through expm1/log1p for relative accuracy at small p.
+    tight; larger m is ``conditional_adjacency_prob(m, p^2)``, accurate at small p.
     """
     _check_int(m, "m", 1, _FLOAT_MAX)
     p = _check_prob(p, "p")
@@ -47,9 +47,7 @@ def q_exact(m: int, p: float) -> float:
         return s
     if m == 2:
         return 2.0 * s - s * s
-    if p == 1.0:
-        return 1.0
-    return -math.expm1(m * math.log1p(-s))
+    return conditional_adjacency_prob(m, s)
 
 
 def q_approx(m: int, p: float) -> float:

@@ -32,18 +32,14 @@ ENV_SEED = "RIG_LAB_SEED"
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return 0
+def _resolve_seed(args) -> int:
+    if args.seed is not None:
+        return args.seed
+    raw = os.environ.get(ENV_SEED, "0")
     try:
         return int(raw)
     except ValueError:
         raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
-
-
-def _resolve_seed(args) -> int:
-    return args.seed if args.seed is not None else _default_seed()
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -188,9 +184,9 @@ def render_chart(result) -> str:
     )
     for idx, (label, pts) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        band = [(sx(x), sy(hi)) for x, _, _, hi in pts]
-        band += [(sx(x), sy(lo)) for x, _, lo, _ in reversed(pts)]
-        if len(pts) > 1:
+        if len(pts) > 1 and any(lo != hi for _, _, lo, hi in pts):
+            band = [(sx(x), sy(hi)) for x, _, _, hi in pts]
+            band += [(sx(x), sy(lo)) for x, _, lo, _ in reversed(pts)]
             band_str = " ".join(f"{bx:.2f},{by:.2f}" for bx, by in band)
             parts.append(f'<polygon points="{band_str}" fill="{color}" fill-opacity="0.15"/>')
         line = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y, _, _ in pts)

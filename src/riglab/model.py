@@ -42,7 +42,6 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _ZERO4 = (0, 0, 0, 0)
-_THREAD_LOCAL = threading.local()
 _FLOAT_MAX = sys.float_info.max
 # the largest n and m: the largest array riglab allocates, _rows_connected's
 # indptr, then has n + m + 1 < 2**60 eight-byte entries, which numpy can address
@@ -186,17 +185,18 @@ def vertex_substream(
     return np.random.Generator(bit_generator)
 
 
-def _thread_philox() -> np.random.Philox:
-    """The calling thread's reusable Philox, built on its first use.
+class _PerThread(threading.local):
+    """Each thread's reusable Philox: ``__init__`` runs once in each thread that reads it.
 
     One per thread, because a reseated stream is only valid until the next
     reseat and trials may run on a thread pool.
     """
-    try:
-        return _THREAD_LOCAL.philox
-    except AttributeError:
-        _THREAD_LOCAL.philox = np.random.Philox(key=0)
-        return _THREAD_LOCAL.philox
+
+    def __init__(self) -> None:
+        self.philox = np.random.Philox(key=0)
+
+
+_PER_THREAD = _PerThread()
 
 
 def _object_rows(params: ModelParams, seed: int):
@@ -207,7 +207,7 @@ def _object_rows(params: ModelParams, seed: int):
     drawn in full before it is yielded, so a suspended generator holds no
     stream state that a later reseat of the thread's Philox could disturb.
     """
-    philox = _thread_philox()
+    philox = _PER_THREAD.philox
     m, p = params.m, params.p
     for v in range(params.n):
         yield (vertex_substream(seed, v, bit_generator=philox).random(m) < p).nonzero()[0]
@@ -290,12 +290,22 @@ def is_connected(assignment: BipartiteAssignment) -> bool:
     return _rows_connected(assignment.params, (np.array(s, dtype=np.intp) for s in assignment.sets))
 
 
-def _format_p(p: float) -> str:
-    return repr(float(p))
+def _rig_text(params: ModelParams, seed: int, body_lines) -> str:
+    """The `# rig ...` header line, then `body_lines`, each line ending in a newline."""
+    header = f"# rig n={params.n} m={params.m} p={params.p!r} seed={seed}"
+    return "\n".join([header, *body_lines]) + "\n"
 
 
-def _header_line(params: ModelParams, seed: int) -> str:
-    return f"# rig n={params.n} m={params.m} p={_format_p(params.p)} seed={seed}"
+def _read_rig(text: str, what: str) -> tuple[ModelParams, int, list[str]]:
+    """Params, seed and body; the first header counts, blank and other `#` lines are skipped."""
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    for line in lines:
+        match = _HEADER_RE.match(line)
+        if match:
+            params = ModelParams(n=int(match["n"]), m=int(match["m"]), p=float(match["p"]))
+            body = [line for line in lines if not line.startswith("#")]
+            return params, int(match["seed"]), body
+    raise ValueError(f"{what}: missing `# rig n=... m=... p=... seed=...` header")
 
 
 def format_edgelist(
@@ -309,21 +319,8 @@ def format_edgelist(
     """
     if graph.n != params.n:
         raise ValueError(f"graph has n={graph.n} but params have n={params.n}")
-    lines = [_header_line(params, seed)]
-    lines.extend(f"# {text}" for text in extra_comments)
-    lines.extend(f"{i} {j}" for i, j in sorted(graph.edges))
-    return "\n".join(lines) + "\n"
-
-
-def _parse_header(lines: list[str], what: str) -> tuple[ModelParams, int]:
-    for line in lines:
-        match = _HEADER_RE.match(line)
-        if match:
-            params = ModelParams(
-                n=int(match["n"]), m=int(match["m"]), p=float(match["p"])
-            )
-            return params, int(match["seed"])
-    raise ValueError(f"{what}: missing `# rig n=... m=... p=... seed=...` header")
+    comments = [f"# {text}" for text in extra_comments]
+    return _rig_text(params, seed, comments + [f"{i} {j}" for i, j in sorted(graph.edges)])
 
 
 def parse_edgelist(text: str) -> tuple[IntersectionGraph, ModelParams, int]:
@@ -331,12 +328,9 @@ def parse_edgelist(text: str) -> tuple[IntersectionGraph, ModelParams, int]:
 
     Returns the graph together with the header parameters and seed.
     """
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    params, seed = _parse_header(lines, "edge list")
+    params, seed, body = _read_rig(text, "edge list")
     edges = set()
-    for line in lines:
-        if line.startswith("#"):
-            continue
+    for line in body:
         fields = line.split()
         if len(fields) != 2:
             raise ValueError(f"edge list: malformed line {line!r}")
@@ -347,21 +341,18 @@ def parse_edgelist(text: str) -> tuple[IntersectionGraph, ModelParams, int]:
 
 def format_assignment(assignment: BipartiteAssignment, seed: int) -> str:
     """Render per-vertex object sets, one `v: w1 w2 ...` line per vertex."""
-    lines = [_header_line(assignment.params, seed)]
+    rows = []
     for v, objects in enumerate(assignment.sets):
         body = " ".join(str(w) for w in objects)
-        lines.append(f"{v}: {body}".rstrip())
-    return "\n".join(lines) + "\n"
+        rows.append(f"{v}: {body}".rstrip())
+    return _rig_text(assignment.params, seed, rows)
 
 
 def parse_assignment(text: str) -> tuple[BipartiteAssignment, int]:
     """Parse ``format_assignment`` output back into an assignment."""
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    params, seed = _parse_header(lines, "assignment")
+    params, seed, body = _read_rig(text, "assignment")
     sets: dict[int, tuple[int, ...]] = {}
-    for line in lines:
-        if line.startswith("#"):
-            continue
+    for line in body:
         head, _, tail = line.partition(":")
         if not _:
             raise ValueError(f"assignment: malformed line {line!r}")

@@ -35,7 +35,7 @@ from .analytics import (
 )
 from .model import ModelParams, pair_adjacent, sample_assignment, vertex_substream
 from .model import _MASK64, _MAX_SIZE, _check_int, _check_real, _require
-from .model import _object_rows, _rows_connected, _thread_philox
+from .model import _PER_THREAD, _object_rows, _rows_connected
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -365,7 +365,7 @@ def sample_degree(params: ModelParams, seed: int) -> int:
     if params.n == 1 or size == 0:
         return 0
     share = conditional_adjacency_prob(size, params.p)
-    u = vertex_substream(seed, params.n, bit_generator=_thread_philox()).random(params.n - 1)
+    u = vertex_substream(seed, params.n, bit_generator=_PER_THREAD.philox).random(params.n - 1)
     return int(np.count_nonzero(u < share))
 
 

@@ -262,6 +262,8 @@ def test_sweep_svg_chart(tmp_path, capsys):
     svg = (tmp_path / "conn.svg").read_text()
     assert svg.startswith("<svg")
     assert "polyline" in svg
+    # one CI band per n series, each of two alpha points
+    assert svg.count("<polygon") == 2
 
 
 def test_degree_dist_end_to_end(tmp_path, capsys):
@@ -288,6 +290,8 @@ def test_degree_dist_svg_draws_every_point(tmp_path, capsys):
     assert code == 0
     svg = (tmp_path / "dist.svg").read_text()
     assert svg.count("<polyline") == len(points)
+    # a pmf has no interval, so no series draws a band
+    assert svg.count("<polygon") == 0
     for point in points:
         assert ">n={n} m={m} p={p}</text>".format(**point) in svg
 

@@ -93,7 +93,7 @@ GOLDEN = {
     'degree-dist': (
         '4d42d350d6bfd8d3c2bf434f1b97fd52462581fb722d3a195c1e55a07005ba1f',
         'e10a9b53748d1f6301c48e89c0fe25789c52eb5b2501c9aae3882f39f6614294',
-        '67698e8920f33f018939dac88a3cce5ae75c5275c228987d4cea3b884eb05898',
+        'aefb105b6e47935e0f20835b9fb80c80c55b244b60178715098c5a87ae460617',
     ),
     'degree-scaling-equal-n': (
         'a8a5c9e2036b6bb8b1db4e9777774892b163e29af4fbacf0682a1f66bd6b094d',

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -270,7 +271,8 @@ def test_edgelist_round_trip():
     params = ModelParams(6, 4, 0.45)
     assignment = sample_assignment(params, 17)
     graph = project(assignment)
-    text = format_edgelist(graph, params, 17, extra_comments=("anything goes here",))
+    text = format_edgelist(graph, params, 17, extra_comments=("a", "b"))
+    assert text.splitlines()[1:3] == ["# a", "# b"]
     parsed, parsed_params, parsed_seed = parse_edgelist(text)
     assert parsed == graph
     assert parsed_params == params
@@ -310,3 +312,33 @@ def test_assignment_rejects_gaps():
     text = "# rig n=3 m=2 p=0.5 seed=0\n0: 1\n2: 0\n"
     with pytest.raises(ValueError):
         parse_assignment(text)
+
+
+def test_rig_reader_skips_blank_lines_and_comments():
+    # the header need not come first; blank lines and every other `#` line,
+    # a second header included, are skipped wherever they fall
+    edges = (
+        "\n# before\n\n  # rig n=3 m=2 p=0.5 seed=7  \n# after\n0 1\n\n"
+        "# rig n=9 m=9 p=1.0 seed=9\n1 2\n"
+    )
+    graph, params, seed = parse_edgelist(edges)
+    assert graph == IntersectionGraph(3, frozenset({(0, 1), (1, 2)}))
+    assert (params, seed) == (ModelParams(3, 2, 0.5), 7)
+    sets = "# before\n\n# rig n=2 m=2 p=0.25 seed=1\n# after\n0: 0 1\n\n# between\n1:\n# end\n"
+    assignment, seed = parse_assignment(sets)
+    assert assignment == BipartiteAssignment(ModelParams(2, 2, 0.25), ((0, 1), ()))
+    assert seed == 1
+
+
+@pytest.mark.parametrize(
+    "parse, body, message",
+    [
+        (parse_edgelist, "0 1 2\n", "edge list: malformed line '0 1 2'"),
+        (parse_assignment, "0: 1\n1 0\n", "assignment: malformed line '1 0'"),
+        (parse_assignment, "0: 1\n0: 0\n1:\n", "assignment: duplicate vertex 0"),
+        (parse_assignment, "0: 1\n", "assignment: vertex lines do not cover 0..n-1 exactly"),
+    ],
+)
+def test_rig_reader_errors(parse, body, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse("# rig n=2 m=2 p=0.5 seed=0\n" + body)
