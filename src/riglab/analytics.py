@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import binom as _scipy_binom
 
 from .model import _FLOAT_MAX, _check_int, _check_prob, _check_real, _require
+from .model import conditional_adjacency_prob
 
 __all__ = [
     "DEGREE_MODEL_KINDS",
@@ -24,7 +24,6 @@ __all__ = [
     "tail_bound",
     "solve_a",
     "threshold_p",
-    "conditional_adjacency_prob",
     "degree_pmf",
     "total_variation",
 ]
@@ -188,28 +187,18 @@ def threshold_p(alpha: float, m: int, n: int) -> float:
         ) from None
 
 
-def conditional_adjacency_prob(size: int, p: float) -> float:
-    """P[another vertex touches a fixed set of `size` objects] = 1 - (1-p)^size."""
-    _check_int(size, "size", 0, _FLOAT_MAX)
-    p = _check_prob(p, "p")
-    if size == 0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    return -math.expm1(size * math.log1p(-p))
-
-
 def _binom_pmf(k, trials: int, p: float):
-    """scipy's Binomial(trials, p) pmf at k.
+    """scipy's Binomial(trials, p) pmf at k; scipy.stats loads here, not with riglab.
 
     scipy's pmf raises OverflowError from its ibeta_derivative for some p at
     the bottom of the float range (from about 5e-309 up to about 1e-304 at
     40000 trials); exp(logpmf) answers those p.
     """
+    from scipy.stats import binom
     try:
-        return _scipy_binom.pmf(k, trials, p)
+        return binom.pmf(k, trials, p)
     except OverflowError:
-        return np.exp(_scipy_binom.logpmf(k, trials, p))
+        return np.exp(binom.logpmf(k, trials, p))
 
 
 def degree_pmf(n: int, m: int, p: float, kind: str) -> np.ndarray:

@@ -7,14 +7,16 @@ the parameter and graph types, the seeded sampler, the bipartite-to-graph
 projection, connectivity read from the vertex-object graph without
 projecting, and the plain-text exchange formats.
 
-One per-vertex loop, ``_object_rows``, draws every attachment, and one
-routine, ``_rows_connected``, reads connectivity off such rows.  It stops
-at the first vertex with no objects (that vertex is isolated), so the
-connectivity trial samples no vertex after it.
+Every draw is made here.  One per-vertex loop, ``_object_rows``, draws
+every attachment, and ``sample_degree`` draws vertex 0's adjacencies from
+the reserved stream n.  One routine, ``_rows_connected``, reads connectivity
+off such rows.  It stops at the first vertex with no objects (that vertex is
+isolated), so ``sample_connected`` samples no vertex after it.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 import threading
@@ -31,9 +33,12 @@ __all__ = [
     "IntersectionGraph",
     "vertex_substream",
     "sample_assignment",
+    "conditional_adjacency_prob",
+    "sample_degree",
     "pair_adjacent",
     "project",
     "is_connected",
+    "sample_connected",
     "format_edgelist",
     "parse_edgelist",
     "format_assignment",
@@ -223,6 +228,33 @@ def sample_assignment(params: ModelParams, seed: int) -> BipartiteAssignment:
     return BipartiteAssignment(params=params, sets=sets)
 
 
+def conditional_adjacency_prob(size: int, p: float) -> float:
+    """P[another vertex touches a fixed set of `size` objects] = 1 - (1-p)^size."""
+    _check_int(size, "size", 0, _FLOAT_MAX)
+    p = _check_prob(p, "p")
+    if size == 0:
+        return 0.0
+    if p == 1.0:
+        return 1.0
+    return -math.expm1(size * math.log1p(-p))
+
+
+def sample_degree(params: ModelParams, seed: int) -> int:
+    """Draw the degree of vertex 0 in one G(n, m, p) sample.
+
+    Vertex 0's objects are the first row of ``_object_rows``.  Given s of
+    them, the other n-1 adjacency indicators are independent
+    Bernoulli(1 - (1-p)^s), drawn from reserved substream index n, so no
+    graph is built and the result follows the projected-graph degree law exactly.
+    """
+    size = len(next(_object_rows(params, seed)))
+    if params.n == 1 or size == 0:
+        return 0
+    share = conditional_adjacency_prob(size, params.p)
+    u = vertex_substream(seed, params.n, bit_generator=_PER_THREAD.philox).random(params.n - 1)
+    return int(np.count_nonzero(u < share))
+
+
 def pair_adjacent(assignment: BipartiteAssignment, i: int, j: int) -> bool:
     """True when vertices i and j share at least one object."""
     n = assignment.params.n
@@ -288,6 +320,11 @@ def is_connected(assignment: BipartiteAssignment) -> bool:
     no objects is isolated.  n=1 counts as connected.
     """
     return _rows_connected(assignment.params, (np.array(s, dtype=np.intp) for s in assignment.sets))
+
+
+def sample_connected(params: ModelParams, seed: int) -> bool:
+    """is_connected(sample_assignment(params, seed)), drawn up to the first isolated vertex only."""
+    return _rows_connected(params, _object_rows(params, seed))
 
 
 def _rig_text(params: ModelParams, seed: int, body_lines) -> str:

@@ -24,7 +24,6 @@ import numpy as np
 
 from ._version import __version__
 from .analytics import (
-    conditional_adjacency_prob,
     degree_pmf,
     q_approx,
     q_exact,
@@ -33,9 +32,8 @@ from .analytics import (
     total_variation,
     zeta_bound,
 )
-from .model import ModelParams, pair_adjacent, sample_assignment, vertex_substream
+from .model import ModelParams, pair_adjacent, sample_assignment, sample_connected, sample_degree
 from .model import _MASK64, _MAX_SIZE, _check_int, _check_real, _require
-from .model import _PER_THREAD, _object_rows, _rows_connected
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -47,7 +45,6 @@ __all__ = [
     "ExperimentResult",
     "derive_trial_seed",
     "wilson_interval",
-    "sample_degree",
     "run_experiment",
     "spec_hash",
     "render_csv",
@@ -353,30 +350,9 @@ class ExperimentResult:
     records: tuple
 
 
-def sample_degree(params: ModelParams, seed: int) -> int:
-    """Draw the degree of vertex 0 in one G(n, m, p) sample.
-
-    Vertex 0's objects are the first row of ``_object_rows``.  Given s of
-    them, the other n-1 adjacency indicators are independent
-    Bernoulli(1 - (1-p)^s), drawn from reserved substream index n, so no
-    graph is built and the result follows the projected-graph degree law exactly.
-    """
-    size = len(next(_object_rows(params, seed)))
-    if params.n == 1 or size == 0:
-        return 0
-    share = conditional_adjacency_prob(size, params.p)
-    u = vertex_substream(seed, params.n, bit_generator=_PER_THREAD.philox).random(params.n - 1)
-    return int(np.count_nonzero(u < share))
-
-
 # trials find sample_assignment and sample_degree as module globals, so a wrapper sees each call
 def _pair_trial(params: ModelParams, seed: int) -> bool:
     return pair_adjacent(sample_assignment(params, seed), 0, 1)
-
-
-def _connected_trial(params: ModelParams, seed: int) -> bool:
-    """One sample's connectivity, drawn no further than its first isolated vertex."""
-    return _rows_connected(params, _object_rows(params, seed))
 
 
 def _degree_trial(params: ModelParams, seed: int) -> int:
@@ -458,7 +434,7 @@ def _trial_seeds(spec: ExperimentSpec, grid_index: int):
 _SWEEP = {"n_values": ("n",), "alphas": ("alpha",), "m_rule": ("m_rule",)}
 _KINDS = {
     "edge-prob": (_pair_trial, _edge_record, {"points": ("points", (2,), ("m", "p"))}),
-    "connectivity-sweep": (_connected_trial, _connectivity_record, _SWEEP),
+    "connectivity-sweep": (sample_connected, _connectivity_record, _SWEEP),
     "degree-dist": (_degree_trial, _dist_record, {"points": ("points", (), ("n", "m", "p"))}),
     "degree-scaling": (_degree_trial, _scaling_record, {**_SWEEP, "c": ("c",)}),
 }

@@ -19,12 +19,12 @@ from riglab import (
     parse_edgelist,
     project,
     sample_assignment,
+    sample_connected,
     sample_degree,
     vertex_substream,
 )
 
 from riglab.model import _object_rows
-from riglab.montecarlo import _connected_trial
 
 from oracles import pairwise_project, philox4x64_raw, reachability_connected
 
@@ -260,7 +260,7 @@ def test_connectivity_matches_reachability_closure():
             graph = pairwise_project(a)
             connected = reachability_connected(graph)
             assert is_connected(a) == connected
-            assert _connected_trial(params, seed) == connected
+            assert sample_connected(params, seed) == connected
             for i, j in combinations(range(n), 2):
                 assert pair_adjacent(a, i, j) == ((i, j) in graph.edges)
 

@@ -20,6 +20,7 @@ from riglab import (
     render_summary_json,
     run_experiment,
     sample_assignment,
+    sample_connected,
     sample_degree,
     solve_a,
     spec_hash,
@@ -30,7 +31,6 @@ from riglab import (
 )
 import riglab.model
 from riglab.model import ModelParams
-from riglab.montecarlo import _connected_trial
 
 from oracles import (
     binom_tail_exact,
@@ -370,7 +370,7 @@ def test_connectivity_single_vertex_is_always_connected():
     assert rec.estimate == 1.0
 
 
-def test_connected_trial_stops_at_the_first_isolated_vertex(monkeypatch):
+def test_sample_connected_stops_at_the_first_isolated_vertex(monkeypatch):
     # p = n**-2 leaves vertex 0 empty with probability about 1 - 1/n
     n = 1600
     sparse = ModelParams(n, n, n**-2.0)
@@ -391,11 +391,11 @@ def test_connected_trial_stops_at_the_first_isolated_vertex(monkeypatch):
         return original(seed, index, **kwargs)
 
     monkeypatch.setattr(riglab.model, "vertex_substream", counting)
-    assert _connected_trial(sparse, seed) is False
+    assert sample_connected(sparse, seed) is False
     assert calls == [0]
     for s, prefix in enumerate(prefixes):
         calls.clear()
-        assert _connected_trial(params, s) is False
+        assert sample_connected(params, s) is False
         assert calls == list(range(prefix))
 
 
@@ -492,6 +492,24 @@ def test_sample_degree_degenerate_cases():
     assert sample_degree(ModelParams(1, 5, 0.9), 123) == 0
     assert sample_degree(ModelParams(6, 3, 0.0), 123) == 0
     assert sample_degree(ModelParams(6, 3, 1.0), 123) == 5
+
+
+def test_sample_degree_reads_vertex_0_then_the_reserved_stream(monkeypatch):
+    calls = []
+    original = riglab.model.vertex_substream
+
+    def counting(seed, index, **kwargs):
+        calls.append(index)
+        return original(seed, index, **kwargs)
+
+    monkeypatch.setattr(riglab.model, "vertex_substream", counting)
+    sample_degree(ModelParams(5, 4, 0.9), 11)
+    assert calls == [0, 5]
+    # no adjacency draw when n = 1 or vertex 0 has no objects
+    for params in (ModelParams(1, 4, 0.9), ModelParams(5, 4, 0.0)):
+        calls.clear()
+        assert sample_degree(params, 11) == 0
+        assert calls == [0]
 
 
 # ------------------------------------------------------------- degree scaling

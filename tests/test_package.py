@@ -1,8 +1,12 @@
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import riglab
 from riglab import analytics, model, montecarlo
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_public_names_are_the_module_lists():
@@ -15,9 +19,30 @@ def test_public_names_are_the_module_lists():
             assert getattr(riglab, name) is getattr(module, name)
 
 
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of riglab's import time; only degree_pmf needs it
+    code = (
+        "import sys, riglab.cli\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded on import'\n"
+        "from riglab import degree_pmf\n"
+        "pmf = degree_pmf(5, 3, 0.4, 'exact-mixture')\n"
+        "assert pmf.shape == (5,) and abs(pmf.sum() - 1.0) < 1e-12, pmf\n"
+        "assert 'scipy.stats' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_tour_runs(capsys):
+    tour = README.read_text().split("## Library quick tour")[1]
+    block = tour.split("```python\n")[1].split("```")[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert "# riglab" in capsys.readouterr().out  # the rendered CSV's provenance line
+
+
 def test_readme_csv_columns_are_the_record_fields():
     # README lists "- `kind`: `col, col, ...`" lines, wrapped, under "CSV columns by kind:"
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     section = readme.split("CSV columns by kind:")[1].split("\n\n")[1]
     listed = {}
     for item in section.split("\n- "):
