@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "ModelParams",
@@ -204,18 +202,42 @@ class _PerThread(threading.local):
 _PER_THREAD = _PerThread()
 
 
+def _raw_limit(p: float) -> np.uint64 | None:
+    """The bound under which a raw 64-bit word's uniform falls below p; None at p = 1.
+
+    ``Generator.random`` makes a uniform of a raw word as (word >> 11) * 2**-53.
+    For p < 1 that is below p exactly when word >> 11 < ceil(p * 2**53), that
+    is when word < ceil(p * 2**53) << 11, so the raw words decide bit for bit
+    what the uniforms would.  The bound is an np.uint64, so the compare stays
+    in unsigned integers and no float takes part.  At p = 1 every uniform is
+    below p, and the bound, 2**64, would not fit.
+    """
+    return np.uint64(math.ceil(p * 2**53) << 11) if p < 1.0 else None
+
+
+def _below(stream: np.random.Generator, count: int, limit: np.uint64 | None) -> np.ndarray:
+    """Whether each of the stream's next `count` uniforms falls below p, for limit = _raw_limit(p).
+
+    Only raw words are drawn, and none when every uniform is below p.
+    """
+    if limit is None:
+        return np.ones(count, dtype=bool)
+    return stream.bit_generator.random_raw(count) < limit
+
+
 def _object_rows(params: ModelParams, seed: int):
     """Yield each vertex's attached objects, in vertex order, as an intp index array.
 
-    Vertex v consumes exactly m uniforms from ``vertex_substream(seed, v)``;
-    object w is attached when the w-th uniform falls below p.  Each row is
-    drawn in full before it is yielded, so a suspended generator holds no
-    stream state that a later reseat of the thread's Philox could disturb.
+    Vertex v reads its m uniforms from ``vertex_substream(seed, v)``; object w
+    is attached when the w-th uniform falls below p, which ``_below`` decides
+    on the raw words.  Each row is drawn in full before it is yielded, so a
+    suspended generator holds no stream state that a later reseat of the
+    thread's Philox could disturb.
     """
     philox = _PER_THREAD.philox
-    m, p = params.m, params.p
+    m, limit = params.m, _raw_limit(params.p)
     for v in range(params.n):
-        yield (vertex_substream(seed, v, bit_generator=philox).random(m) < p).nonzero()[0]
+        yield _below(vertex_substream(seed, v, bit_generator=philox), m, limit).nonzero()[0]
 
 
 def sample_assignment(params: ModelParams, seed: int) -> BipartiteAssignment:
@@ -244,15 +266,17 @@ def sample_degree(params: ModelParams, seed: int) -> int:
 
     Vertex 0's objects are the first row of ``_object_rows``.  Given s of
     them, the other n-1 adjacency indicators are independent
-    Bernoulli(1 - (1-p)^s), drawn from reserved substream index n, so no
-    graph is built and the result follows the projected-graph degree law exactly.
+    Bernoulli(1 - (1-p)^s): indicator j is set when the j-th uniform of
+    reserved substream index n falls below that share, which ``_below``
+    decides on the raw words.  No graph is built, and the result follows the
+    projected-graph degree law exactly.
     """
     size = len(next(_object_rows(params, seed)))
     if params.n == 1 or size == 0:
         return 0
     share = conditional_adjacency_prob(size, params.p)
-    u = vertex_substream(seed, params.n, bit_generator=_PER_THREAD.philox).random(params.n - 1)
-    return int(np.count_nonzero(u < share))
+    stream = vertex_substream(seed, params.n, bit_generator=_PER_THREAD.philox)
+    return int(np.count_nonzero(_below(stream, params.n - 1, _raw_limit(share))))
 
 
 def pair_adjacent(assignment: BipartiteAssignment, i: int, j: int) -> bool:
@@ -294,8 +318,12 @@ def _rows_connected(params: ModelParams, rows) -> bool:
     later row is read.  Otherwise vertex v is node v and object w is node
     n + w, and the rows laid end to end are the CSR index arrays of that
     graph: the m object rows stay empty, because ``connected_components``
-    with directed=False follows each edge both ways.
+    with directed=False follows each edge both ways.  scipy's sparse graph
+    code loads here, on the first connectivity test, not with riglab.
     """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
     n, m = params.n, params.m
     kept = []
     for row in rows:

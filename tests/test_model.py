@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -11,6 +12,7 @@ from riglab import (
     BipartiteAssignment,
     IntersectionGraph,
     ModelParams,
+    conditional_adjacency_prob,
     format_assignment,
     format_edgelist,
     is_connected,
@@ -24,7 +26,7 @@ from riglab import (
     vertex_substream,
 )
 
-from riglab.model import _object_rows
+from riglab.model import _below, _object_rows, _raw_limit
 
 from oracles import pairwise_project, philox4x64_raw, reachability_connected
 
@@ -146,14 +148,60 @@ def test_independent_philox_pinned_words():
     assert philox4x64_raw(2**64 - 1, 2**64 - 1, 1) == [0x6D46CC0E71F0BE7E]
 
 
-@pytest.mark.parametrize("p", [0.0, 1e-300, 0.3, 0.5, 1.0])
+# p at the edges of the raw-word compare: the least subnormal, the least
+# uniform step, and the largest float below 1
+_EDGE_PS = [0.0, 5e-324, 1e-300, 2**-53, 0.3, 0.5, 1 - 2**-53, 1.0]
+
+
+def _uniform(word: int) -> float:
+    """Generator.random's uniform from one raw 64-bit word."""
+    return (word >> 11) * 2**-53
+
+
+class _RawWords:
+    """A stand-in stream whose bit generator hands out the given raw words."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = np.array(words, dtype=np.uint64)
+
+    def random_raw(self, count):
+        assert count == len(self.words)
+        return self.words
+
+
+@pytest.mark.parametrize("p", _EDGE_PS)
+def test_raw_compare_matches_the_uniform_compare_at_the_bound(p):
+    # the first word whose uniform is not below p, worked out in rationals
+    limit = math.ceil(Fraction(p) * 2**53) * 2**11
+    words = [w for w in (0, limit - 1, limit, limit + 1, 2**64 - 1) if 0 <= w < 2**64]
+    decided = _below(_RawWords(words), len(words), _raw_limit(p)).tolist()
+    assert decided == [_uniform(w) < p for w in words]
+    assert [_uniform(w) < p for w in words] == [w < limit for w in words]
+
+
+@pytest.mark.parametrize("p", _EDGE_PS)
 @pytest.mark.parametrize("seed", [11, 2**64 - 1])
 def test_object_rows_follow_independent_philox(seed, p):
     # vertex v attaches object w exactly when the w-th uniform of stream (seed, v) is below p
     params = ModelParams(4, 13, p)
     for v, row in enumerate(_object_rows(params, seed)):
-        uniforms = [(w >> 11) * 2**-53 for w in philox4x64_raw(seed, v, params.m)]
+        uniforms = [_uniform(w) for w in philox4x64_raw(seed, v, params.m)]
         assert row.tolist() == [w for w, u in enumerate(uniforms) if u < p]
+
+
+# (n, m, p): at (9, 200, 0.5) and (9, 80, 1.0) vertex 0's share rounds to 1
+@pytest.mark.parametrize(
+    ("n", "m", "p"),
+    [(40, 13, 1e-300), (40, 13, 0.3), (9, 200, 0.5), (9, 80, 1.0), (200, 5, 0.05)],
+)
+@pytest.mark.parametrize("seed", [3, 2**64 - 1])
+def test_sample_degree_follows_independent_philox(n, m, p, seed):
+    size = sum(_uniform(w) < p for w in philox4x64_raw(seed, 0, m))
+    share = conditional_adjacency_prob(size, p)
+    assert (share == 1.0) == (m >= 80)
+    expected = sum(_uniform(w) < share for w in philox4x64_raw(seed, n, n - 1)) if size else 0
+    assert sample_degree(ModelParams(n, m, p), seed) == expected
 
 
 def test_plain_substream_survives_internal_sampling():

@@ -6,6 +6,8 @@ from pathlib import Path
 import riglab
 from riglab import analytics, model, montecarlo
 
+from oracles import reachability_connected
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -31,6 +33,32 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_riglab_starts_on_numpy_alone(tmp_path):
+    # scipy's sparse graph code loads on the first connectivity test only;
+    # gen, probe and sample_degree never load any of scipy
+    code = (
+        "import sys\n"
+        "def scipy_loaded():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "from riglab.cli import main\n"
+        "assert not scipy_loaded(), scipy_loaded()\n"
+        f"assert main(['gen', '--n', '30', '--m', '10', '--p', '0.2', '--seed', '4', '--out', {str(tmp_path / 'g.txt')!r}]) == 0\n"
+        "assert main(['probe', 'q-exact', '--m', '2', '--p', '0.5']) == 0\n"
+        "from riglab import ModelParams, sample_connected, sample_degree\n"
+        "sample_degree(ModelParams(50, 9, 0.5), 1)\n"
+        "assert not scipy_loaded(), scipy_loaded()\n"
+        "print(sample_connected(ModelParams(12, 6, 0.3), 5))\n"
+        "assert 'scipy.sparse.csgraph' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    probed, connected = proc.stdout.split()
+    assert probed == "0.4375"
+    assignment = model.sample_assignment(model.ModelParams(12, 6, 0.3), 5)
+    assert connected == str(reachability_connected(model.project(assignment)))
+    assert (tmp_path / "g.txt").read_text().startswith("# rig n=30 m=10 p=0.2 seed=4\n")
 
 
 def test_readme_library_tour_runs(capsys):
