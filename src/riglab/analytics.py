@@ -9,6 +9,7 @@ the two competing degree laws for a single vertex.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -61,7 +62,11 @@ def zeta_bound(m: int, p: float) -> float:
     _check_int(m, "m", 1, _FLOAT_MAX)
     p = _check_prob(p, "p")
     s = p * p
-    return 0.5 * m * (m - 1) * (s * s)
+    bound = 0.5 * m * (m - 1) * (s * s)
+    if bound == math.inf or s * s < sys.float_info.min:
+        # m*(m-1) overflowed or p^4 underflowed; these two factors stay in the float range
+        bound = 0.5 * (m * p * p) * ((m - 1) * p * p)
+    return bound
 
 
 def rate_H(t: float) -> float:
@@ -88,7 +93,9 @@ def tail_bound(trials: int, success_prob: float, cutoff: float, direction: str) 
     cutoff on the wrong side of trials * success_prob is rejected.
     """
     _check_int(trials, "trials", 1, _FLOAT_MAX)
-    mean = trials * _check_prob(success_prob, "success_prob", low_open=True)
+    success_prob = _check_real(success_prob, "success_prob")
+    _require(0.0 < success_prob <= 1.0, f"success_prob must lie in (0, 1], got {success_prob!r}")
+    mean = trials * success_prob
     k = _check_real(cutoff, "cutoff")
     _require(k > 0.0, f"cutoff must be positive, got {k!r}")
     _require(direction in ("upper", "lower"), f"direction must be 'upper' or 'lower', got {direction!r}")
@@ -175,16 +182,22 @@ def solve_a(c: float, branch: str) -> float:
 
 
 def threshold_p(alpha: float, m: int, n: int) -> float:
-    """Probe curve p(alpha) = (m * n**alpha) ** -1/2."""
+    """Probe curve p(alpha) = (m * n**alpha) ** -1/2; ValueError if p leaves the float range."""
     _check_real(alpha, "alpha")
     _check_int(m, "m", 1)
     _check_int(n, "n", 1)
     try:
-        return (m * float(n) ** alpha) ** -0.5
+        p = (m * float(n) ** alpha) ** -0.5
     except (OverflowError, ZeroDivisionError):
-        raise ValueError(
-            f"p(alpha) is outside the float range at alpha={alpha}, m={m}, n={n}"
-        ) from None
+        p = 0.0
+    try:
+        # where m * n**alpha left the float range, p itself may still lie inside it
+        p = p or math.exp(-0.5 * (math.log(m) + alpha * math.log(n)))
+    except OverflowError:
+        pass
+    _require(0.0 < p < math.inf, f"p(alpha) is outside the float range at alpha={alpha}, "
+             f"m={m}, n={n}")
+    return p
 
 
 def _binom_pmf(k, trials: int, p: float):

@@ -32,9 +32,7 @@ ENV_SEED = "RIG_LAB_SEED"
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
+def _env_seed() -> int:
     raw = os.environ.get(ENV_SEED, "0")
     try:
         return int(raw)
@@ -52,11 +50,11 @@ def _write_text(path: str | None, text: str) -> None:
 
 def cmd_gen(args) -> int:
     params = ModelParams(n=args.n, m=args.m, p=args.p)
-    seed = _resolve_seed(args)
+    seed = _env_seed() if args.seed is None else args.seed
     assignment = sample_assignment(params, seed)
     graph = project(assignment)
     if args.format == "edgelist":
-        text = format_edgelist(graph, params, seed, extra_comments=(f"riglab {__version__}",))
+        text = format_edgelist(graph, params, seed)
     else:
         payload = {
             "format": "rig-graph",
@@ -217,7 +215,9 @@ def _cmd_experiment(args) -> int:
             payload = json.load(fh)
         except RecursionError:
             raise ValueError("spec JSON is nested too deeply") from None
-    spec = ExperimentSpec.from_dict(payload, default_seed=_resolve_seed(args))
+    if isinstance(payload, dict) and "master_seed" not in payload:
+        payload["master_seed"] = _env_seed()
+    spec = ExperimentSpec.from_dict(payload)
     allowed_kinds = _EXPERIMENTS[args.command][1]
     if spec.kind not in allowed_kinds:
         raise ValueError(
@@ -238,15 +238,6 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _add_seed_option(parser) -> None:
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help=f"sampling seed (default: ${ENV_SEED} if set, else 0)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riglab",
@@ -262,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--format", choices=("edgelist", "json"), default="edgelist")
     gen.add_argument("--out", default=None, help="output file (default stdout)")
     gen.add_argument("--assignment-out", default=None, help="also write per-vertex object sets")
-    _add_seed_option(gen)
+    gen.add_argument("--seed", type=int, help=f"sampling seed (default: ${ENV_SEED}, else 0)")
     gen.set_defaults(func=cmd_gen)
 
     probe = sub.add_parser("probe", help="print one closed-form quantity")
@@ -282,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--out", required=True, help="output path prefix (.csv/.json appended)"
         )
         experiment.add_argument("--svg", action="store_true", help="also write an SVG chart")
-        _add_seed_option(experiment)
         experiment.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -25,6 +25,8 @@ from itertools import combinations
 
 import numpy as np
 
+from ._version import __version__
+
 __all__ = [
     "ModelParams",
     "BipartiteAssignment",
@@ -86,12 +88,11 @@ def _check_real(value, name: str) -> float:
     return float(value)
 
 
-def _check_prob(value, name: str, low_open: bool = False) -> float:
-    """A real in [0, 1], or in (0, 1] when `low_open`, returned as a float."""
+def _check_prob(value, name: str) -> float:
+    """A real in [0, 1], returned as a float."""
     value = _check_real(value, name)
-    if not (0.0 < value <= 1.0 if low_open else 0.0 <= value <= 1.0):
-        window = "(0, 1]" if low_open else "[0, 1]"
-        raise ValueError(f"{name} must lie in {window}, got {value!r}")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return value
 
 
@@ -356,9 +357,9 @@ def sample_connected(params: ModelParams, seed: int) -> bool:
 
 
 def _rig_text(params: ModelParams, seed: int, body_lines) -> str:
-    """The `# rig ...` header line, then `body_lines`, each line ending in a newline."""
+    """The `# rig ...` header, the `# riglab <version>` line, then `body_lines`, one per line."""
     header = f"# rig n={params.n} m={params.m} p={params.p!r} seed={seed}"
-    return "\n".join([header, *body_lines]) + "\n"
+    return "\n".join([header, f"# riglab {__version__}", *body_lines]) + "\n"
 
 
 def _read_rig(text: str, what: str) -> tuple[ModelParams, int, list[str]]:
@@ -373,19 +374,14 @@ def _read_rig(text: str, what: str) -> tuple[ModelParams, int, list[str]]:
     raise ValueError(f"{what}: missing `# rig n=... m=... p=... seed=...` header")
 
 
-def format_edgelist(
-    graph: IntersectionGraph, params: ModelParams, seed: int, extra_comments: tuple[str, ...] = ()
-) -> str:
-    """Render a graph as the `# rig ...` header plus one `i j` line per edge.
+def format_edgelist(graph: IntersectionGraph, params: ModelParams, seed: int) -> str:
+    """Render a graph as the `# rig ...` header, the version line and one `i j` line per edge.
 
-    Edges appear in ascending lexicographic order with i < j.  Additional
-    comment lines may follow the header; parsers skip every `#` line after
-    reading the first header.
+    Edges appear in ascending lexicographic order with i < j.
     """
     if graph.n != params.n:
         raise ValueError(f"graph has n={graph.n} but params have n={params.n}")
-    comments = [f"# {text}" for text in extra_comments]
-    return _rig_text(params, seed, comments + [f"{i} {j}" for i, j in sorted(graph.edges)])
+    return _rig_text(params, seed, [f"{i} {j}" for i, j in sorted(graph.edges)])
 
 
 def parse_edgelist(text: str) -> tuple[IntersectionGraph, ModelParams, int]:

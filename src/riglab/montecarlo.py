@@ -223,7 +223,8 @@ class ExperimentSpec:
         object.__setattr__(self, "grid", tuple(grid))
 
     @classmethod
-    def from_dict(cls, payload: dict, default_seed: int | None = None) -> "ExperimentSpec":
+    def from_dict(cls, payload: dict) -> "ExperimentSpec":
+        """Build a spec from its JSON object, which must name `kind` and `master_seed`."""
         _require(isinstance(payload, dict), "experiment spec must be a JSON object")
         kind = payload.get("kind")
         _require(kind in EXPERIMENT_KINDS, f"unknown experiment kind {kind!r}")
@@ -231,9 +232,7 @@ class ExperimentSpec:
         # a key the kind does not read would be ignored and left out of the spec hash
         unknown = set(payload) - {"kind", "trials", "master_seed", *(k for k, *_ in reads.values())}
         _require(not unknown, f"unknown spec keys for kind {kind!r}: {sorted(unknown)}")
-        seed = payload.get("master_seed", default_seed)
-        _require(seed is not None, "master_seed is required")
-        kwargs = {"kind": kind, "trials": payload.get("trials"), "master_seed": seed}
+        kwargs = {key: payload.get(key) for key in ("kind", "trials", "master_seed")}
         for name, (key, *shape) in reads.items():
             if key not in payload:
                 continue  # the field keeps its default, which __post_init__ judges

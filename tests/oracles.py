@@ -9,6 +9,7 @@ library paths can be judged against them.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -147,6 +148,13 @@ def gilbert_connected_prob(n: int, m: int, p: float) -> Fraction:
                 if (a, b) != (t, j)
             )
     return sum(comb(m, j) * w[n, j] * q ** (n * (m - j)) for j in range(m + 1))
+
+
+def decimal_threshold_p(alpha: float, m: int, n: int) -> Decimal:
+    """(m * n**alpha) ** -1/2 in 60-digit decimal arithmetic, far past the float range."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (Decimal(m) * Decimal(n) ** Decimal(alpha)) ** Decimal("-0.5")
 
 
 def envelope_residual(a: float, c: float) -> float:

@@ -1,4 +1,6 @@
 import math
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +24,7 @@ from riglab import (
 
 from oracles import (
     binom_tail_exact,
+    decimal_threshold_p,
     enum_degree_pmf,
     enum_two_vertex_share_prob,
     envelope_residual,
@@ -302,6 +305,46 @@ def test_threshold_p_domain_errors():
         threshold_p(1.0, 0, 5)
     with pytest.raises(ValueError):
         threshold_p(1.0, 2, 0)
+    # p itself leaves the float range: 10**500 and 10**-500
+    for alpha in (-1000.0, 1000.0):
+        with pytest.raises(ValueError, match="outside the float range"):
+            threshold_p(alpha, 1, 10)
+
+
+@pytest.mark.parametrize(
+    ("alpha", "m", "n"),
+    [
+        (308.0, 100, 10),  # m * n**alpha overflows; p = 1e-155
+        (-330.0, 1, 10),  # n**alpha underflows; p = 1e165
+        (-600.0, 10**300, 10),  # n**alpha underflows; p = 1e150
+        (1.0, 10**400, 10),  # m is past the float range
+        (0.5, 4, 10**700),  # n is past the float range
+    ],
+    ids=["m-n-alpha-overflows", "n-alpha-underflows", "n-alpha-underflows-big-m", "big-m", "big-n"],
+)
+def test_threshold_p_where_m_n_alpha_leaves_the_float_range(alpha, m, n):
+    exact = decimal_threshold_p(alpha, m, n)
+    assert abs(Decimal(threshold_p(alpha, m, n)) - exact) <= Decimal("1e-12") * exact
+
+
+def test_threshold_p_is_the_direct_form_in_range():
+    for alpha in np.linspace(-60.0, 60.0, 41):
+        for m in (1, 7, 10**6):
+            for n in (1, 2, 10, 1000):
+                assert threshold_p(alpha, m, n) == (m * float(n) ** alpha) ** -0.5
+
+
+def test_zeta_bound_matches_exact_rationals():
+    # m*(m-1) overflows from m ~ 1e154 on, and p^4 underflows below p ~ 1e-77
+    for m in (1, 2, 3, 10**5, 10**100, 10**154, 10**200, 10**300, int(sys.float_info.max)):
+        for p in (0.0, 5e-324, 1e-300, 1e-170, 1e-100, 1e-80, 1e-77, 1e-50, 1e-10, 0.3, 1.0):
+            got = zeta_bound(m, p)
+            exact = Fraction(m * (m - 1), 2) * Fraction(p) ** 4
+            assert not math.isnan(got), (m, p)
+            if exact > sys.float_info.max:
+                assert got == math.inf, (m, p)
+            else:
+                assert abs(Fraction(got) - exact) <= exact / 10**12 + Fraction(2) ** -1074, (m, p)
 
 
 # ---------------------------------------------------------------- degree laws

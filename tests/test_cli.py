@@ -138,11 +138,21 @@ def test_seed_flag_beats_env(monkeypatch, capsys):
     assert "seed=9" in stdout.splitlines()[0]
 
 
-def test_seed_env_must_be_integer(monkeypatch, capsys):
+def test_seed_env_must_be_integer(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(ENV_SEED, "twelve")
     code, _, err = run_cli(["gen", "--n", "3", "--m", "2", "--p", "0.5"], capsys)
     assert code == 2
     assert ENV_SEED in err
+    # an experiment reads the variable only when its spec names no master_seed
+    spec = {"kind": "edge-prob", "trials": 5, "points": [{"m": 2, "p": 0.5}]}
+    named = _write_spec(tmp_path, {**spec, "master_seed": 3}, "named_spec.json")
+    code, _, _ = run_cli(["sweep", "--spec", named, "--out", str(tmp_path / "named")], capsys)
+    assert code == 0
+    bare = _write_spec(tmp_path, spec, "bare_spec.json")
+    code, _, err = run_cli(["sweep", "--spec", bare, "--out", str(tmp_path / "bare")], capsys)
+    assert code == 2
+    assert ENV_SEED in err
+    assert not (tmp_path / "bare.csv").exists()
 
 
 # ---------------------------------------------------------------------- probe
@@ -162,6 +172,20 @@ def test_probe_prints_exact_repr(argv, expected, capsys):
     code, stdout, _ = run_cli(argv, capsys)
     assert code == 0
     assert stdout == expected + "\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "expected"),
+    [
+        # m * n**alpha overflows, and m*(m-1) overflows while p^4 underflows
+        (["probe", "threshold-p", "--alpha", "308", "--m", "100", "--n", "10"], 1e-155),
+        (["probe", "zeta", "--m", str(10**200), "--p", "1e-100"], 0.5),
+    ],
+)
+def test_probe_past_the_float_range_of_a_factor(argv, expected, capsys):
+    code, stdout, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert float(stdout) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_probe_tail_bound(capsys):
@@ -296,6 +320,20 @@ def test_degree_dist_svg_draws_every_point(tmp_path, capsys):
         assert ">n={n} m={m} p={p}</text>".format(**point) in svg
 
 
+def test_degree_dist_svg_of_a_single_degree(tmp_path, capsys):
+    # at n = 1 the pmf is [1.0], so both axes are widened from zero extent
+    spec_path = _write_spec(
+        tmp_path,
+        {"kind": "degree-dist", "trials": 5, "master_seed": 6,
+         "points": [{"n": 1, "m": 2, "p": 0.5}]},
+    )
+    out = str(tmp_path / "dist")
+    code, _, _ = run_cli(["degree-dist", "--spec", spec_path, "--out", out, "--svg"], capsys)
+    assert code == 0
+    # the one point sits in the middle of the 640 x 400 plot area
+    assert '<circle cx="342.00" cy="189.00"' in (tmp_path / "dist.svg").read_text()
+
+
 def test_degree_scaling_end_to_end(tmp_path, capsys):
     spec_path = _write_spec(
         tmp_path,
@@ -311,15 +349,30 @@ def test_degree_scaling_end_to_end(tmp_path, capsys):
 
 def test_experiment_default_seed_from_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(ENV_SEED, "77")
-    spec_path = _write_spec(
-        tmp_path,
-        {"kind": "edge-prob", "trials": 10, "points": [{"m": 2, "p": 0.5}]},
-    )
-    out = str(tmp_path / "seeded")
-    code, _, _ = run_cli(["sweep", "--spec", spec_path, "--out", out], capsys)
-    assert code == 0
+    spec = {"kind": "edge-prob", "trials": 10, "points": [{"m": 2, "p": 0.5}]}
+    for name, payload in (("seeded", spec), ("named", {**spec, "master_seed": 77})):
+        spec_path = _write_spec(tmp_path, payload, f"{name}_spec.json")
+        code, _, _ = run_cli(["sweep", "--spec", spec_path, "--out", str(tmp_path / name)], capsys)
+        assert code == 0
     payload = json.loads((tmp_path / "seeded.json").read_text())
     assert payload["master_seed"] == 77
+    for suffix in (".csv", ".json"):
+        seeded = (tmp_path / f"seeded{suffix}").read_bytes()
+        assert seeded == (tmp_path / f"named{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["sweep", "degree-dist", "degree-scaling"])
+def test_experiment_has_no_seed_option(command, tmp_path, capsys):
+    # the spec's master_seed, else $RIG_LAB_SEED, seeds an experiment
+    spec_path = _write_spec(
+        tmp_path,
+        {"kind": "edge-prob", "trials": 5, "master_seed": 1, "points": [{"m": 2, "p": 0.5}]},
+    )
+    out = str(tmp_path / "x")
+    code, _, err = run_cli([command, "--spec", spec_path, "--out", out, "--seed", "5"], capsys)
+    assert code == 2
+    assert "unrecognized arguments: --seed 5" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_wrong_kind_for_subcommand(tmp_path, capsys):
@@ -400,8 +453,10 @@ _SUBCOMMAND = {
         ({"kind": "degree-scaling", "n": [10**30], "alpha": [0.5], "c": 0.5}, "n[0]"),
         ({"kind": "connectivity-sweep", "n": [4], "alpha": [1.0],
           "m_rule": {"kind": "power", "beta": 40}}, "m_rule.beta"),
-        # p(alpha) overflows the float range, and an alpha outside degree scaling's (0, 1)
+        # p(alpha) is 10**199.5 > 1, then 10**499.5, past the float range, and an
+        # alpha outside degree scaling's (0, 1)
         ({"kind": "connectivity-sweep", "n": [10], "alpha": [-400]}, "alpha[0]"),
+        ({"kind": "connectivity-sweep", "n": [10], "alpha": [-1000]}, "alpha[0]"),
         ({"kind": "degree-scaling", "n": [10], "alpha": [1.5], "c": 0.5}, "alpha[0]"),
     ],
 )

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riglab import (
+    __version__,
     BipartiteAssignment,
     IntersectionGraph,
     ModelParams,
@@ -319,12 +320,14 @@ def test_edgelist_round_trip():
     params = ModelParams(6, 4, 0.45)
     assignment = sample_assignment(params, 17)
     graph = project(assignment)
-    text = format_edgelist(graph, params, 17, extra_comments=("a", "b"))
-    assert text.splitlines()[1:3] == ["# a", "# b"]
+    text = format_edgelist(graph, params, 17)
+    assert text.splitlines()[1] == f"# riglab {__version__}"
     parsed, parsed_params, parsed_seed = parse_edgelist(text)
     assert parsed == graph
     assert parsed_params == params
     assert parsed_seed == 17
+    with pytest.raises(ValueError, match="graph has n=6 but params have n=7"):
+        format_edgelist(graph, ModelParams(7, 4, 0.45), 17)
 
 
 def test_edgelist_header_and_order():
@@ -347,6 +350,7 @@ def test_assignment_round_trip():
     params = ModelParams(5, 6, 0.3)
     assignment = sample_assignment(params, 8)
     text = format_assignment(assignment, 8)
+    assert text.splitlines()[:2] == ["# rig n=5 m=6 p=0.3 seed=8", f"# riglab {__version__}"]
     parsed, seed = parse_assignment(text)
     assert parsed == assignment
     assert seed == 8

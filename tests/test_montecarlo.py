@@ -67,6 +67,9 @@ def test_wilson_interval_known_shape():
     assert lo < 0.5 < hi
     assert wilson_interval(0, 20)[0] == 0.0
     assert wilson_interval(20, 20)[1] == 1.0
+    for successes, trials in ((0, 0), (-1, 5), (6, 5)):
+        with pytest.raises(ValueError, match=f"got {successes}/{trials}"):
+            wilson_interval(successes, trials)
 
 
 @given(
@@ -234,10 +237,10 @@ def test_spec_rejects_fields_of_another_kind():
     assert spec_hash(spec) == spec_hash(ExperimentSpec(**edge))
 
 
-def test_from_dict_default_seed():
+def test_from_dict_requires_master_seed():
     payload = {"kind": "edge-prob", "trials": 5, "points": [{"m": 2, "p": 0.5}]}
-    assert ExperimentSpec.from_dict(payload, default_seed=42).master_seed == 42
-    with pytest.raises(ValueError, match="master_seed is required"):
+    assert ExperimentSpec.from_dict({**payload, "master_seed": 42}).master_seed == 42
+    with pytest.raises(ValueError, match="master_seed must be an integer, got None"):
         ExperimentSpec.from_dict(payload)
 
 
@@ -411,6 +414,17 @@ def test_connectivity_grid_order_and_extras():
         assert rec.m == 6
         assert rec.p == threshold_p(rec.alpha, 6, rec.n)
         assert rec.pair_bound == float(rec.n) ** (-rec.alpha / 2.0)
+
+
+def test_connectivity_point_where_m_n_alpha_overflows():
+    # m * n**alpha = 1e310 leaves the float range, but p = 1e-155 does not
+    spec = ExperimentSpec.from_dict(
+        {"kind": "connectivity-sweep", "trials": 2, "master_seed": 1, "n": [10], "alpha": [308],
+         "m_rule": {"kind": "fixed", "m": 100}}
+    )
+    (record,) = run_experiment(spec).records
+    assert record.p == threshold_p(308.0, 100, 10) == pytest.approx(1e-155, rel=1e-12, abs=0.0)
+    assert record.estimate == 0.0
 
 
 def test_connectivity_falls_with_alpha():
