@@ -39,10 +39,16 @@ def q_exact(m: int, p: float) -> float:
     m = 1 and m = 2 are returned through the plain polynomial so that the
     second-order sandwich holds as written even where it is mathematically
     tight; larger m is ``conditional_adjacency_prob(m, p^2)``, accurate at small p.
+    Where p^2 is below the normal float range it is not formed: the result is
+    (m * p) * p, or -expm1(-(m * p) * p) for m >= 3, since log1p(-p^2) is
+    -p^2 to double precision there.
     """
     _check_int(m, "m", 1, _FLOAT_MAX)
     p = _check_prob(p, "p")
     s = p * p
+    if p > 0.0 and s < sys.float_info.min:
+        first = (m * p) * p
+        return first if m <= 2 else -math.expm1(-first)
     if m == 1:
         return s
     if m == 2:
@@ -51,10 +57,17 @@ def q_exact(m: int, p: float) -> float:
 
 
 def q_approx(m: int, p: float) -> float:
-    """First-order edge probability m * p^2.  May exceed 1 for large m*p^2."""
+    """First-order edge probability m * p^2.  May exceed 1 for large m*p^2.
+
+    Where p^2 is below the normal float range, (m * p) * p keeps the digits
+    that m * (p * p) would lose.
+    """
     _check_int(m, "m", 1, _FLOAT_MAX)
     p = _check_prob(p, "p")
-    return m * (p * p)
+    s = p * p
+    if p > 0.0 and s < sys.float_info.min:
+        return (m * p) * p
+    return m * s
 
 
 def zeta_bound(m: int, p: float) -> float:

@@ -10,8 +10,8 @@ projecting, and the plain-text exchange formats.
 Every draw is made here.  One per-vertex loop, ``_object_rows``, draws
 every attachment, and ``sample_degree`` draws vertex 0's adjacencies from
 the reserved stream n.  One routine, ``_rows_connected``, reads connectivity
-off such rows.  It stops at the first vertex with no objects (that vertex is
-isolated), so ``sample_connected`` samples no vertex after it.
+off such rows, on numpy alone.  It stops at the first vertex with no objects
+(that vertex is isolated), so ``sample_connected`` samples no vertex after it.
 """
 
 from __future__ import annotations
@@ -48,8 +48,9 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _ZERO4 = (0, 0, 0, 0)
 _FLOAT_MAX = sys.float_info.max
-# the largest n and m: the largest array riglab allocates, _rows_connected's
-# indptr, then has n + m + 1 < 2**60 eight-byte entries, which numpy can address
+# the largest n and m: the largest array sized by n and m together,
+# _rows_connected's labels, then has n + m < 2**60 eight-byte entries, which
+# numpy can address
 _MAX_SIZE = (1 << 59) - 1
 _HEADER_RE = re.compile(
     r"^#\s*rig\s+n=(?P<n>\S+)\s+m=(?P<m>\S+)\s+p=(?P<p>\S+)\s+seed=(?P<seed>\S+)\s*$"
@@ -317,26 +318,33 @@ def _rows_connected(params: ModelParams, rows) -> bool:
     `rows` yields each vertex's object indices in vertex order.  When n > 1
     the first empty row is an isolated vertex: the answer is False and no
     later row is read.  Otherwise vertex v is node v and object w is node
-    n + w, and the rows laid end to end are the CSR index arrays of that
-    graph: the m object rows stay empty, because ``connected_components``
-    with directed=False follows each edge both ways.  scipy's sparse graph
-    code loads here, on the first connectivity test, not with riglab.
+    n + w, and the components are found by hooking and pointer jumping
+    (Shiloach and Vishkin, 1982).  Each node's label is a node of its
+    component no larger than itself, so the labels form a forest whose roots
+    label themselves.  A round hooks, for each edge, the larger of its two
+    ends' roots onto the smaller, then jumps every label to its root; the
+    rounds stop when every edge joins a single root.  The graph is connected
+    exactly when every vertex's root is node 0.
     """
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
-
     n, m = params.n, params.m
     kept = []
     for row in rows:
         if not len(row) and n > 1:
             return False
         kept.append(row)
-    indptr = np.zeros(n + m + 1, dtype=np.intp)
-    np.cumsum([len(row) for row in kept], out=indptr[1 : n + 1])
-    indptr[n + 1 :] = indptr[n]
-    graph = csr_array((np.ones(indptr[n]), np.concatenate(kept) + n, indptr), shape=(n + m, n + m))
-    _, labels = connected_components(graph, directed=False)
-    return bool((labels[:n] == labels[0]).all())
+    vertices = np.repeat(np.arange(n), [len(row) for row in kept])
+    objects = np.concatenate(kept) + n
+    labels = np.arange(n + m)
+    while True:
+        a, b = labels[vertices], labels[objects]
+        if np.array_equal(a, b):
+            return not labels[:n].any()
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
 
 
 def is_connected(assignment: BipartiteAssignment) -> bool:

@@ -77,6 +77,21 @@ def test_sandwich_property(m, p):
     assert lower <= exact <= q_approx(m, p)
 
 
+@pytest.mark.parametrize(
+    ("m", "p"),
+    [(10**200, 1e-170), (2**59 - 1, 1e-160), (10**6, 1e-158)],
+    ids=["m=10**200", "m=2**59-1", "m=10**6"],
+)
+def test_edge_probability_where_p_squared_is_subnormal(m, p):
+    # 1 - (1 - s)**m lies between m*s - C(m, 2)*s**2 and m*s (Bonferroni), s = p**2
+    s = Fraction(p) ** 2
+    first = m * s
+    exact_low = first - Fraction(m * (m - 1), 2) * s * s
+    for got, low, high in ((q_approx(m, p), first, first), (q_exact(m, p), exact_low, first)):
+        slack = high / 10**15 + Fraction(2) ** -1074
+        assert low - slack <= Fraction(got) <= high + slack, (m, p, got)
+
+
 @pytest.mark.parametrize("func", [q_exact, q_approx, zeta_bound])
 def test_edge_probability_domain_errors(func):
     with pytest.raises(ValueError):

@@ -314,6 +314,79 @@ def test_connectivity_matches_reachability_closure():
                 assert pair_adjacent(a, i, j) == ((i, j) in graph.edges)
 
 
+# The cases below have no empty object set, so the exit at the first isolated
+# vertex cannot decide them and the component labelling must.
+
+def _oracle_connected(assignment):
+    return reachability_connected(pairwise_project(assignment))
+
+
+@pytest.mark.parametrize(
+    "m, sets",
+    [
+        # two components of two vertices, interleaved in vertex order
+        (2, ((0,), (1,), (0,), (1,))),
+        # three components, vertex 0's the smallest
+        (6, ((5,), (0, 1), (2,), (1,), (2, 3), (0,), (3,), (4,), (4,))),
+        # joined only through the last vertex
+        (4, ((0,), (1,), (2,), (3,), (0, 1, 2, 3))),
+        # the same without that vertex's last object
+        (4, ((0,), (1,), (2,), (3,), (0, 1, 2))),
+        # a chain whose objects run against the vertex order
+        (5, ((4,), (3, 4), (2, 3), (1, 2), (0, 1))),
+        (5, ((4,), (3, 4), (2, 3), (1,), (0, 1))),
+    ],
+)
+def test_connectivity_with_no_isolated_vertex(m, sets):
+    a = _assignment(m, *sets)
+    assert all(a.sets)
+    assert is_connected(a) == _oracle_connected(a)
+
+
+@pytest.mark.parametrize(("last", "connected"), [((999_996, 999_999), True), ((999_996,), False)])
+def test_connectivity_with_high_unowned_objects(last, connected):
+    # m much larger than n: object 0 and a few near the top are owned, the rest unowned
+    a = _assignment(10**6, (999_992,), (999_992, 999_999), (999_999,), (0, 999_996), last)
+    assert _oracle_connected(a) is connected
+    assert is_connected(a) is connected
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed", "shuffled"])
+@pytest.mark.parametrize("n", [200, 2000])
+def test_connectivity_of_a_path_in_any_vertex_order(n, order):
+    # vertex v holds objects v - 1 and v, so labels must travel the path's
+    # whole length, one way or the other
+    path = [tuple(w for w in (v - 1, v) if 0 <= w < n - 1) for v in range(n)]
+    if order == "reversed":
+        path.reverse()
+    elif order == "shuffled":
+        path = [path[v] for v in np.random.default_rng(n).permutation(n).tolist()]
+    cut = [tuple(w for w in objects if w != n // 3) for objects in path]
+    for sets, connected in ((path, True), (cut, False)):
+        a = _assignment(n, *sets)
+        assert is_connected(a) is connected
+        if n < 256:
+            # the oracle's uint8 closure counts at most n walks per entry
+            assert _oracle_connected(a) is connected
+
+
+def test_connectivity_near_the_threshold_without_isolated_vertices():
+    # m * p between log(n) and 2 log(n): vertices rarely lack objects, yet the
+    # graph is often split
+    rng = np.random.default_rng(2024)
+    split = joined = 0
+    for seed in range(400):
+        n, m = (int(x) for x in rng.integers(2, 61, 2))
+        params = ModelParams(n, m, min(1.0, math.log(n) / m * float(rng.uniform(1.0, 2.0))))
+        a = sample_assignment(params, seed)
+        connected = _oracle_connected(a)
+        assert is_connected(a) == sample_connected(params, seed) == connected
+        if all(a.sets):
+            split += not connected
+            joined += connected
+    assert split >= 25 and joined >= 100, (split, joined)
+
+
 # ------------------------------------------------------------------- formats
 
 def test_edgelist_round_trip():

@@ -36,8 +36,7 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
 
 
 def test_riglab_starts_on_numpy_alone(tmp_path):
-    # scipy's sparse graph code loads on the first connectivity test only;
-    # gen, probe and sample_degree never load any of scipy
+    # gen, probe, sample_degree and the connectivity tests never load any of scipy
     code = (
         "import sys\n"
         "def scipy_loaded():\n"
@@ -50,14 +49,17 @@ def test_riglab_starts_on_numpy_alone(tmp_path):
         "sample_degree(ModelParams(50, 9, 0.5), 1)\n"
         "assert not scipy_loaded(), scipy_loaded()\n"
         "print(sample_connected(ModelParams(12, 6, 0.3), 5))\n"
-        "assert 'scipy.sparse.csgraph' in sys.modules\n"
+        "from riglab import BipartiteAssignment, is_connected\n"
+        "print(is_connected(BipartiteAssignment(ModelParams(3, 4, 0.5), ((0, 3), (3,), (1,)))))\n"
+        "assert not scipy_loaded(), scipy_loaded()\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    probed, connected = proc.stdout.split()
+    probed, sampled, tested = proc.stdout.split()
     assert probed == "0.4375"
     assignment = model.sample_assignment(model.ModelParams(12, 6, 0.3), 5)
-    assert connected == str(reachability_connected(model.project(assignment)))
+    assert sampled == str(reachability_connected(model.project(assignment)))
+    assert tested == "False"
     assert (tmp_path / "g.txt").read_text().startswith("# rig n=30 m=10 p=0.2 seed=4\n")
 
 
