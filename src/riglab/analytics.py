@@ -30,6 +30,13 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-12
+# ln of half the smallest subnormal, 2**-1075, is -745.13; the binomial pmf
+# is skipped where its large-deviation bound is below e^-765
+_WINDOW_EXPONENT = 765.0
+# scipy's binomial pmf raises OverflowError at some k only where q is below
+# about 3.2e-304 (at 10**6 trials; the limit grows about as sqrt(trials)), and
+# those k need not lie in the window
+_PMF_OVERFLOW_BELOW = 1e-290
 DEGREE_MODEL_KINDS = ("binomial-approx", "exact-mixture")
 
 
@@ -227,6 +234,58 @@ def _binom_pmf(k, trials: int, p: float):
         return np.exp(binom.logpmf(k, trials, p))
 
 
+def _binom_windows(trials: int, shares: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last k at which each Binomial(trials, q) pmf, q in `shares`, can be nonzero.
+
+    P(X = k) <= exp(-trials * D(k/trials || q)), D the Kullback-Leibler
+    divergence of two Bernoulli laws (Chernoff, 1952; Arratia and Gordon,
+    1989).  Outside the window trials * D exceeds _WINDOW_EXPONENT, so the true
+    pmf is below e^-765, more than 2**28 times below half the smallest
+    subnormal, and scipy's pmf there is 0.0.  D falls and then rises in k, so
+    the window is an interval around the mode, and the end below the mode is
+    found by bisection for every q at once.  The end above it is the end
+    below the mode of the mirrored law (k -> trials - k, q -> 1 - q).  At
+    q = 0 or 1 the window is the point mass at 0 or at trials.  For q below
+    _PMF_OVERFLOW_BELOW it is all of 0..trials, so that _binom_pmf falls back
+    to exp(logpmf) exactly where it would over the full grid.
+    """
+    inner = (shares > 0.0) & (shares < 1.0)
+    q = np.where(inner, shares, 0.5)
+    log_q, log_not_q = np.log(q), np.log1p(-q)
+    log_trials = math.log(trials) if trials else 0.0
+    mode = np.minimum(np.floor((trials + 1) * shares), trials).astype(np.int64)
+    # row 0 is the law itself, row 1 its mirror; each searches [lo, hi] for the
+    # first k within the bound, which hi, the mode, always is: its pmf is at
+    # least 1/(trials + 1)
+    log_a, log_b = np.stack((log_q, log_not_q)), np.stack((log_not_q, log_q))
+    hi = np.stack((mode, trials - mode))
+    lo = np.where(inner, 0, hi)
+    for _ in range(trials.bit_length()):
+        mid = (lo + hi) // 2
+        rest = trials - mid
+        exponent = (mid * (np.log(np.maximum(mid, 1)) - log_trials - log_a)
+                    + rest * (np.log(np.maximum(rest, 1)) - log_trials - log_b))
+        within = exponent <= _WINDOW_EXPONENT
+        hi = np.where(within, mid, hi)
+        lo = np.where(within, lo, mid + 1)
+    tiny = (shares > 0.0) & (shares < _PMF_OVERFLOW_BELOW)
+    return np.where(tiny, 0, hi[0]), np.where(tiny, trials, trials - hi[1])
+
+
+def _binom_mixture(n: int, weights, shares) -> np.ndarray:
+    """sum of w * Binomial(n-1, q) pmf over 0..n-1, in order, each term on its window only.
+
+    Outside its window a term's pmf is 0.0, and adding w * 0.0 leaves every
+    bit of the sum as it is, so the windows change no bit of the result.
+    """
+    ks = np.arange(n)
+    pmf = np.zeros(n)
+    windows = _binom_windows(n - 1, np.asarray(shares, dtype=float))
+    for w, q, lo, hi in zip(weights, shares, *windows):
+        pmf[lo:hi + 1] += w * _binom_pmf(ks[lo:hi + 1], n - 1, q)
+    return pmf
+
+
 def degree_pmf(n: int, m: int, p: float, kind: str) -> np.ndarray:
     """Degree law of a single vertex under one of two models, as a pmf over 0..n-1.
 
@@ -234,25 +293,23 @@ def degree_pmf(n: int, m: int, p: float, kind: str) -> np.ndarray:
     giving Binomial(n-1, q_exact).  'exact-mixture' conditions on the vertex's
     own object count S ~ Binomial(m, p); given S = s the indicators really are
     independent with success probability 1 - (1-p)^s, so the mixture over s is
-    the exact law.
+    the exact law.  Each Binomial(n-1, q) term is evaluated only on the window
+    of k where (n-1) * D(k/(n-1) || q) <= 765 (see _binom_windows): outside
+    it the pmf is below e^-765, more than 2**28 times below half the smallest
+    subnormal, so scipy's value there is 0.0 and skipping it changes no bit.
     """
     _check_int(n, "n", 1)
     _check_int(m, "m", 1)
     p = _check_prob(p, "p")
     if kind not in DEGREE_MODEL_KINDS:
         raise ValueError(f"kind must be one of {DEGREE_MODEL_KINDS}, got {kind!r}")
-    ks = np.arange(n)
     if kind == "binomial-approx":
-        pmf = _binom_pmf(ks, n - 1, q_exact(m, p))
+        pmf = _binom_mixture(n, [1.0], [q_exact(m, p)])
     else:
-        sizes = np.arange(m + 1)
-        weights = _binom_pmf(sizes, m, p)
-        pmf = np.zeros(n)
-        for s, w in zip(sizes, weights):
-            if w == 0.0:
-                continue
-            share = conditional_adjacency_prob(int(s), p)
-            pmf += w * _binom_pmf(ks, n - 1, share)
+        weights = _binom_pmf(np.arange(m + 1), m, p)
+        sizes = np.flatnonzero(weights)
+        shares = [conditional_adjacency_prob(int(s), p) for s in sizes]
+        pmf = _binom_mixture(n, weights[sizes], shares)
     total = float(np.sum(pmf))
     _require(
         abs(total - 1.0) <= 1e-12 and not np.any(pmf < 0.0),

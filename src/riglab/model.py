@@ -10,8 +10,9 @@ projecting, and the plain-text exchange formats.
 Every draw is made here.  One per-vertex loop, ``_object_rows``, draws
 every attachment, and ``sample_degree`` draws vertex 0's adjacencies from
 the reserved stream n.  One routine, ``_rows_connected``, reads connectivity
-off such rows, on numpy alone.  It stops at the first vertex with no objects
-(that vertex is isolated), so ``sample_connected`` samples no vertex after it.
+off such rows, flattened, on numpy alone.  ``sample_connected`` stops at the
+first vertex with no objects (that vertex is isolated) and samples no vertex
+after it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import re
 import sys
 import threading
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -312,28 +313,22 @@ def project(assignment: BipartiteAssignment) -> IntersectionGraph:
     return IntersectionGraph(n=assignment.params.n, edges=frozenset(edges))
 
 
-def _rows_connected(params: ModelParams, rows) -> bool:
+def _rows_connected(params: ModelParams, lengths, objects: np.ndarray) -> bool:
     """True when the vertex-object graph of these object rows joins all n vertices.
 
-    `rows` yields each vertex's object indices in vertex order.  When n > 1
-    the first empty row is an isolated vertex: the answer is False and no
-    later row is read.  Otherwise vertex v is node v and object w is node
-    n + w, and the components are found by hooking and pointer jumping
-    (Shiloach and Vishkin, 1982).  Each node's label is a node of its
-    component no larger than itself, so the labels form a forest whose roots
-    label themselves.  A round hooks, for each edge, the larger of its two
-    ends' roots onto the smaller, then jumps every label to its root; the
-    rounds stop when every edge joins a single root.  The graph is connected
-    exactly when every vertex's root is node 0.
+    The rows are flat: vertex v owns the next lengths[v] entries of
+    `objects`.  Vertex v is node v and object w is node n + w, and the
+    components are found by hooking and pointer jumping (Shiloach and
+    Vishkin, 1982).  Each node's label is a node of its component no larger
+    than itself, so the labels form a forest whose roots label themselves.  A
+    round hooks, for each edge, the larger of its two ends' roots onto the
+    smaller, then jumps every label to its root; the rounds stop when every
+    edge joins a single root.  The graph is connected exactly when every
+    vertex's root is node 0.
     """
     n, m = params.n, params.m
-    kept = []
-    for row in rows:
-        if not len(row) and n > 1:
-            return False
-        kept.append(row)
-    vertices = np.repeat(np.arange(n), [len(row) for row in kept])
-    objects = np.concatenate(kept) + n
+    vertices = np.repeat(np.arange(n), lengths)
+    objects = objects + n
     labels = np.arange(n + m)
     while True:
         a, b = labels[vertices], labels[objects]
@@ -356,12 +351,24 @@ def is_connected(assignment: BipartiteAssignment) -> bool:
     is a component of its own and disconnects nothing, while a vertex with
     no objects is isolated.  n=1 counts as connected.
     """
-    return _rows_connected(assignment.params, (np.array(s, dtype=np.intp) for s in assignment.sets))
+    sets = assignment.sets
+    lengths = np.fromiter(map(len, sets), np.intp, count=len(sets))
+    objects = np.fromiter(chain.from_iterable(sets), np.intp, count=int(lengths.sum()))
+    return _rows_connected(assignment.params, lengths, objects)
 
 
 def sample_connected(params: ModelParams, seed: int) -> bool:
-    """is_connected(sample_assignment(params, seed)), drawn up to the first isolated vertex only."""
-    return _rows_connected(params, _object_rows(params, seed))
+    """is_connected(sample_assignment(params, seed)), drawn up to the first isolated vertex only.
+
+    When n > 1 the first empty row is an isolated vertex: the answer is False
+    and no later row is drawn.
+    """
+    rows = []
+    for row in _object_rows(params, seed):
+        if not len(row) and params.n > 1:
+            return False
+        rows.append(row)
+    return _rows_connected(params, [len(row) for row in rows], np.concatenate(rows))
 
 
 def _rig_text(params: ModelParams, seed: int, body_lines) -> str:

@@ -58,13 +58,17 @@ def pairwise_project(assignment: BipartiteAssignment) -> IntersectionGraph:
 
 
 def reachability_connected(graph: IntersectionGraph) -> bool:
-    """Connectivity via boolean closure of the adjacency matrix."""
+    """Connectivity via boolean closure of the adjacency matrix.
+
+    The product is taken on booleans, so an entry says whether a walk exists
+    and no count of walks can wrap.
+    """
     n = graph.n
-    reach = np.eye(n, dtype=np.uint8)
+    reach = np.eye(n, dtype=bool)
     for i, j in graph.edges:
-        reach[i, j] = reach[j, i] = 1
+        reach[i, j] = reach[j, i] = True
     for _ in range(n):
-        updated = ((reach @ reach) > 0).astype(np.uint8)
+        updated = reach @ reach
         if np.array_equal(updated, reach):
             break
         reach = updated

@@ -428,6 +428,91 @@ def test_degree_pmf_rejects_a_law_that_is_not_a_pmf(monkeypatch):
             degree_pmf(4, 2, 0.5, kind)
 
 
+def _full_grid_degree_pmf(n, m, p, kind):
+    """degree_pmf as evaluated before the windows: every term over all of 0..n-1.
+
+    Each Binomial term is one scipy call over the whole grid, with exp(logpmf)
+    for the whole term when that call raises OverflowError, summed in the same
+    order.  It shares q_exact and conditional_adjacency_prob with degree_pmf,
+    so it checks the windows, not the law (oracles.mixture_degree_pmf does).
+    """
+    from scipy.stats import binom
+
+    def pmf(k, trials, q):
+        try:
+            return binom.pmf(k, trials, q)
+        except OverflowError:
+            return np.exp(binom.logpmf(k, trials, q))
+
+    ks = np.arange(n)
+    if kind == "binomial-approx":
+        return pmf(ks, n - 1, q_exact(m, p))
+    total = np.zeros(n)
+    for s, w in enumerate(pmf(np.arange(m + 1), m, p)):
+        if w != 0.0:
+            total += w * pmf(ks, n - 1, conditional_adjacency_prob(s, p))
+    return total
+
+
+def _bit_identity_points():
+    points = [
+        # the golden degree-dist points, then the benchmark's
+        (1, 2, 0.5), (6, 3, 0.0), (5, 4, 1.0), (8, 5, 0.25),
+        (4, 2, 0.5), (400, 400, 0.05), (2000, 2000, 0.02), (4000, 1000, 0.05),
+        (7, 9, 0.0), (30, 2, 1.0), (1, 1, 0.0), (1, 1, 1.0),
+        # scipy's pmf raises OverflowError for the weights or a term
+        (1, 2, 1.1125369292536007e-308), (8, 5, 1e-307), (300, 40000, 1e-306),
+        # q_exact near 1e-305, where the full grid raises only outside the window
+        (588, 414, 1.2875991074229838e-154), (294, 334, 4.873346716487289e-155),
+    ]
+    rng = np.random.default_rng(20261019)
+    for _ in range(100):
+        n, m = (int(x) for x in np.exp(rng.uniform(0.0, math.log(400.0), size=2)).round())
+        points.append((n, m, float(10.0 ** rng.uniform(-308.0, 0.0))))
+    return points
+
+
+@pytest.mark.parametrize("kind", ["binomial-approx", "exact-mixture"])
+def test_degree_pmf_windows_change_no_bit(kind):
+    for n, m, p in _bit_identity_points():
+        expected = _full_grid_degree_pmf(n, m, p, kind)
+        assert np.array_equal(degree_pmf(n, m, p, kind), expected), (n, m, p)
+
+
+def test_binomial_windows_hold_every_nonzero_pmf():
+    from scipy.stats import binom
+
+    rng = np.random.default_rng(765)
+    qs = [0.0, 1.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-290, 1e-280, 1e-200,
+          1e-20, 0.5, 1.0 - 2.0**-53, 1.0 - 1e-12, 1.0 - 1e-3]
+    qs += [float(q) for q in 10.0 ** rng.uniform(-323.0, 0.0, size=30)]
+    qs += [float(q) for q in -np.expm1(-(10.0 ** rng.uniform(-3.0, 2.0, size=10)))]
+    for trials in (0, 1, 2, 7, 50, 333, 1999, 4000, 20000):
+        los, his = analytics._binom_windows(trials, np.array(qs))
+        for q, lo, hi in zip(qs, los, his):
+            assert 0 <= lo <= hi <= trials, (trials, q)
+            mode = min(math.floor((trials + 1) * q), trials)
+            assert lo <= mode <= hi, (trials, q)
+            ks = np.arange(trials + 1)
+            try:
+                pmf = binom.pmf(ks, trials, q)
+            except OverflowError:
+                # the fallback must then be taken on the whole grid, as before
+                assert (lo, hi) == (0, trials), (trials, q)
+                continue
+            outside = (ks < lo) | (ks > hi)
+            assert not pmf[outside].any(), (trials, q, np.flatnonzero(pmf * outside))
+
+
+def test_binomial_windows_cut_most_of_the_benchmark_grids():
+    # the mixture terms of two benchmark points need 28.7 % and 8.9 % of the full grid
+    for n, m, p, share in [(2000, 2000, 0.02, 0.30), (4000, 1000, 0.05, 0.10)]:
+        sizes = np.flatnonzero(analytics._binom_pmf(np.arange(m + 1), m, p))
+        shares = np.array([conditional_adjacency_prob(int(s), p) for s in sizes])
+        lo, hi = analytics._binom_windows(n - 1, shares)
+        assert np.sum(hi - lo + 1) <= share * len(sizes) * n
+
+
 def test_total_variation_basics():
     assert total_variation([0.5, 0.5], [0.5, 0.5]) == 0.0
     assert total_variation([1.0, 0.0], [0.0, 1.0]) == 1.0

@@ -366,8 +366,19 @@ def test_connectivity_of_a_path_in_any_vertex_order(n, order):
         a = _assignment(n, *sets)
         assert is_connected(a) is connected
         if n < 256:
-            # the oracle's uint8 closure counts at most n walks per entry
+            # the matrix oracle is cubic in n
             assert _oracle_connected(a) is connected
+
+
+@pytest.mark.parametrize("n", [256, 300])
+def test_reachability_oracle_past_255_vertices(n):
+    # on K256 every entry of (I + A)^2 is 256, which a uint8 product wraps to 0
+    complete = IntersectionGraph(n, frozenset(combinations(range(n), 2)))
+    path = IntersectionGraph(n, frozenset((v, v + 1) for v in range(n - 1)))
+    cut = IntersectionGraph(n, path.edges - {(n // 3, n // 3 + 1)})
+    assert reachability_connected(complete)
+    assert reachability_connected(path)
+    assert not reachability_connected(cut)
 
 
 def test_connectivity_near_the_threshold_without_isolated_vertices():
