@@ -95,13 +95,10 @@ def rate_H(t: float) -> float:
     H increases on (0, 1), decreases on (1, inf), vanishes only at t = 1,
     and is negative elsewhere.
     """
-    if isinstance(t, bool) or not isinstance(t, (int, float)):
-        raise ValueError(f"t must be a positive real or inf, got {t!r}")
-    if math.isnan(t) or t <= 0.0:
-        raise ValueError(f"t must be positive, got {t!r}")
-    if math.isinf(t):
+    if t == math.inf:
         return -1.0
-    t = float(t)
+    t = _check_real(t, "t")
+    _require(t > 0.0, f"t must be positive, got {t!r}")
     return (math.log(t) + 1.0) / t - 1.0
 
 
@@ -147,8 +144,7 @@ def solve_a(c: float, branch: str) -> float:
     side tends to 1 as a -> 0.  Bracketed Newton iteration with bisection
     fallback; raises ValueError if the root's residual exceeds 1e-12 * max(1, c).
     """
-    if branch not in ("upper", "lower"):
-        raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
+    _require(branch in ("upper", "lower"), f"branch must be 'upper' or 'lower', got {branch!r}")
     c = _check_real(c, "c")
     _require(c >= 0.0, f"c must be >= 0, got {c!r}")
     if branch == "lower" and c >= 1.0:
@@ -173,7 +169,7 @@ def solve_a(c: float, branch: str) -> float:
         # envelope(1e-15) is within ~4e-14 of 1, so such c admits no
         # representable root above the bracket floor
         raise ValueError(f"c={c} is too close to 1; lower-branch root falls below 1e-15")
-    x, gx = 0.5 * (lo + hi), math.inf
+    x = 0.5 * (lo + hi)
     tol = 0.5 * _RESIDUAL_TOL
     for _ in range(256):
         gx = g(x)
@@ -188,9 +184,7 @@ def solve_a(c: float, branch: str) -> float:
         if not lo < trial < hi:
             trial = 0.5 * (lo + hi)
         if trial == x:
-            trial = 0.5 * (lo + hi)
-            if trial == x:
-                break
+            break
         x = trial
     residual = abs(g(x))
     # for c > 1 the terms of g are as large as c, so g(x) carries rounding error
@@ -301,8 +295,7 @@ def degree_pmf(n: int, m: int, p: float, kind: str) -> np.ndarray:
     _check_int(n, "n", 1)
     _check_int(m, "m", 1)
     p = _check_prob(p, "p")
-    if kind not in DEGREE_MODEL_KINDS:
-        raise ValueError(f"kind must be one of {DEGREE_MODEL_KINDS}, got {kind!r}")
+    _require(kind in DEGREE_MODEL_KINDS, f"kind must be one of {DEGREE_MODEL_KINDS}, got {kind!r}")
     if kind == "binomial-approx":
         pmf = _binom_mixture(n, [1.0], [q_exact(m, p)])
     else:

@@ -131,7 +131,7 @@ class BipartiteAssignment:
         for v, objects in enumerate(self.sets):
             prev = -1
             for w in objects:
-                if not isinstance(w, int) or not 0 <= w < m:
+                if type(w) is not int or not 0 <= w < m:
                     raise ValueError(
                         f"vertex {v}: object index {w!r} outside [0, {m})"
                     )
@@ -152,9 +152,13 @@ class IntersectionGraph:
     def __post_init__(self) -> None:
         _check_int(self.n, "n", 1)
         for edge in self.edges:
-            i, j = edge
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"edge {edge!r} is not canonical for n={self.n}")
+            try:
+                i, j = edge
+                if 0 <= i < j < self.n:
+                    continue
+            except (TypeError, ValueError):  # not a pair, or not comparable with ints
+                pass
+            raise ValueError(f"edge {edge!r} is not canonical for n={self.n}")
 
 
 def vertex_substream(
@@ -286,7 +290,7 @@ def pair_adjacent(assignment: BipartiteAssignment, i: int, j: int) -> bool:
     """True when vertices i and j share at least one object."""
     n = assignment.params.n
     for v in (i, j):
-        if not isinstance(v, int) or not 0 <= v < n:
+        if type(v) is not int or not 0 <= v < n:
             raise ValueError(f"vertex index {v!r} outside [0, {n})")
     if i == j:
         raise ValueError(f"adjacency is undefined for a vertex with itself (i=j={i})")

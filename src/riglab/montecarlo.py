@@ -55,9 +55,6 @@ __all__ = [
 # 97.5% standard normal quantile, fixed so intervals never depend on library versions
 _Z95 = 1.959963984540054
 
-# trial seeds are derived this many at a time (see _trial_seeds)
-_SEED_CHUNK = 1024
-
 
 def derive_trial_seed(master_seed: int, grid_index: int, trial_index: int) -> int:
     """Derive the 64-bit seed for one trial.
@@ -415,18 +412,6 @@ def _scaling_record(spec, point, degrees) -> DegreeScalingRecord:
     )
 
 
-def _trial_seeds(spec: ExperimentSpec, grid_index: int):
-    """Yield one grid point's trial seeds in trial order, a chunk at a time.
-
-    Lazy, so memory stays bounded for any trial count.  Each chunk is hashed
-    in one tight loop, because deriving one seed between every two trials
-    is measurably slower on short trials such as edge-prob's two vertices.
-    """
-    for start in range(0, spec.trials, _SEED_CHUNK):
-        stop = min(start + _SEED_CHUNK, spec.trials)
-        yield from [derive_trial_seed(spec.master_seed, grid_index, t) for t in range(start, stop)]
-
-
 # kind: (trial, aggregator, {spec field the kind reads: (its JSON key, *shape)}).
 # A points shape is the ModelParams arguments every point shares and the JSON
 # keys of the rest: an edge-prob point is an (m, p) pair at two vertices.
@@ -445,14 +430,16 @@ def run_experiment(spec: ExperimentSpec, map_fn=map) -> ExperimentResult:
 
     The grid, (ModelParams, *labels) per point, was resolved and checked when
     the spec was built.  A point's trial seeds reach `map_fn` as a lazy
-    iterator (_trial_seeds); `map_fn` must keep seed order, as
+    map of derive_trial_seed over the trial indices, so no seed list is
+    built for any trial count; `map_fn` must keep seed order, as
     ThreadPoolExecutor.map does.  The aggregator folds the results as
     `map_fn` yields them.
     """
     trial, aggregate, _ = _KINDS[spec.kind]
     records = []
     for grid_index, point in enumerate(spec.grid):
-        results = map_fn(partial(trial, point[0]), _trial_seeds(spec, grid_index))
+        seeds = map(partial(derive_trial_seed, spec.master_seed, grid_index), range(spec.trials))
+        results = map_fn(partial(trial, point[0]), seeds)
         records.append(aggregate(spec, point, results))
     return ExperimentResult(spec=spec, records=tuple(records))
 

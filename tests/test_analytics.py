@@ -122,7 +122,9 @@ def test_rate_H_shape():
     assert all(h > -1.0 for h in h_falling)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, -math.inf, float("nan"), "1.0"])
+@pytest.mark.parametrize(
+    "bad", [0.0, -1.0, -math.inf, float("nan"), "1.0", pytest.param(10**400, id="10**400"), True]
+)
 def test_rate_H_domain_errors(bad):
     with pytest.raises(ValueError):
         rate_H(bad)

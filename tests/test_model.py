@@ -67,6 +67,8 @@ def test_assignment_validates_shape_and_order():
         BipartiteAssignment(params=params, sets=((2, 1), ()))
     with pytest.raises(ValueError):
         BipartiteAssignment(params=params, sets=((3,), ()))
+    with pytest.raises(ValueError):
+        BipartiteAssignment(params=params, sets=((True,), ()))  # a bool is not an index
 
 
 def test_graph_rejects_non_canonical_edges():
@@ -76,6 +78,10 @@ def test_graph_rejects_non_canonical_edges():
         IntersectionGraph(n=3, edges=frozenset({(2, 1)}))
     with pytest.raises(ValueError):
         IntersectionGraph(n=3, edges=frozenset({(0, 3)}))
+    with pytest.raises(ValueError):
+        IntersectionGraph(n=3, edges=frozenset({1}))  # not a pair
+    with pytest.raises(ValueError):
+        IntersectionGraph(n=3, edges=frozenset({(None, 2)}))  # not comparable with ints
 
 
 # ------------------------------------------------------------------ sampling
@@ -258,6 +264,8 @@ def test_pair_adjacent_basics():
         pair_adjacent(a, 0, 3)
     with pytest.raises(ValueError):
         pair_adjacent(a, -1, 0)
+    with pytest.raises(ValueError):
+        pair_adjacent(a, False, True)  # bools are not vertex indices
 
 
 def test_projection_extremes():

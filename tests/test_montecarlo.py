@@ -310,7 +310,9 @@ def test_records_independent_of_execution_schedule():
 
 
 def test_trial_seeds_reach_map_fn_lazily_in_trial_order():
-    # three seed chunks at each of two grid points, the last one partial
+    # two grid points, each handing map_fn one iterator over all its seeds;
+    # the count crosses two 1024-trial boundaries, where a seed source cut
+    # into pieces would show its seams
     trials = 2 * 1024 + 3
     spec = ExperimentSpec(kind="edge-prob", trials=trials, master_seed=5, points=((1, 0.5), (2, 0.5)))
     seen = []
@@ -322,6 +324,21 @@ def test_trial_seeds_reach_map_fn_lazily_in_trial_order():
 
     assert run_experiment(spec, map_fn=recording_map) == run_experiment(spec)
     assert seen == [[derive_trial_seed(5, g, t) for t in range(trials)] for g in (0, 1)]
+
+
+def test_trial_seeds_are_never_listed_even_at_2_to_the_64_trials():
+    spec = ExperimentSpec(kind="edge-prob", trials=2**64, master_seed=8, points=((1, 0.5),))
+
+    class Enough(Exception):
+        pass
+
+    def first_three(func, seeds):
+        for t, seed in zip(range(3), seeds):
+            assert seed == derive_trial_seed(8, 0, t)
+        raise Enough
+
+    with pytest.raises(Enough):
+        run_experiment(spec, map_fn=first_three)
 
 
 _THREADED_SPECS = {
