@@ -33,9 +33,10 @@ _RESIDUAL_TOL = 1e-12
 # ln of half the smallest subnormal, 2**-1075, is -745.13; the binomial pmf
 # is skipped where its large-deviation bound is below e^-765
 _WINDOW_EXPONENT = 765.0
-# scipy's binomial pmf raises OverflowError at some k only where q is below
-# about 3.2e-304 (at 10**6 trials; the limit grows about as sqrt(trials)), and
-# those k need not lie in the window
+# boost's binomial pmf (scipy.special's ufunc, see _binom_pmf) raises
+# OverflowError at some k only where q is below about 3.2e-304 (at 10**6
+# trials; the limit grows about as sqrt(trials)), and those k need not lie in
+# the window
 _PMF_OVERFLOW_BELOW = 1e-290
 DEGREE_MODEL_KINDS = ("binomial-approx", "exact-mixture")
 
@@ -215,17 +216,26 @@ def threshold_p(alpha: float, m: int, n: int) -> float:
 
 
 def _binom_pmf(k, trials: int, p: float):
-    """scipy's Binomial(trials, p) pmf at k; scipy.stats loads here, not with riglab.
+    """Binomial(trials, p) pmf at integer k in 0..trials, bit for bit scipy.stats.binom.pmf.
 
-    scipy's pmf raises OverflowError from its ibeta_derivative for some p at
-    the bottom of the float range (from about 5e-309 up to about 1e-304 at
-    40000 trials); exp(logpmf) answers those p.
+    It calls boost's binomial pmf, the private ufunc
+    scipy.special._ufuncs._binom_pmf, which binom.pmf itself wraps, and clips
+    it to [0, 1] as binom.pmf does (at k = 0 and small p the raw value exceeds
+    1.0 by up to about 1.1e-13).  The ufunc is private so that riglab needs
+    only scipy.special, which loads here: scipy.stats, about 45 MiB and 1 s
+    more, never loads.  The ufunc raises OverflowError from its
+    ibeta_derivative for some p at the bottom of the float range (from about
+    5e-309 up to about 1e-304 at 40000 trials); those p are answered by exp of
+    binom.logpmf's formula, in its order.
     """
-    from scipy.stats import binom
+    from scipy.special._ufuncs import _binom_pmf as boost_pmf
     try:
-        return binom.pmf(k, trials, p)
+        return np.clip(boost_pmf(k, trials, p), 0.0, 1.0)
     except OverflowError:
-        return np.exp(binom.logpmf(k, trials, p))
+        from scipy.special import gammaln, xlog1py, xlogy
+        k = np.floor(k)
+        return np.exp(gammaln(trials + 1) - (gammaln(k + 1) + gammaln(trials - k + 1))
+                      + xlogy(k, p) + xlog1py(trials - k, -p))
 
 
 def _binom_windows(trials: int, shares: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +245,7 @@ def _binom_windows(trials: int, shares: np.ndarray) -> tuple[np.ndarray, np.ndar
     divergence of two Bernoulli laws (Chernoff, 1952; Arratia and Gordon,
     1989).  Outside the window trials * D exceeds _WINDOW_EXPONENT, so the true
     pmf is below e^-765, more than 2**28 times below half the smallest
-    subnormal, and scipy's pmf there is 0.0.  D falls and then rises in k, so
+    subnormal, and _binom_pmf there is 0.0.  D falls and then rises in k, so
     the window is an interval around the mode, and the end below the mode is
     found by bisection for every q at once.  The end above it is the end
     below the mode of the mirrored law (k -> trials - k, q -> 1 - q).  At
@@ -290,7 +300,7 @@ def degree_pmf(n: int, m: int, p: float, kind: str) -> np.ndarray:
     the exact law.  Each Binomial(n-1, q) term is evaluated only on the window
     of k where (n-1) * D(k/(n-1) || q) <= 765 (see _binom_windows): outside
     it the pmf is below e^-765, more than 2**28 times below half the smallest
-    subnormal, so scipy's value there is 0.0 and skipping it changes no bit.
+    subnormal, so _binom_pmf's value there is 0.0 and skipping it changes no bit.
     """
     _check_int(n, "n", 1)
     _check_int(m, "m", 1)

@@ -437,6 +437,8 @@ def _full_grid_degree_pmf(n, m, p, kind):
     for the whole term when that call raises OverflowError, summed in the same
     order.  It shares q_exact and conditional_adjacency_prob with degree_pmf,
     so it checks the windows, not the law (oracles.mixture_degree_pmf does).
+    Its terms come from the public scipy.stats.binom, so it also checks
+    degree_pmf's direct boost ufunc call against the wrapper it reproduces.
     """
     from scipy.stats import binom
 
@@ -513,6 +515,31 @@ def test_binomial_windows_cut_most_of_the_benchmark_grids():
         shares = np.array([conditional_adjacency_prob(int(s), p) for s in sizes])
         lo, hi = analytics._binom_windows(n - 1, shares)
         assert np.sum(hi - lo + 1) <= share * len(sizes) * n
+
+
+def test_binom_pmf_is_scipy_stats_binom_pmf_bit_for_bit():
+    # scipy.stats.binom is the oracle only: _binom_pmf calls the boost ufunc
+    # binom.pmf wraps, and so must clip it and take the same fallback
+    from scipy.special._ufuncs import _binom_pmf as boost_pmf
+    from scipy.stats import binom
+
+    rng = np.random.default_rng(20)
+    qs = [0.0, 1.0, 5e-324, 1e-307, 1e-300, 0.5, 1.0 - 2.0**-53]
+    qs += [float(q) for q in 10.0 ** rng.uniform(-323.0, 0.0, size=20)]
+    clipped = overflowed = 0
+    for trials in (0, 1, 2, 7, 1999, 4000, 40000):
+        ks = np.arange(trials + 1)
+        for q in qs:
+            try:
+                expected = binom.pmf(ks, trials, q)
+                clipped += bool(np.any(boost_pmf(ks, trials, q) > 1.0))
+            except OverflowError:
+                expected = np.exp(binom.logpmf(ks, trials, q))
+                overflowed += 1
+            got = analytics._binom_pmf(ks, trials, q)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), (trials, q)
+    # the sweep reaches both guarded cases: a raw value above 1 and the fallback
+    assert clipped and overflowed, (clipped, overflowed)
 
 
 def test_total_variation_basics():

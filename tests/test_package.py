@@ -21,18 +21,27 @@ def test_public_names_are_the_module_lists():
             assert getattr(riglab, name) is getattr(module, name)
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    # scipy.stats costs most of riglab's import time; only degree_pmf needs it
+def test_importing_the_cli_leaves_scipy_stats_unloaded(tmp_path):
+    # degree_pmf needs scipy.special only, its OverflowError fallback included
+    # (the second point takes it); scipy.stats would nearly double degree-dist's memory
+    spec = tmp_path / "dist.json"
+    spec.write_text('{"kind": "degree-dist", "trials": 20, "master_seed": 1, "points": '
+                    '[{"n": 5, "m": 3, "p": 0.4}, {"n": 1, "m": 2, "p": 1.1125369292536007e-308}]}')
     code = (
         "import sys, riglab.cli\n"
         "assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded on import'\n"
         "from riglab import degree_pmf\n"
         "pmf = degree_pmf(5, 3, 0.4, 'exact-mixture')\n"
         "assert pmf.shape == (5,) and abs(pmf.sum() - 1.0) < 1e-12, pmf\n"
-        "assert 'scipy.stats' in sys.modules\n"
+        "assert 'scipy.special' in sys.modules\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded by degree_pmf'\n"
+        f"assert riglab.cli.main(['degree-dist', '--spec', {str(spec)!r}, "
+        f"'--out', {str(tmp_path / 'dist')!r}]) == 0\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded by degree-dist'\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "dist.csv").read_text().startswith("# riglab")
 
 
 def test_riglab_starts_on_numpy_alone(tmp_path):
