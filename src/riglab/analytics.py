@@ -133,10 +133,6 @@ def tail_bound(trials: int, success_prob: float, cutoff: float, direction: str) 
     return math.exp(k * log_ratio + (k - mean))
 
 
-def _envelope(a: float) -> float:
-    return a * math.log(a) - (a - 1.0)
-
-
 def solve_a(c: float, branch: str) -> float:
     """The root a of a*log(a) - a + 1 = c on the requested branch.
 
@@ -163,10 +159,10 @@ def solve_a(c: float, branch: str) -> float:
         lo, hi = 1e-15, 1.0
 
     def g(a: float) -> float:
-        return _envelope(a) - c
+        return a * math.log(a) - (a - 1.0) - c
 
-    g_lo = g(lo)
-    if branch == "lower" and g_lo < 0.0:
+    lo_negative = g(lo) < 0.0
+    if branch == "lower" and lo_negative:
         # envelope(1e-15) is within ~4e-14 of 1, so such c admits no
         # representable root above the bracket floor
         raise ValueError(f"c={c} is too close to 1; lower-branch root falls below 1e-15")
@@ -176,8 +172,8 @@ def solve_a(c: float, branch: str) -> float:
         gx = g(x)
         if abs(gx) <= tol:
             break
-        if (gx < 0.0) == (g_lo < 0.0):
-            lo, g_lo = x, gx
+        if (gx < 0.0) == lo_negative:
+            lo = x
         else:
             hi = x
         slope = math.log(x)
@@ -189,8 +185,8 @@ def solve_a(c: float, branch: str) -> float:
         x = trial
     residual = abs(g(x))
     # for c > 1 the terms of g are as large as c, so g(x) carries rounding error
-    # of about c * 2**-52; the loop keeps its absolute stopping rule, so a root
-    # that met the absolute limit is the same float as before
+    # of about c * 2**-52; the loop still stops at the first x within the
+    # absolute limit, and only this final check scales the limit by c
     limit = _RESIDUAL_TOL * max(1.0, c)
     _require(residual <= limit, f"residual {residual} exceeds {limit}; solver did not converge")
     return x
@@ -276,20 +272,6 @@ def _binom_windows(trials: int, shares: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.where(tiny, 0, hi[0]), np.where(tiny, trials, trials - hi[1])
 
 
-def _binom_mixture(n: int, weights, shares) -> np.ndarray:
-    """sum of w * Binomial(n-1, q) pmf over 0..n-1, in order, each term on its window only.
-
-    Outside its window a term's pmf is 0.0, and adding w * 0.0 leaves every
-    bit of the sum as it is, so the windows change no bit of the result.
-    """
-    ks = np.arange(n)
-    pmf = np.zeros(n)
-    windows = _binom_windows(n - 1, np.asarray(shares, dtype=float))
-    for w, q, lo, hi in zip(weights, shares, *windows):
-        pmf[lo:hi + 1] += w * _binom_pmf(ks[lo:hi + 1], n - 1, q)
-    return pmf
-
-
 def degree_pmf(n: int, m: int, p: float, kind: str) -> np.ndarray:
     """Degree law of a single vertex under one of two models, as a pmf over 0..n-1.
 
@@ -297,22 +279,28 @@ def degree_pmf(n: int, m: int, p: float, kind: str) -> np.ndarray:
     giving Binomial(n-1, q_exact).  'exact-mixture' conditions on the vertex's
     own object count S ~ Binomial(m, p); given S = s the indicators really are
     independent with success probability 1 - (1-p)^s, so the mixture over s is
-    the exact law.  Each Binomial(n-1, q) term is evaluated only on the window
-    of k where (n-1) * D(k/(n-1) || q) <= 765 (see _binom_windows): outside
-    it the pmf is below e^-765, more than 2**28 times below half the smallest
-    subnormal, so _binom_pmf's value there is 0.0 and skipping it changes no bit.
+    the exact law, and 'binomial-approx' is its one-term case, weight 1.0.
+    The terms are added in order, each only on the window of k where
+    (n-1) * D(k/(n-1) || q) <= 765 (see _binom_windows): outside it the pmf is
+    below e^-765, more than 2**28 times below half the smallest subnormal, so
+    _binom_pmf's value there is 0.0, and the skipped w * 0.0 would leave every
+    bit of the sum as it is.
     """
     _check_int(n, "n", 1)
     _check_int(m, "m", 1)
     p = _check_prob(p, "p")
     _require(kind in DEGREE_MODEL_KINDS, f"kind must be one of {DEGREE_MODEL_KINDS}, got {kind!r}")
     if kind == "binomial-approx":
-        pmf = _binom_mixture(n, [1.0], [q_exact(m, p)])
+        weights, shares = [1.0], [q_exact(m, p)]
     else:
         weights = _binom_pmf(np.arange(m + 1), m, p)
         sizes = np.flatnonzero(weights)
-        shares = [conditional_adjacency_prob(int(s), p) for s in sizes]
-        pmf = _binom_mixture(n, weights[sizes], shares)
+        weights, shares = weights[sizes], [conditional_adjacency_prob(int(s), p) for s in sizes]
+    ks = np.arange(n)
+    pmf = np.zeros(n)
+    windows = _binom_windows(n - 1, np.asarray(shares, dtype=float))
+    for w, q, lo, hi in zip(weights, shares, *windows):
+        pmf[lo:hi + 1] += w * _binom_pmf(ks[lo:hi + 1], n - 1, q)
     total = float(np.sum(pmf))
     _require(
         abs(total - 1.0) <= 1e-12 and not np.any(pmf < 0.0),

@@ -154,9 +154,9 @@ class IntersectionGraph:
         for edge in self.edges:
             try:
                 i, j = edge
-                if 0 <= i < j < self.n:
+                if type(i) is int and type(j) is int and 0 <= i < j < self.n:
                     continue
-            except (TypeError, ValueError):  # not a pair, or not comparable with ints
+            except (TypeError, ValueError):  # not a pair
                 pass
             raise ValueError(f"edge {edge!r} is not canonical for n={self.n}")
 
@@ -377,6 +377,7 @@ def sample_connected(params: ModelParams, seed: int) -> bool:
 
 def _rig_text(params: ModelParams, seed: int, body_lines) -> str:
     """The `# rig ...` header, the `# riglab <version>` line, then `body_lines`, one per line."""
+    _check_int(seed, "seed")
     header = f"# rig n={params.n} m={params.m} p={params.p!r} seed={seed}"
     return "\n".join([header, f"# riglab {__version__}", *body_lines]) + "\n"
 

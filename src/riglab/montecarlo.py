@@ -101,7 +101,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     Always contains the point estimate successes/trials and stays inside
     [0, 1], unlike the normal approximation at the boundaries.
     """
-    if trials < 1 or not 0 <= successes <= trials:
+    if (type(successes) is not int or type(trials) is not int
+            or trials < 1 or not 0 <= successes <= trials):
         raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
     z2 = _Z95 * _Z95
     phat = successes / trials

@@ -82,6 +82,10 @@ def test_graph_rejects_non_canonical_edges():
         IntersectionGraph(n=3, edges=frozenset({1}))  # not a pair
     with pytest.raises(ValueError):
         IntersectionGraph(n=3, edges=frozenset({(None, 2)}))  # not comparable with ints
+    # each would be written as a line that parse_edgelist rejects
+    for edge in ((0.5, 1), (False, True), (0, 1.0)):
+        with pytest.raises(ValueError, match="is not canonical"):
+            IntersectionGraph(n=3, edges=frozenset({edge}))
 
 
 # ------------------------------------------------------------------ sampling
@@ -420,6 +424,9 @@ def test_edgelist_round_trip():
     assert parsed_seed == 17
     with pytest.raises(ValueError, match="graph has n=6 but params have n=7"):
         format_edgelist(graph, ModelParams(7, 4, 0.45), 17)
+    for seed in (True, 1.5):  # the header would read `seed=True`, which the reader rejects
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            format_edgelist(graph, params, seed)
 
 
 def test_edgelist_header_and_order():
@@ -450,6 +457,9 @@ def test_assignment_round_trip():
     sparse = sample_assignment(ModelParams(4, 3, 0.0), 1)
     again, _ = parse_assignment(format_assignment(sparse, 1))
     assert again == sparse
+    for seed in (True, 1.5):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            format_assignment(assignment, seed)
 
 
 def test_assignment_rejects_gaps():

@@ -67,7 +67,7 @@ def test_wilson_interval_known_shape():
     assert lo < 0.5 < hi
     assert wilson_interval(0, 20)[0] == 0.0
     assert wilson_interval(20, 20)[1] == 1.0
-    for successes, trials in ((0, 0), (-1, 5), (6, 5)):
+    for successes, trials in ((0, 0), (-1, 5), (6, 5), (2.5, 5), (True, 2), (1, 5.0)):
         with pytest.raises(ValueError, match=f"got {successes}/{trials}"):
             wilson_interval(successes, trials)
 
@@ -594,7 +594,7 @@ def test_degree_scaling_exceedance_agrees_with_exact_mixture():
         )).records
     ]
     counts = np.arange(trials + 1)
-    intervals = np.array([wilson_interval(k, trials) for k in counts])
+    intervals = np.array([wilson_interval(k, trials) for k in range(trials + 1)])
     missed = 0
     for rec in records:
         pmf = mixture_degree_pmf(rec.n, rec.m, rec.p)
