@@ -3,7 +3,6 @@ import io
 import json
 import math
 import os
-import stat
 import subprocess
 import sys
 import tempfile
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 import riglab.model
 from riglab import (
     ModelParams,
+    parse_assignment,
     parse_edgelist,
     project,
     q_exact,
@@ -97,8 +97,13 @@ def test_gen_assignment_out(tmp_path, capsys):
     )
     assert code == 0
     text = sets_path.read_text()
-    assert text.startswith("# rig n=4 m=3 p=0.6 seed=5\n")
+    assert text.startswith(f"# rig n=4 m=3 p=0.6 seed=5\n# riglab {riglab.__version__}\n")
     assert text.count(":") == 4
+    graph, params, seed = parse_edgelist((tmp_path / "g.txt").read_text())
+    assignment, assignment_seed = parse_assignment(text)
+    assert graph == project(assignment)
+    assert params == assignment.params == ModelParams(n=4, m=3, p=0.6)
+    assert seed == assignment_seed == 5
 
 
 def test_gen_invalid_params_exit_2(capsys):
@@ -166,6 +171,12 @@ def test_seed_env_must_be_integer(tmp_path, monkeypatch, capsys):
         (["probe", "H", "--t", "1"], "0.0"),
         (["probe", "H", "--t", "inf"], "-1.0"),
         (["probe", "threshold-p", "--alpha", "2", "--m", "4", "--n", "10"], "0.05"),
+        (["probe", "a-root", "--c", "1", "--branch", "upper"], "2.718281828459045"),
+        (["probe", "tail-bound", "--trials", "10", "--p", "0.5",
+          "--cutoff", "10", "--direction", "upper"], "0.14493472568610996"),
+        # mean / cutoff underflows to 0, yet the bound is 0.0, not a math domain error
+        (["probe", "tail-bound", "--trials", "10", "--p", "1e-300",
+          "--cutoff", "1e300", "--direction", "upper"], "0.0"),
     ],
 )
 def test_probe_prints_exact_repr(argv, expected, capsys):
@@ -458,6 +469,18 @@ _SUBCOMMAND = {
         ({"kind": "connectivity-sweep", "n": [10], "alpha": [-400]}, "alpha[0]"),
         ({"kind": "connectivity-sweep", "n": [10], "alpha": [-1000]}, "alpha[0]"),
         ({"kind": "degree-scaling", "n": [10], "alpha": [1.5], "c": 0.5}, "alpha[0]"),
+        # where the key path alone does not show which check failed, the message
+        pytest.param({"kind": "connectivity-sweep", "n": [4], "alpha": [1.0],
+                      "m_rule": {"kind": "power"}},
+                     "m_rule must be an object with exactly keys ['beta', 'kind']",
+                     id="power-without-beta"),
+        pytest.param({"kind": "connectivity-sweep", "n": [4], "alpha": [1.0],
+                      "m_rule": {"kind": "fixed", "m": 0}},
+                     "m_rule.m must be an integer >= 1", id="fixed-m-zero"),
+        pytest.param({"kind": "edge-prob", "points": [{"m": 2, "p": 0.5}], "alpha": [3],
+                      "c": "junk", "m_rule": {"kind": "bogus"}},
+                     "unknown spec keys for kind 'edge-prob': ['alpha', 'c', 'm_rule']",
+                     id="keys-of-another-kind"),
     ],
 )
 def test_malformed_spec_value_exit_2(fields, key_path, tmp_path, capsys):
@@ -598,35 +621,29 @@ def test_missing_spec_file_exit_3(tmp_path, capsys):
     assert "i/o error:" in err
 
 
-def test_unwritable_output_exit_3(tmp_path, capsys):
-    spec_path = _write_spec(
-        tmp_path,
-        {"kind": "edge-prob", "trials": 5, "master_seed": 0,
-         "points": [{"m": 2, "p": 0.5}]},
-    )
-    locked = tmp_path / "locked"
-    locked.mkdir()
-    os.chmod(locked, stat.S_IRUSR | stat.S_IXUSR)
-    try:
-        (locked / "probe").write_text("")
-    except OSError:
-        pass
-    else:
-        os.chmod(locked, stat.S_IRWXU)
-        pytest.skip("running with privileges that ignore directory modes")
-    try:
-        code, _, err = run_cli(
-            ["sweep", "--spec", spec_path, "--out", str(locked / "x")], capsys
-        )
-    finally:
-        os.chmod(locked, stat.S_IRWXU)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--spec", "spec.json", "--out", "plainfile/x"],
+        ["gen", "--n", "4", "--m", "3", "--p", "0.5", "--out", "plainfile/g.txt"],
+        ["gen", "--n", "4", "--m", "3", "--p", "0.5", "--assignment-out", "plainfile/a.txt"],
+    ],
+    ids=["sweep-out", "gen-out", "gen-assignment-out"],
+)
+def test_unwritable_output_exit_3(argv, tmp_path, monkeypatch, capsys):
+    # a path under a regular file cannot be written by any user, root included
+    monkeypatch.chdir(tmp_path)
+    _write_spec(tmp_path, {"kind": "edge-prob", "trials": 5, "master_seed": 0,
+                           "points": [{"m": 2, "p": 0.5}]})
+    (tmp_path / "plainfile").write_text("")
+    code, _, err = run_cli(argv, capsys)
     assert code == 3
-    assert "i/o error:" in err
+    assert err.startswith("i/o error: [Errno 20] Not a directory")
 
 
 # ----------------------------------------------------------------- subprocess
 
-def test_module_invocation():
+def test_module_invocation(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "riglab", "probe", "q-exact", "--m", "2", "--p", "0.5"],
         capture_output=True,
@@ -634,6 +651,17 @@ def test_module_invocation():
     )
     assert proc.returncode == 0
     assert proc.stdout == "0.4375\n"
+    # a failing run exits with main's status, so a shell sees the failure
+    for argv, message in [
+        (["sweep", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "x"),
+          "--seed", "5"], "unrecognized arguments: --seed 5"),
+        (["probe", "q-exact", "--m", str(10**400), "--p", "0.5"], "error: m must be at most"),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "riglab", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 2, argv
+        assert message in proc.stderr
 
 
 def test_module_help():

@@ -45,7 +45,11 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded(tmp_path):
 
 
 def test_riglab_starts_on_numpy_alone(tmp_path):
-    # gen, probe, sample_degree and the connectivity tests never load any of scipy
+    # gen, probe, sample_degree, the connectivity tests and a connectivity sweep
+    # never load any of scipy
+    spec = tmp_path / "conn-spec.json"
+    spec.write_text('{"kind": "connectivity-sweep", "trials": 5, "master_seed": 1, '
+                    '"n": [4, 8], "alpha": [0.5, 1.0]}')
     code = (
         "import sys\n"
         "def scipy_loaded():\n"
@@ -60,11 +64,12 @@ def test_riglab_starts_on_numpy_alone(tmp_path):
         "print(sample_connected(ModelParams(12, 6, 0.3), 5))\n"
         "from riglab import BipartiteAssignment, is_connected\n"
         "print(is_connected(BipartiteAssignment(ModelParams(3, 4, 0.5), ((0, 3), (3,), (1,)))))\n"
+        f"assert main(['sweep', '--spec', {str(spec)!r}, '--out', {str(tmp_path / 'conn')!r}]) == 0\n"
         "assert not scipy_loaded(), scipy_loaded()\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    probed, sampled, tested = proc.stdout.split()
+    probed, sampled, tested, *_ = proc.stdout.splitlines()  # then the sweep's `wrote` lines
     assert probed == "0.4375"
     assignment = model.sample_assignment(model.ModelParams(12, 6, 0.3), 5)
     assert sampled == str(reachability_connected(model.project(assignment)))
