@@ -383,7 +383,10 @@ def _rig_text(params: ModelParams, seed: int, body_lines) -> str:
 
 
 def _read_rig(text: str, what: str) -> tuple[ModelParams, int, list[str]]:
-    """Params, seed and body; the first header counts, blank and other `#` lines are skipped."""
+    """Params, seed and body; the first header counts, blank and other `#` lines are skipped.
+
+    Only blank and `#` lines may come before the header; a data line there is an error.
+    """
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     for line in lines:
         match = _HEADER_RE.match(line)
@@ -391,6 +394,8 @@ def _read_rig(text: str, what: str) -> tuple[ModelParams, int, list[str]]:
             params = ModelParams(n=int(match["n"]), m=int(match["m"]), p=float(match["p"]))
             body = [line for line in lines if not line.startswith("#")]
             return params, int(match["seed"]), body
+        if not line.startswith("#"):
+            raise ValueError(f"{what}: line {line!r} before the `# rig ...` header")
     raise ValueError(f"{what}: missing `# rig n=... m=... p=... seed=...` header")
 
 
@@ -415,8 +420,10 @@ def parse_edgelist(text: str) -> tuple[IntersectionGraph, ModelParams, int]:
         fields = line.split()
         if len(fields) != 2:
             raise ValueError(f"edge list: malformed line {line!r}")
-        i, j = int(fields[0]), int(fields[1])
-        edges.add((i, j))
+        edge = int(fields[0]), int(fields[1])
+        if edge in edges:
+            raise ValueError(f"edge list: duplicate edge {line!r}")
+        edges.add(edge)
     return IntersectionGraph(n=params.n, edges=frozenset(edges)), params, seed
 
 

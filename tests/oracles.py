@@ -2,8 +2,8 @@
 
 Everything here is deliberately brute force: exhaustive enumeration over all
 bipartite outcomes, quadratic pairwise projection, matrix-style reachability,
-and rational-arithmetic tails.  Slow and obviously correct, so the fast
-library paths can be judged against them.
+and one binomial tail in exact rational arithmetic.  Slow and obviously
+correct, so the fast library paths can be judged against them.
 """
 
 from __future__ import annotations
@@ -166,34 +166,16 @@ def envelope_residual(a: float, c: float) -> float:
     return abs(math.fsum((a * math.log(a), -a, 1.0, -c)))
 
 
-def rational_binom_tail(trials: int, p_num: int, p_den: int, cutoff: int, direction: str) -> Fraction:
-    """Exact binomial tail as a rational number, for p = p_num / p_den."""
-    p = Fraction(p_num, p_den)
+def binom_tail(trials: int, p: float, cutoff: int, direction: str) -> Fraction:
+    """Exact P[X >= cutoff] ("upper") or P[X <= cutoff] ("lower") for X ~ Binomial(trials, p).
+
+    A rational number: p is taken exactly as Fraction(p), and the terms are
+    summed without rounding.
+    """
+    p = Fraction(p)
     q = 1 - p
     ks = range(cutoff, trials + 1) if direction == "upper" else range(0, cutoff + 1)
     return sum(comb(trials, k) * p**k * q ** (trials - k) for k in ks)
-
-
-def binom_tail_exact(trials: int, p: float, cutoff: int, direction: str) -> float:
-    """Exact P[X >= cutoff] or P[X <= cutoff] for X ~ Binomial(trials, p).
-
-    Sums pmf terms with math.fsum; each term uses the exact integer binomial
-    coefficient, so the result is accurate to a few ulps even deep in a tail.
-    """
-    if not isinstance(trials, int) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    if not isinstance(cutoff, int) or not 0 <= cutoff <= trials:
-        raise ValueError(f"cutoff must be an integer in [0, {trials}], got {cutoff!r}")
-    if direction == "upper":
-        ks = range(cutoff, trials + 1)
-    elif direction == "lower":
-        ks = range(0, cutoff + 1)
-    else:
-        raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
-    q = 1.0 - p
-    return min(1.0, math.fsum(comb(trials, k) * p**k * q ** (trials - k) for k in ks))
 
 
 def mixture_degree_pmf(n: int, m: int, p: float) -> list[float]:

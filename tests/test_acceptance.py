@@ -8,15 +8,20 @@ The master seed is frozen; every statistical check below was verified
 to hold under it, so reruns are exact repeats, not fresh draws.
 """
 
+import json
 import math
+import multiprocessing
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
 from riglab import (
+    EXPERIMENT_KINDS,
     ExperimentSpec,
     degree_pmf,
     q_approx,
@@ -30,7 +35,7 @@ from riglab import (
     zeta_bound,
 )
 
-from oracles import binom_tail_exact, enum_degree_pmf, envelope_residual
+from oracles import binom_tail, enum_degree_pmf, envelope_residual
 
 MASTER = 20260822
 
@@ -103,7 +108,7 @@ def test_tail_bound_dominates_exact_tail(capsys):
     checked = 0
     ok = True
     for query, bound in _valid_queries(30, probs):
-        if bound < binom_tail_exact(*query):
+        if Fraction(bound) < binom_tail(*query):
             ok = False
         checked += 1
     elapsed = time.perf_counter() - start
@@ -243,29 +248,60 @@ def test_degree_scaling_envelope(capsys):
     assert ok
 
 
+# 1000 trials of each kind at seed 41.  Both outcomes occur at every
+# connectivity point, so trials stop early on some vertices and run the full
+# connectivity check on others.
+_SCHEDULE_SPECS = {
+    "edge-prob": dict(points=((20, 0.2), (40, 0.05))),
+    "connectivity-sweep": dict(n_values=(6, 12), alphas=(0.0, 0.5), m_rule=("fixed", 5)),
+    "degree-dist": dict(points=((30, 20, 0.1), (12, 6, 0.3))),
+    "degree-scaling": dict(n_values=(60, 240), alphas=(0.5,), c=0.5),
+}
+
+
+def _reversed_map(func, seeds):
+    items = list(enumerate(seeds))
+    done = {i: func(s) for i, s in reversed(items)}
+    return [done[i] for i in range(len(items))]
+
+
 def test_deterministic_outputs_across_schedules(capsys):
-    spec = ExperimentSpec(
-        kind="connectivity-sweep", trials=50, master_seed=MASTER,
-        n_values=(6, 9), alphas=(1.0, 2.0),
-    )
-
-    def reversed_map(func, seeds):
-        items = list(enumerate(seeds))
-        done = {i: func(s) for i, s in reversed(items)}
-        return [done[i] for i in range(len(items))]
-
-    sequential = run_experiment(spec)
-    rerun = run_experiment(spec)
-    backwards = run_experiment(spec, map_fn=reversed_map)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = run_experiment(spec, map_fn=pool.map)
-    outputs = [
-        (render_csv(r), render_summary_json(r))
-        for r in (sequential, rerun, backwards, threaded)
+    specs = [
+        ExperimentSpec(kind=kind, trials=1000, master_seed=41, **_SCHEDULE_SPECS[kind])
+        for kind in EXPERIMENT_KINDS
     ]
-    ok = all(out == outputs[0] for out in outputs[1:])
+
+    def reports(map_fn):
+        results = [run_experiment(spec, map_fn=map_fn) for spec in specs]
+        return [(render_csv(r), render_summary_json(r)) for r in results]
+
+    start = time.perf_counter()
+    sequential = reports(map)
+    # spawned workers start from a fresh import; forking this process, whose
+    # numpy already runs threads, is unsafe and warns from Python 3.12 on
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as processes:
+        schedules = {"2-process pool": reports(partial(processes.map, chunksize=64))}
+    schedules["rerun"] = reports(map)
+    schedules["reversed schedule"] = reports(_reversed_map)
+    # a tiny switch interval makes threads interleave inside a trial, so any
+    # random state shared between threads would change the reports
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as threads:
+            schedules["4-thread pool"] = reports(threads.map)
+    finally:
+        sys.setswitchinterval(interval)
+    elapsed = time.perf_counter() - start
+    differing = [name for name, outputs in schedules.items() if outputs != sequential]
+    sweep = json.loads(sequential[EXPERIMENT_KINDS.index("connectivity-sweep")][1])
+    mixed = all(0.0 < record["estimate"] < 1.0 for record in sweep["records"])
+    ok = not differing and mixed
     _report(
         capsys, 9, ok,
-        "CSV and JSON byte-identical across rerun, reversed schedule, and 4-thread pool",
+        f"CSV and JSON of all {len(specs)} kinds byte-identical across "
+        f"{', '.join(schedules)} (differing: {differing or 'none'}); "
+        f"both outcomes at every connectivity point: {mixed}; {elapsed:.1f}s",
     )
     assert ok

@@ -225,19 +225,6 @@ def test_plain_substream_survives_internal_sampling():
     assert np.array_equal(np.concatenate([first, second]), _fresh_stream(77, 3).random(10))
 
 
-def test_single_object_set_size_matches_binomial():
-    # |W_v| ~ Binomial(2, 0.5) at m=2, p=0.5; check P[size = 1] on many seeds
-    params = ModelParams(2, 2, 0.5)
-    trials = 100_000
-    hits = 0
-    for seed in range(trials):
-        u = vertex_substream(seed, 0).random(2)
-        hits += int(np.count_nonzero(u < 0.5) == 1)
-    phat = hits / trials
-    se = math.sqrt(0.5 * 0.5 / trials)
-    assert abs(phat - 0.5) <= 3 * se
-
-
 @given(
     p_small=st.floats(min_value=0.0, max_value=1.0),
     p_large=st.floats(min_value=0.0, max_value=1.0),
@@ -488,6 +475,7 @@ def test_rig_reader_skips_blank_lines_and_comments():
     "parse, body, message",
     [
         (parse_edgelist, "0 1 2\n", "edge list: malformed line '0 1 2'"),
+        (parse_edgelist, "0 1\n0 1\n", "edge list: duplicate edge '0 1'"),
         (parse_assignment, "0: 1\n1 0\n", "assignment: malformed line '1 0'"),
         (parse_assignment, "0: 1\n0: 0\n1:\n", "assignment: duplicate vertex 0"),
         (parse_assignment, "0: 1\n", "assignment: vertex lines do not cover 0..n-1 exactly"),
@@ -496,3 +484,15 @@ def test_rig_reader_skips_blank_lines_and_comments():
 def test_rig_reader_errors(parse, body, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         parse("# rig n=2 m=2 p=0.5 seed=0\n" + body)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_edgelist, "0 1\n# rig n=2 m=1 p=0.5 seed=0\n", "edge list: line '0 1' before"),
+        (parse_assignment, "# a\n\n0: 0\n# rig n=1 m=1 p=0.5 seed=0\n", "assignment: line '0: 0' before"),
+    ],
+)
+def test_rig_reader_rejects_a_data_line_before_the_header(parse, text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse(text)
