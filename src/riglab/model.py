@@ -56,6 +56,8 @@ _MAX_SIZE = (1 << 59) - 1
 _HEADER_RE = re.compile(
     r"^#\s*rig\s+n=(?P<n>\S+)\s+m=(?P<m>\S+)\s+p=(?P<p>\S+)\s+seed=(?P<seed>\S+)\s*$"
 )
+# an integer as the writers print one; int() would also take 1_0, +7 and non-ASCII digits
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 # The one set of validators for the package: each returns the checked value
@@ -382,18 +384,42 @@ def _rig_text(params: ModelParams, seed: int, body_lines) -> str:
     return "\n".join([header, f"# riglab {__version__}", *body_lines]) + "\n"
 
 
+def _rig_int(field: str, what: str, line: str) -> int:
+    """One integer field of `line`, written as the writers print integers."""
+    if not _INT_RE.fullmatch(field):
+        raise ValueError(f"{what}: malformed line {line!r}")
+    return int(field)
+
+
+def _rig_checked(what: str, build, *args):
+    """build(*args), with `what` before the message of any ValueError it raises.
+
+    The checks of ModelParams, IntersectionGraph and BipartiteAssignment
+    already name the field, the edge or the vertex and index at fault.
+    """
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
 def _read_rig(text: str, what: str) -> tuple[ModelParams, int, list[str]]:
     """Params, seed and body; the first header counts, blank and other `#` lines are skipped.
 
     Only blank and `#` lines may come before the header; a data line there is an error.
+    Every error message starts with `what`.
     """
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     for line in lines:
         match = _HEADER_RE.match(line)
         if match:
-            params = ModelParams(n=int(match["n"]), m=int(match["m"]), p=float(match["p"]))
+            n, m, seed = (_rig_int(match[key], what, line) for key in ("n", "m", "seed"))
+            try:
+                p = float(match["p"])
+            except ValueError:
+                raise ValueError(f"{what}: malformed line {line!r}") from None
             body = [line for line in lines if not line.startswith("#")]
-            return params, int(match["seed"]), body
+            return _rig_checked(what, ModelParams, n, m, p), seed, body
         if not line.startswith("#"):
             raise ValueError(f"{what}: line {line!r} before the `# rig ...` header")
     raise ValueError(f"{what}: missing `# rig n=... m=... p=... seed=...` header")
@@ -420,11 +446,12 @@ def parse_edgelist(text: str) -> tuple[IntersectionGraph, ModelParams, int]:
         fields = line.split()
         if len(fields) != 2:
             raise ValueError(f"edge list: malformed line {line!r}")
-        edge = int(fields[0]), int(fields[1])
+        edge = tuple(_rig_int(field, "edge list", line) for field in fields)
         if edge in edges:
             raise ValueError(f"edge list: duplicate edge {line!r}")
         edges.add(edge)
-    return IntersectionGraph(n=params.n, edges=frozenset(edges)), params, seed
+    graph = _rig_checked("edge list", IntersectionGraph, params.n, frozenset(edges))
+    return graph, params, seed
 
 
 def format_assignment(assignment: BipartiteAssignment, seed: int) -> str:
@@ -444,11 +471,11 @@ def parse_assignment(text: str) -> tuple[BipartiteAssignment, int]:
         head, _, tail = line.partition(":")
         if not _:
             raise ValueError(f"assignment: malformed line {line!r}")
-        v = int(head)
+        v = _rig_int(head.strip(), "assignment", line)
         if v in sets:
             raise ValueError(f"assignment: duplicate vertex {v}")
-        sets[v] = tuple(int(w) for w in tail.split())
+        sets[v] = tuple(_rig_int(w, "assignment", line) for w in tail.split())
     if sorted(sets) != list(range(params.n)):
         raise ValueError("assignment: vertex lines do not cover 0..n-1 exactly")
     ordered = tuple(sets[v] for v in range(params.n))
-    return BipartiteAssignment(params=params, sets=ordered), seed
+    return _rig_checked("assignment", BipartiteAssignment, params, ordered), seed

@@ -1,9 +1,11 @@
 """Independent reference computations used only by the test suite.
 
-Everything here is deliberately brute force: exhaustive enumeration over all
-bipartite outcomes, quadratic pairwise projection, matrix-style reachability,
-and one binomial tail in exact rational arithmetic.  Slow and obviously
-correct, so the fast library paths can be judged against them.
+Everything here is deliberately brute force: the Philox4x64-10 stream of the
+sampling contract in plain integers (``philox4x64_raw``, the one reference
+for every sampler's draws), exhaustive enumeration over all bipartite
+outcomes, quadratic pairwise projection, matrix-style reachability, and one
+binomial tail in exact rational arithmetic.  Slow and obviously correct, so
+the fast library paths can be judged against them.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ from riglab import (
     parse_assignment,
     parse_edgelist,
     project,
-    q_exact,
     sample_assignment,
 )
 from riglab.cli import ENV_SEED, main
@@ -257,80 +256,6 @@ def _write_spec(tmp_path, payload, name="spec.json"):
     return str(path)
 
 
-def test_sweep_end_to_end(tmp_path, capsys):
-    spec_path = _write_spec(
-        tmp_path,
-        {"kind": "edge-prob", "trials": 200, "master_seed": 31,
-         "points": [{"m": 2, "p": 0.5}, {"m": 4, "p": 0.2}]},
-    )
-    out = str(tmp_path / "result")
-    code, stdout, _ = run_cli(["sweep", "--spec", spec_path, "--out", out], capsys)
-    assert code == 0
-    assert f"wrote {out}.csv" in stdout
-    assert f"wrote {out}.json" in stdout
-    csv_first = (tmp_path / "result.csv").read_bytes()
-    json_first = (tmp_path / "result.json").read_bytes()
-    payload = json.loads(json_first)
-    assert payload["kind"] == "edge-prob"
-    assert len(payload["records"]) == 2
-    estimate = payload["records"][0]["estimate"]
-    assert abs(estimate - q_exact(2, 0.5)) < 0.15
-
-    code, _, _ = run_cli(["sweep", "--spec", spec_path, "--out", out], capsys)
-    assert code == 0
-    assert (tmp_path / "result.csv").read_bytes() == csv_first
-    assert (tmp_path / "result.json").read_bytes() == json_first
-
-
-def test_sweep_svg_chart(tmp_path, capsys):
-    spec_path = _write_spec(
-        tmp_path,
-        {"kind": "connectivity-sweep", "trials": 20, "master_seed": 4,
-         "n": [4, 6], "alpha": [1.0, 2.0]},
-    )
-    out = str(tmp_path / "conn")
-    code, stdout, _ = run_cli(
-        ["sweep", "--spec", spec_path, "--out", out, "--svg"], capsys
-    )
-    assert code == 0
-    assert f"wrote {out}.svg" in stdout
-    svg = (tmp_path / "conn.svg").read_text()
-    assert svg.startswith("<svg")
-    assert "polyline" in svg
-    # one CI band per n series, each of two alpha points
-    assert svg.count("<polygon") == 2
-
-
-def test_degree_dist_end_to_end(tmp_path, capsys):
-    spec_path = _write_spec(
-        tmp_path,
-        {"kind": "degree-dist", "trials": 50, "master_seed": 6,
-         "points": [{"n": 6, "m": 3, "p": 0.3}]},
-    )
-    out = str(tmp_path / "dist")
-    code, stdout, _ = run_cli(["degree-dist", "--spec", spec_path, "--out", out], capsys)
-    assert code == 0
-    payload = json.loads((tmp_path / "dist.json").read_text())
-    (record,) = payload["records"]
-    assert len(record["empirical_pmf"]) == 6
-
-
-def test_degree_dist_svg_draws_every_point(tmp_path, capsys):
-    points = [{"n": 6, "m": 3, "p": 0.3}, {"n": 4, "m": 2, "p": 0.5}, {"n": 1, "m": 2, "p": 0.5}]
-    spec_path = _write_spec(
-        tmp_path, {"kind": "degree-dist", "trials": 20, "master_seed": 6, "points": points}
-    )
-    out = str(tmp_path / "dist")
-    code, _, _ = run_cli(["degree-dist", "--spec", spec_path, "--out", out, "--svg"], capsys)
-    assert code == 0
-    svg = (tmp_path / "dist.svg").read_text()
-    assert svg.count("<polyline") == len(points)
-    # a pmf has no interval, so no series draws a band
-    assert svg.count("<polygon") == 0
-    for point in points:
-        assert ">n={n} m={m} p={p}</text>".format(**point) in svg
-
-
 def test_degree_dist_svg_of_a_single_degree(tmp_path, capsys):
     # at n = 1 the pmf is [1.0], so both axes are widened from zero extent
     spec_path = _write_spec(
@@ -343,19 +268,6 @@ def test_degree_dist_svg_of_a_single_degree(tmp_path, capsys):
     assert code == 0
     # the one point sits in the middle of the 640 x 400 plot area
     assert '<circle cx="342.00" cy="189.00"' in (tmp_path / "dist.svg").read_text()
-
-
-def test_degree_scaling_end_to_end(tmp_path, capsys):
-    spec_path = _write_spec(
-        tmp_path,
-        {"kind": "degree-scaling", "trials": 30, "master_seed": 2,
-         "n": [30], "alpha": [0.5], "c": 0.5},
-    )
-    out = str(tmp_path / "scaling")
-    code, _, _ = run_cli(["degree-scaling", "--spec", spec_path, "--out", out], capsys)
-    assert code == 0
-    lines = (tmp_path / "scaling.csv").read_text().splitlines()
-    assert lines[2].split(",")[:4] == ["n", "m", "alpha", "delta"]
 
 
 def test_experiment_default_seed_from_env(tmp_path, monkeypatch, capsys):

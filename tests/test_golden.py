@@ -5,7 +5,8 @@ covering every m_rule kind, n = 1 grid points, integer JSON values (p given
 as 0 and 1, integer alpha and beta) that the spec normalizes to floats, and
 a sweep that repeats an n and an alpha value.  The sha256 of each written
 file is pinned, so any change to the sampling, the aggregation, the row
-layout, the spec echo or the chart shows up here.
+layout, the spec echo or the chart shows up here, and so are the `wrote`
+lines on stdout.  This is the suite's one check of report bytes.
 """
 
 import hashlib
@@ -126,9 +127,10 @@ def test_report_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
     spec_path.write_text(json.dumps(spec))
     out = tmp_path / "report"
     assert main([command, "--spec", str(spec_path), "--out", str(out), "--svg"]) == 0
-    capsys.readouterr()
+    extensions = ("csv", "json", "svg")
+    assert capsys.readouterr().out.splitlines() == [f"wrote {out}.{ext}" for ext in extensions]
     digests = tuple(
         hashlib.sha256((tmp_path / f"report.{ext}").read_bytes()).hexdigest()
-        for ext in ("csv", "json", "svg")
+        for ext in extensions
     )
     assert digests == GOLDEN[name]

@@ -27,7 +27,7 @@ from riglab import (
     vertex_substream,
 )
 
-from riglab.model import _below, _object_rows, _raw_limit
+from riglab.model import _below, _raw_limit
 
 from oracles import pairwise_project, philox4x64_raw, reachability_connected
 
@@ -90,51 +90,19 @@ def test_graph_rejects_non_canonical_edges():
 
 # ------------------------------------------------------------------ sampling
 
-def test_sampling_extremes():
-    empty = sample_assignment(ModelParams(4, 3, 0.0), 1)
-    assert all(s == () for s in empty.sets)
-    full = sample_assignment(ModelParams(4, 3, 1.0), 1)
-    assert all(s == (0, 1, 2) for s in full.sets)
+def _uniform(word: int) -> float:
+    """Generator.random's uniform from one raw 64-bit word."""
+    return (word >> 11) * 2**-53
 
 
-def test_sampling_is_deterministic():
-    params = ModelParams(6, 5, 0.4)
-    assert sample_assignment(params, 99) == sample_assignment(params, 99)
-    assert sample_assignment(params, 99) != sample_assignment(params, 100)
-
-
-def test_vertex_substreams_are_independent_of_n():
-    # vertex v's objects depend only on (seed, v, m, p), never on n
-    small = sample_assignment(ModelParams(3, 7, 0.3), 5)
-    large = sample_assignment(ModelParams(10, 7, 0.3), 5)
-    assert small.sets == large.sets[:3]
-
-
-def test_substream_is_reproducible():
-    a = vertex_substream(123, 4).random(8)
-    b = vertex_substream(123, 4).random(8)
-    assert np.array_equal(a, b)
-    c = vertex_substream(123, 5).random(8)
-    assert not np.array_equal(a, c)
-
-
-def _fresh_stream(seed, index):
-    key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-@pytest.mark.parametrize("leftover", ["fresh", "mid-buffer", "after-uint32"])
-@pytest.mark.parametrize("index", [0, 1, 7, 1600])  # 1600: sample_degree's reserved index at n=1600
-@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 + 3, -5])
-def test_reseated_substream_matches_fresh_philox(seed, index, leftover):
-    philox = np.random.Philox(key=12345)
-    if leftover == "mid-buffer":
-        np.random.Generator(philox).random(3)
-    elif leftover == "after-uint32":
-        np.random.Generator(philox).integers(0, 2**32, dtype=np.uint32)
-    reseated = vertex_substream(seed, index, bit_generator=philox).random(50)
-    assert np.array_equal(reseated, _fresh_stream(seed, index).random(50))
-    assert np.array_equal(vertex_substream(seed, index).random(50), reseated)
+def _assert_follows_independent_philox(make_stream, seed, index):
+    # 11 words span three blocks, so the counter increments are checked too;
+    # a uint32 draw takes a word's low half, then its high half
+    raw = philox4x64_raw(seed, index, 11)
+    halves = [half for w in raw[:2] for half in (w & 0xFFFFFFFF, w >> 32)]
+    assert make_stream().bit_generator.random_raw(11).tolist() == raw
+    assert make_stream().random(11).tolist() == [_uniform(w) for w in raw]
+    assert make_stream().integers(0, 2**32, size=4, dtype=np.uint32).tolist() == halves
 
 
 # (seed, index) keys for the stream contract; seed 2**64 - 1 fills the key's first word
@@ -143,10 +111,24 @@ _PHILOX_KEYS = [(7, 3), (123456789, 40000), (0, 0), (2**64 - 1, 5), (2**64 - 1, 
 
 @pytest.mark.parametrize(("seed", "index"), _PHILOX_KEYS)
 def test_substream_matches_independent_philox(seed, index):
-    # 11 words span three blocks, so the counter increments are checked too
-    raw = philox4x64_raw(seed, index, 11)
-    assert vertex_substream(seed, index).bit_generator.random_raw(11).tolist() == raw
-    assert vertex_substream(seed, index).random(11).tolist() == [(w >> 11) * 2**-53 for w in raw]
+    _assert_follows_independent_philox(lambda: vertex_substream(seed, index), seed, index)
+
+
+@pytest.mark.parametrize("leftover", ["fresh", "mid-buffer", "after-uint32"])
+@pytest.mark.parametrize("index", [0, 1, 7, 1600])  # 1600: sample_degree's reserved index at n=1600
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 + 3, -5])
+def test_reseated_substream_matches_fresh_philox(seed, index, leftover):
+    # a passed-in Philox's buffer, counter and pending uint32 must all be dropped,
+    # so the stream is the independent oracle's words for a fresh key
+    def reseated():
+        philox = np.random.Philox(key=12345)
+        if leftover == "mid-buffer":
+            np.random.Generator(philox).random(3)
+        elif leftover == "after-uint32":
+            np.random.Generator(philox).integers(0, 2**32, dtype=np.uint32)
+        return vertex_substream(seed, index, bit_generator=philox)
+
+    _assert_follows_independent_philox(reseated, seed, index)
 
 
 def test_independent_philox_pinned_words():
@@ -162,11 +144,6 @@ def test_independent_philox_pinned_words():
 # p at the edges of the raw-word compare: the least subnormal, the least
 # uniform step, and the largest float below 1
 _EDGE_PS = [0.0, 5e-324, 1e-300, 2**-53, 0.3, 0.5, 1 - 2**-53, 1.0]
-
-
-def _uniform(word: int) -> float:
-    """Generator.random's uniform from one raw 64-bit word."""
-    return (word >> 11) * 2**-53
 
 
 class _RawWords:
@@ -194,17 +171,20 @@ def test_raw_compare_matches_the_uniform_compare_at_the_bound(p):
 @pytest.mark.parametrize("p", _EDGE_PS)
 @pytest.mark.parametrize("seed", [11, 2**64 - 1])
 def test_object_rows_follow_independent_philox(seed, p):
-    # vertex v attaches object w exactly when the w-th uniform of stream (seed, v) is below p
-    params = ModelParams(4, 13, p)
-    for v, row in enumerate(_object_rows(params, seed)):
-        uniforms = [_uniform(w) for w in philox4x64_raw(seed, v, params.m)]
-        assert row.tolist() == [w for w, u in enumerate(uniforms) if u < p]
+    # vertex v attaches object w exactly when the w-th uniform of stream (seed, v)
+    # is below p, whatever n is
+    for n in (3, 10):
+        for v, objects in enumerate(sample_assignment(ModelParams(n, 13, p), seed).sets):
+            uniforms = [_uniform(w) for w in philox4x64_raw(seed, v, 13)]
+            assert list(objects) == [w for w, u in enumerate(uniforms) if u < p]
 
 
-# (n, m, p): at (9, 200, 0.5) and (9, 80, 1.0) vertex 0's share rounds to 1
+# (n, m, p): at (9, 200, 0.5) and (9, 80, 1.0) vertex 0's share rounds to 1;
+# (1, 5, 0.9) has no other vertex and at (6, 3, 0.0) vertex 0 has no objects
 @pytest.mark.parametrize(
     ("n", "m", "p"),
-    [(40, 13, 1e-300), (40, 13, 0.3), (9, 200, 0.5), (9, 80, 1.0), (200, 5, 0.05)],
+    [(40, 13, 1e-300), (40, 13, 0.3), (9, 200, 0.5), (9, 80, 1.0), (200, 5, 0.05),
+     (1, 5, 0.9), (6, 3, 0.0)],
 )
 @pytest.mark.parametrize("seed", [3, 2**64 - 1])
 def test_sample_degree_follows_independent_philox(n, m, p, seed):
@@ -222,7 +202,8 @@ def test_plain_substream_survives_internal_sampling():
     sample_assignment(ModelParams(4, 9, 0.5), 77)
     sample_degree(ModelParams(50, 9, 0.5), 77)
     second = stream.random(5)
-    assert np.array_equal(np.concatenate([first, second]), _fresh_stream(77, 3).random(10))
+    expected = [_uniform(w) for w in philox4x64_raw(77, 3, 10)]
+    assert np.concatenate([first, second]).tolist() == expected
 
 
 @given(
@@ -479,11 +460,40 @@ def test_rig_reader_skips_blank_lines_and_comments():
         (parse_assignment, "0: 1\n1 0\n", "assignment: malformed line '1 0'"),
         (parse_assignment, "0: 1\n0: 0\n1:\n", "assignment: duplicate vertex 0"),
         (parse_assignment, "0: 1\n", "assignment: vertex lines do not cover 0..n-1 exactly"),
+        # a field int() would take: non-digits, then 1_0, +1 and an Arabic-Indic 3
+        (parse_edgelist, "a b\n", "edge list: malformed line 'a b'"),
+        (parse_edgelist, "0 1_0\n", "edge list: malformed line '0 1_0'"),
+        (parse_edgelist, "+0 1\n", "edge list: malformed line '+0 1'"),
+        (parse_edgelist, "0 \u0663\n", "edge list: malformed line '0 \u0663'"),
+        (parse_assignment, "x: 1\n1:\n", "assignment: malformed line 'x: 1'"),
+        (parse_assignment, "0: a\n1:\n", "assignment: malformed line '0: a'"),
+        (parse_assignment, "0: 1_0\n1:\n", "assignment: malformed line '0: 1_0'"),
+        (parse_assignment, "+0: 1\n1:\n", "assignment: malformed line '+0: 1'"),
+        (parse_assignment, "0: \u0661\n1:\n", "assignment: malformed line '0: \u0661'"),
+        # the graph's and the assignment's own checks, after the reader's name
+        (parse_edgelist, "1 0\n", "edge list: edge (1, 0) is not canonical for n=2"),
+        (parse_assignment, "0: 5\n1:\n", "assignment: vertex 0: object index 5 outside [0, 2)"),
     ],
 )
 def test_rig_reader_errors(parse, body, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         parse("# rig n=2 m=2 p=0.5 seed=0\n" + body)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("# rig n=1_0 m=2 p=0.5 seed=0", "malformed line '# rig n=1_0 m=2 p=0.5 seed=0'"),
+        ("# rig n=2 m=+2 p=0.5 seed=0", "malformed line '# rig n=2 m=+2 p=0.5 seed=0'"),
+        ("# rig n=2 m=2 p=0.5 seed=\u0667", "malformed line '# rig n=2 m=2 p=0.5 seed=\u0667'"),
+        ("# rig n=2 m=2 p=x seed=0", "malformed line '# rig n=2 m=2 p=x seed=0'"),
+        ("# rig n=0 m=2 p=0.5 seed=0", "n must be an integer >= 1, got 0"),
+    ],
+)
+def test_rig_header_errors(header, message):
+    for parse, what in ((parse_edgelist, "edge list"), (parse_assignment, "assignment")):
+        with pytest.raises(ValueError, match=re.escape(f"{what}: {message}")):
+            parse(header + "\n")
 
 
 @pytest.mark.parametrize(

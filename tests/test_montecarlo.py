@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -8,14 +7,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from riglab import (
-    DegreeScalingRecord,
     ExperimentSpec,
     degree_pmf,
     derive_trial_seed,
     project,
     q_exact,
-    render_csv,
-    render_summary_json,
     run_experiment,
     sample_assignment,
     sample_connected,
@@ -25,7 +21,6 @@ from riglab import (
     threshold_p,
     total_variation,
     wilson_interval,
-    write_outputs,
 )
 import riglab.model
 from riglab.model import ModelParams
@@ -458,12 +453,6 @@ def test_conditional_sampler_agrees_with_full_projection():
     assert total_variation(full, exact) < 0.02
 
 
-def test_sample_degree_degenerate_cases():
-    assert sample_degree(ModelParams(1, 5, 0.9), 123) == 0
-    assert sample_degree(ModelParams(6, 3, 0.0), 123) == 0
-    assert sample_degree(ModelParams(6, 3, 1.0), 123) == 5
-
-
 def test_sample_degree_reads_vertex_0_then_the_reserved_stream(monkeypatch):
     calls = []
     original = riglab.model.vertex_substream
@@ -565,50 +554,3 @@ def test_spec_hash_is_canonical_and_sensitive():
         kind="edge-prob", trials=5, master_seed=4, points=((2, 0.5),),
     )
     assert spec_hash(spec) != spec_hash(other)
-
-
-def test_render_csv_layout():
-    spec = ExperimentSpec(
-        kind="edge-prob", trials=50, master_seed=17, points=((2, 0.5),),
-    )
-    result = run_experiment(spec)
-    lines = render_csv(result).splitlines()
-    assert lines[0].startswith("# riglab ")
-    assert "kind=edge-prob" in lines[1]
-    assert f"spec_sha256={spec_hash(spec)}" in lines[1]
-    header = lines[2].split(",")
-    assert header[:2] == ["m", "p"]
-    assert header[2:6] == ["estimate", "std_error", "ci_low", "ci_high"]
-    assert header[-2:] == ["trials", "master_seed"]
-    row = lines[3].split(",")
-    assert len(row) == len(header)
-    # float cells round-trip exactly through repr
-    assert float(row[1]) == 0.5
-    assert row[1] == repr(0.5)
-
-
-def test_render_summary_json_echoes_spec():
-    spec = ExperimentSpec(
-        kind="degree-dist", trials=60, master_seed=5, points=((6, 3, 0.3),),
-    )
-    result = run_experiment(spec)
-    payload = json.loads(render_summary_json(result))
-    assert payload["kind"] == "degree-dist"
-    assert payload["spec"] == spec.to_dict()
-    assert payload["spec_sha256"] == spec_hash(spec)
-    (record,) = payload["records"]
-    assert len(record["empirical_pmf"]) == 6
-    assert record["tv_exact_mixture"] >= 0.0
-
-
-def test_write_outputs(tmp_path):
-    spec = ExperimentSpec(
-        kind="edge-prob", trials=20, master_seed=1, points=((2, 0.5),),
-    )
-    result = run_experiment(spec)
-    csv_path = tmp_path / "out.csv"
-    json_path = tmp_path / "out.json"
-    write_outputs(result, csv_path, json_path)
-    assert csv_path.read_text() == render_csv(result)
-    assert json.loads(json_path.read_text())["kind"] == "edge-prob"
-

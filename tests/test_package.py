@@ -9,6 +9,7 @@ from riglab import analytics, model, montecarlo
 from oracles import reachability_connected
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 def test_public_names_are_the_module_lists():
@@ -102,3 +103,21 @@ def test_readme_csv_columns_are_the_record_fields():
         kind: [f.name for f in fields(cls) if not f.type.startswith("tuple")]
         for kind, cls in records.items()
     }
+
+
+def test_a_failing_hypothesis_test_is_reported_under_the_warning_filters(tmp_path):
+    # On a failure, hypothesis's pytest plugin imports libcst, whose use of the
+    # deprecated mypy_extensions.TypedDict would, under `error::DeprecationWarning`,
+    # stop pytest with INTERNALERROR and exit 3, losing every later result.
+    # Where libcst is not installed nothing warns, and this passes either way.
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None)\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n"
+    )
+    argv = ["-m", "pytest", "-c", str(PYPROJECT), "-p", "no:cacheprovider", "test_fails.py"]
+    proc = subprocess.run([sys.executable, *argv], cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed" in proc.stdout
