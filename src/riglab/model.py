@@ -70,6 +70,18 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _prefixed(prefix: str, func, *args):
+    """func(*args), with `prefix` before the message of any ValueError it raises.
+
+    The prefix is a spec key path such as ``points[0].`` or a reader's name
+    such as ``edge list: ``; the checks called already name the field at fault.
+    """
+    try:
+        return func(*args)
+    except ValueError as exc:
+        raise ValueError(f"{prefix}{exc}") from None
+
+
 def _check_int(value, name: str, minimum: int | None = None, maximum: float | None = None) -> int:
     """An int (not a bool), at least `minimum` and at most `maximum` when given."""
     if not isinstance(value, int) or isinstance(value, bool):
@@ -391,18 +403,6 @@ def _rig_int(field: str, what: str, line: str) -> int:
     return int(field)
 
 
-def _rig_checked(what: str, build, *args):
-    """build(*args), with `what` before the message of any ValueError it raises.
-
-    The checks of ModelParams, IntersectionGraph and BipartiteAssignment
-    already name the field, the edge or the vertex and index at fault.
-    """
-    try:
-        return build(*args)
-    except ValueError as exc:
-        raise ValueError(f"{what}: {exc}") from None
-
-
 def _read_rig(text: str, what: str) -> tuple[ModelParams, int, list[str]]:
     """Params, seed and body; the first header counts, blank and other `#` lines are skipped.
 
@@ -417,9 +417,11 @@ def _read_rig(text: str, what: str) -> tuple[ModelParams, int, list[str]]:
             try:
                 p = float(match["p"])
             except ValueError:
-                raise ValueError(f"{what}: malformed line {line!r}") from None
+                p = None
+            # p as repr(float) writes it; float() would also take 0.5_0, +.5 and non-ASCII digits
+            _require(p is not None and repr(p) == match["p"], f"{what}: malformed line {line!r}")
             body = [line for line in lines if not line.startswith("#")]
-            return _rig_checked(what, ModelParams, n, m, p), seed, body
+            return _prefixed(f"{what}: ", ModelParams, n, m, p), seed, body
         if not line.startswith("#"):
             raise ValueError(f"{what}: line {line!r} before the `# rig ...` header")
     raise ValueError(f"{what}: missing `# rig n=... m=... p=... seed=...` header")
@@ -450,7 +452,7 @@ def parse_edgelist(text: str) -> tuple[IntersectionGraph, ModelParams, int]:
         if edge in edges:
             raise ValueError(f"edge list: duplicate edge {line!r}")
         edges.add(edge)
-    graph = _rig_checked("edge list", IntersectionGraph, params.n, frozenset(edges))
+    graph = _prefixed("edge list: ", IntersectionGraph, params.n, frozenset(edges))
     return graph, params, seed
 
 
@@ -478,4 +480,4 @@ def parse_assignment(text: str) -> tuple[BipartiteAssignment, int]:
     if sorted(sets) != list(range(params.n)):
         raise ValueError("assignment: vertex lines do not cover 0..n-1 exactly")
     ordered = tuple(sets[v] for v in range(params.n))
-    return _rig_checked("assignment", BipartiteAssignment, params, ordered), seed
+    return _prefixed("assignment: ", BipartiteAssignment, params, ordered), seed

@@ -33,7 +33,7 @@ from .analytics import (
     zeta_bound,
 )
 from .model import ModelParams, pair_adjacent, sample_assignment, sample_connected, sample_degree
-from .model import _MASK64, _MAX_SIZE, _check_int, _check_real, _require
+from .model import _MASK64, _MAX_SIZE, _check_int, _check_real, _prefixed, _require
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -129,14 +129,6 @@ def _unpack(entry, keys: tuple, where: str) -> tuple:
     return tuple(entry[key] for key in keys)
 
 
-def _at(where: str, func, *args):
-    """func(*args), its ValueError message prefixed with `where`, the spec key path."""
-    try:
-        return func(*args)
-    except ValueError as exc:
-        raise ValueError(f"{where}{exc}") from None
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A validated experiment description with its grid resolved.
@@ -185,7 +177,7 @@ class ExperimentSpec:
             for i, point in enumerate(self.points):
                 shaped = isinstance(point, tuple) and len(point) == len(keys)
                 _require(shaped, f"points[{i}] must be a tuple of {len(keys)} values {keys}")
-                grid.append((_at(f"points[{i}].", ModelParams, *fixed, *point),))
+                grid.append((_prefixed(f"points[{i}].", ModelParams, *fixed, *point),))
             points = tuple(tuple(getattr(point[0], key) for key in keys) for point in grid)
             object.__setattr__(self, "points", points)
         else:
@@ -202,7 +194,7 @@ class ExperimentSpec:
             for i, n in enumerate(self.n_values):
                 m = m_of(_check_int(n, f"n[{i}]", 1, _MAX_SIZE), *rule[1:])
                 for j, alpha in enumerate(alphas):
-                    p = _at(f"alpha[{j}]: ", threshold_p, alpha, m, n)
+                    p = _prefixed(f"alpha[{j}]: ", threshold_p, alpha, m, n)
                     _require(p <= 1.0, f"alpha[{j}]={alpha} gives p={p} > 1 at n={n}, m={m}")
                     grid.append((ModelParams(n, m, p), alpha))
         if "c" in reads:
@@ -216,7 +208,9 @@ class ExperimentSpec:
                     f"degree scaling requires alpha in (0, 1) so that delta = 1 - alpha > 0, "
                     f"got alpha[{j}]={alpha}",
                 )
-            envelope = (_at("c: ", solve_a, c, "lower"), _at("c: ", solve_a, c, "upper"))
+            envelope = (
+                _prefixed("c: ", solve_a, c, "lower"), _prefixed("c: ", solve_a, c, "upper")
+            )
             grid = [point + envelope for point in grid]
         object.__setattr__(self, "grid", tuple(grid))
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -198,54 +199,29 @@ def test_probe_past_the_float_range_of_a_factor(argv, expected, capsys):
     assert float(stdout) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-def test_probe_tail_bound(capsys):
-    code, stdout, _ = run_cli(
-        ["probe", "tail-bound", "--trials", "10", "--p", "0.5",
-         "--cutoff", "10", "--direction", "upper"],
-        capsys,
-    )
-    assert code == 0
-    assert float(stdout) == pytest.approx(math.exp(5.0) / 1024.0, rel=1e-12)
-
-
-def test_probe_tail_bound_window_violation(capsys):
-    code, _, err = run_cli(
-        ["probe", "tail-bound", "--trials", "10", "--p", "0.5",
-         "--cutoff", "4", "--direction", "upper"],
-        capsys,
-    )
-    assert code == 2
-    assert "cutoff" in err
-
-
 @pytest.mark.parametrize(
-    ("argv", "name"),
+    ("argv", "message"),
     [
-        (["probe", "q-exact", "--m", str(10**400), "--p", "0.5"], "m"),
-        (["probe", "q-approx", "--m", str(10**400), "--p", "0.5"], "m"),
-        (["probe", "zeta", "--m", str(10**400), "--p", "0.5"], "m"),
+        (["probe", "q-exact", "--m", str(10**400), "--p", "0.5"],
+         "m must be at most 1.7976931348623157e+308"),
+        (["probe", "q-approx", "--m", str(10**400), "--p", "0.5"],
+         "m must be at most 1.7976931348623157e+308"),
+        (["probe", "zeta", "--m", str(10**400), "--p", "0.5"],
+         "m must be at most 1.7976931348623157e+308"),
         (["probe", "tail-bound", "--trials", str(10**400), "--p", "0.5",
-          "--cutoff", "1", "--direction", "lower"], "trials"),
+          "--cutoff", "1", "--direction", "lower"],
+         "trials must be at most 1.7976931348623157e+308"),
+        (["probe", "tail-bound", "--trials", "10", "--p", "0.5", "--cutoff", "4",
+          "--direction", "upper"],
+         "upper tail bound requires cutoff >= trials * success_prob, got cutoff=4.0 < 5.0"),
+        (["probe", "a-root", "--c", "1", "--branch", "lower"], "lower branch requires c < 1"),
     ],
-    ids=["q-exact", "q-approx", "zeta", "tail-bound"],
+    ids=["q-exact", "q-approx", "zeta", "tail-bound", "tail-bound-window", "a-root-lower"],
 )
-def test_probe_count_past_float_range_exit_2(argv, name, capsys):
+def test_probe_count_past_float_range_exit_2(argv, message, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 2
-    assert err.startswith(f"error: {name} must be at most ")
-
-
-def test_probe_a_root(capsys):
-    code, stdout, _ = run_cli(
-        ["probe", "a-root", "--c", "1", "--branch", "upper"], capsys
-    )
-    assert code == 0
-    assert float(stdout) == pytest.approx(math.e, abs=1e-9)
-    code, _, err = run_cli(
-        ["probe", "a-root", "--c", "1", "--branch", "lower"], capsys
-    )
-    assert code == 2
-    assert "lower branch" in err
+    assert err.startswith(f"error: {message}")
 
 
 # ---------------------------------------------------------------- experiments
@@ -311,26 +287,6 @@ def test_wrong_kind_for_subcommand(tmp_path, capsys):
     assert "does not belong" in err
 
 
-def test_unknown_kind_exit_2(tmp_path, capsys):
-    spec_path = _write_spec(tmp_path, {"kind": "percolation", "trials": 5, "master_seed": 0})
-    code, _, err = run_cli(
-        ["sweep", "--spec", spec_path, "--out", str(tmp_path / "x")], capsys
-    )
-    assert code == 2
-    assert "unknown experiment kind" in err
-
-
-def test_empty_grid_exit_2(tmp_path, capsys):
-    spec_path = _write_spec(
-        tmp_path, {"kind": "edge-prob", "trials": 5, "master_seed": 0, "points": []}
-    )
-    code, _, err = run_cli(
-        ["sweep", "--spec", spec_path, "--out", str(tmp_path / "x")], capsys
-    )
-    assert code == 2
-    assert "empty parameter grid" in err
-
-
 @pytest.mark.parametrize(
     "text", ["{not json", "[" * 200_000 + "]" * 200_000], ids=["not-json", "too-deep"]
 )
@@ -352,36 +308,63 @@ _SUBCOMMAND = {
 }
 
 
+def _key_path(value):
+    """A row's id: the spec key path at the start of its message.
+
+    A row whose message does not start with its key path names it in its own id.
+    """
+    return re.match(r"[\w.\[\]]+", value)[0] if isinstance(value, str) else None
+
+
 @pytest.mark.parametrize(
-    ("fields", "key_path"),
+    ("fields", "message"),
     [
-        ({"kind": "edge-prob", "points": [{"m": 2, "p": None}]}, "points[0].p"),
-        ({"kind": "edge-prob", "points": [{"m": 2, "p": "0.5"}]}, "points[0].p"),
-        ({"kind": "edge-prob", "points": [{"m": 2, "p": 0.5}, {"m": 2, "p": 2}]}, "points[1].p"),
-        ({"kind": "degree-dist", "points": [{"n": 4, "m": "2", "p": 0.5}]}, "points[0].m"),
-        ({"kind": "connectivity-sweep", "n": [4], "alpha": [None]}, "alpha[0]"),
-        ({"kind": "connectivity-sweep", "n": [4, 2.5], "alpha": [1.0]}, "n[1]"),
+        ({"kind": "edge-prob", "points": [{"m": 2, "p": None}]},
+         "points[0].p must be a finite real number, got None"),
+        ({"kind": "edge-prob", "points": [{"m": 2, "p": "0.5"}]},
+         "points[0].p must be a finite real number, got '0.5'"),
+        ({"kind": "edge-prob", "points": [{"m": 2, "p": 0.5}, {"m": 2, "p": 2}]},
+         "points[1].p must lie in [0, 1], got 2.0"),
+        ({"kind": "degree-dist", "points": [{"n": 4, "m": "2", "p": 0.5}]},
+         "points[0].m must be an integer, got '2'"),
+        ({"kind": "connectivity-sweep", "n": [4], "alpha": [None]},
+         "alpha[0] must be a finite real number, got None"),
+        ({"kind": "connectivity-sweep", "n": [4, 2.5], "alpha": [1.0]},
+         "n[1] must be an integer, got 2.5"),
         ({"kind": "connectivity-sweep", "n": [10], "alpha": [1.0],
-          "m_rule": {"kind": "power", "beta": 1e300}}, "m_rule.beta"),
+          "m_rule": {"kind": "power", "beta": 1e300}},
+         "m_rule.beta=1e+300 makes m = inf > 576460752303423487 at n=10"),
         ({"kind": "connectivity-sweep", "n": [10], "alpha": [1.0],
-          "m_rule": {"kind": "fixed", "m": "3"}}, "m_rule.m"),
-        ({"kind": "degree-scaling", "n": [10], "alpha": [0.5], "c": "x"}, "c"),
-        ({"kind": "degree-scaling", "n": [10], "alpha": [0.5], "c": None}, "c"),
-        ({"kind": "edge-prob", "points": [{"m": 2, "p": 0.5}], "trials": 2**64 + 1}, "trials"),
+          "m_rule": {"kind": "fixed", "m": "3"}}, "m_rule.m must be an integer, got '3'"),
+        ({"kind": "degree-scaling", "n": [10], "alpha": [0.5], "c": "x"},
+         "c must be a finite real number, got 'x'"),
+        pytest.param({"kind": "degree-scaling", "n": [10], "alpha": [0.5], "c": None},
+                     "degree-scaling requires the rate constant c", id="fields9-c"),
+        ({"kind": "edge-prob", "points": [{"m": 2, "p": 0.5}], "trials": 2**64 + 1},
+         "trials must be at most 2**64, because trial seeds are keyed by a 64-bit trial index"),
         # sizes past the 2**59 - 1 bound on n and m, beyond any array riglab could allocate
-        ({"kind": "edge-prob", "points": [{"m": 10**30, "p": 0.5}]}, "points[0].m"),
-        ({"kind": "degree-dist", "points": [{"n": 4, "m": 10**30, "p": 0.5}]}, "points[0].m"),
-        ({"kind": "degree-dist", "points": [{"n": 2**63 - 1, "m": 2, "p": 0.5}]}, "points[0].n"),
-        ({"kind": "connectivity-sweep", "n": [10**30], "alpha": [1.0]}, "n[0]"),
-        ({"kind": "degree-scaling", "n": [10**30], "alpha": [0.5], "c": 0.5}, "n[0]"),
+        ({"kind": "edge-prob", "points": [{"m": 10**30, "p": 0.5}]},
+         "points[0].m must be at most 576460752303423487"),
+        ({"kind": "degree-dist", "points": [{"n": 4, "m": 10**30, "p": 0.5}]},
+         "points[0].m must be at most 576460752303423487"),
+        ({"kind": "degree-dist", "points": [{"n": 2**63 - 1, "m": 2, "p": 0.5}]},
+         "points[0].n must be at most 576460752303423487"),
+        ({"kind": "connectivity-sweep", "n": [10**30], "alpha": [1.0]},
+         "n[0] must be at most 576460752303423487"),
+        ({"kind": "degree-scaling", "n": [10**30], "alpha": [0.5], "c": 0.5},
+         "n[0] must be at most 576460752303423487"),
         ({"kind": "connectivity-sweep", "n": [4], "alpha": [1.0],
-          "m_rule": {"kind": "power", "beta": 40}}, "m_rule.beta"),
+          "m_rule": {"kind": "power", "beta": 40}},
+         "m_rule.beta=40.0 makes m = 1208925819614629174706176 > 576460752303423487 at n=4"),
         # p(alpha) is 10**199.5 > 1, then 10**499.5, past the float range, and an
         # alpha outside degree scaling's (0, 1)
-        ({"kind": "connectivity-sweep", "n": [10], "alpha": [-400]}, "alpha[0]"),
-        ({"kind": "connectivity-sweep", "n": [10], "alpha": [-1000]}, "alpha[0]"),
-        ({"kind": "degree-scaling", "n": [10], "alpha": [1.5], "c": 0.5}, "alpha[0]"),
-        # where the key path alone does not show which check failed, the message
+        ({"kind": "connectivity-sweep", "n": [10], "alpha": [-400]},
+         "alpha[0]=-400.0 gives p=3.1622776601684643e+199 > 1 at n=10, m=10"),
+        ({"kind": "connectivity-sweep", "n": [10], "alpha": [-1000]},
+         "alpha[0]: p(alpha) is outside the float range at alpha=-1000.0"),
+        pytest.param({"kind": "degree-scaling", "n": [10], "alpha": [1.5], "c": 0.5},
+                     "degree scaling requires alpha in (0, 1) so that delta = 1 - alpha > 0, "
+                     "got alpha[0]=1.5", id="fields19-alpha[0]"),
         pytest.param({"kind": "connectivity-sweep", "n": [4], "alpha": [1.0],
                       "m_rule": {"kind": "power"}},
                      "m_rule must be an object with exactly keys ['beta', 'kind']",
@@ -389,22 +372,39 @@ _SUBCOMMAND = {
         pytest.param({"kind": "connectivity-sweep", "n": [4], "alpha": [1.0],
                       "m_rule": {"kind": "fixed", "m": 0}},
                      "m_rule.m must be an integer >= 1", id="fixed-m-zero"),
+        # keys the kind does not read would be ignored and left out of the spec hash
         pytest.param({"kind": "edge-prob", "points": [{"m": 2, "p": 0.5}], "alpha": [3],
                       "c": "junk", "m_rule": {"kind": "bogus"}},
                      "unknown spec keys for kind 'edge-prob': ['alpha', 'c', 'm_rule']",
                      id="keys-of-another-kind"),
+        pytest.param({"kind": "edge-prob", "points": [{"m": 2, "p": 0.5}], "label": "x"},
+                     "unknown spec keys for kind 'edge-prob': ['label']", id="unknown-key"),
+        pytest.param({"kind": "edge-prob", "points": [{"m": 2, "p": 0.5, "n": 4}]},
+                     "points[0] must be an object with exactly keys ['m', 'p']",
+                     id="extra-point-key"),
+        pytest.param({"kind": "percolation"}, "unknown experiment kind 'percolation'",
+                     id="unknown-kind"),
+        pytest.param({"kind": "edge-prob", "points": []}, "empty parameter grid: points is empty",
+                     id="empty-grid"),
+        pytest.param({"kind": "connectivity-sweep", "n": [4], "alpha": [1.0],
+                      "m_rule": {"kind": "cubed"}},
+                     "m_rule kind must be one of ['equal-n', 'power', 'fixed'], "
+                     "got {'kind': 'cubed'}", id="unknown-m-rule-kind"),
+        pytest.param({"kind": "degree-scaling", "n": [10], "alpha": [0.5], "c": 0},
+                     "c must be > 0, got 0.0", id="c-zero"),
     ],
+    ids=_key_path,
 )
-def test_malformed_spec_value_exit_2(fields, key_path, tmp_path, capsys):
+def test_malformed_spec_value_exit_2(fields, message, tmp_path, capsys):
     payload = {"trials": 3, "master_seed": 0, **fields}
     spec_path = _write_spec(tmp_path, payload)
     out = tmp_path / "x"
     code, _, err = run_cli(
-        [_SUBCOMMAND[payload["kind"]], "--spec", spec_path, "--out", str(out)], capsys
+        [_SUBCOMMAND.get(payload["kind"], "sweep"), "--spec", spec_path, "--out", str(out)],
+        capsys,
     )
     assert code == 2
-    assert err.startswith("error: ")
-    assert key_path in err
+    assert err.startswith(f"error: {message}")
     assert not (tmp_path / "x.csv").exists()
 
 

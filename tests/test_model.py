@@ -408,11 +408,6 @@ def test_edgelist_header_and_order():
     assert len(body) == 6
 
 
-def test_edgelist_rejects_missing_header():
-    with pytest.raises(ValueError):
-        parse_edgelist("0 1\n1 2\n")
-
-
 def test_assignment_round_trip():
     params = ModelParams(5, 6, 0.3)
     assignment = sample_assignment(params, 8)
@@ -487,6 +482,12 @@ def test_rig_reader_errors(parse, body, message):
         ("# rig n=2 m=+2 p=0.5 seed=0", "malformed line '# rig n=2 m=+2 p=0.5 seed=0'"),
         ("# rig n=2 m=2 p=0.5 seed=\u0667", "malformed line '# rig n=2 m=2 p=0.5 seed=\u0667'"),
         ("# rig n=2 m=2 p=x seed=0", "malformed line '# rig n=2 m=2 p=x seed=0'"),
+        # a p float() would take: 0.5_0, +.5, Arabic-Indic 0.5 and 1_0e-1
+        ("# rig n=2 m=2 p=0.5_0 seed=0", "malformed line '# rig n=2 m=2 p=0.5_0 seed=0'"),
+        ("# rig n=2 m=2 p=+.5 seed=0", "malformed line '# rig n=2 m=2 p=+.5 seed=0'"),
+        ("# rig n=2 m=2 p=\u0660.\u0665 seed=0",
+         "malformed line '# rig n=2 m=2 p=\u0660.\u0665 seed=0'"),
+        ("# rig n=2 m=2 p=1_0e-1 seed=0", "malformed line '# rig n=2 m=2 p=1_0e-1 seed=0'"),
         ("# rig n=0 m=2 p=0.5 seed=0", "n must be an integer >= 1, got 0"),
     ],
 )
@@ -501,6 +502,11 @@ def test_rig_header_errors(header, message):
     [
         (parse_edgelist, "0 1\n# rig n=2 m=1 p=0.5 seed=0\n", "edge list: line '0 1' before"),
         (parse_assignment, "# a\n\n0: 0\n# rig n=1 m=1 p=0.5 seed=0\n", "assignment: line '0: 0' before"),
+        # no header at all: empty text, then comments only
+        (parse_edgelist, "", "edge list: missing `# rig"),
+        (parse_assignment, "", "assignment: missing `# rig"),
+        (parse_edgelist, "# a\n\n# rig\n", "edge list: missing `# rig"),
+        (parse_assignment, "# a\n\n# rig\n", "assignment: missing `# rig"),
     ],
 )
 def test_rig_reader_rejects_a_data_line_before_the_header(parse, text, message):
