@@ -4,7 +4,8 @@ Subcommands: gen (sample one graph), probe (print one closed-form value),
 sweep / degree-dist / degree-scaling (run a JSON experiment spec and write
 CSV + JSON reports, optionally with a small static SVG chart).
 
-Exit codes: 0 success, 2 usage or domain error, 3 I/O error.
+Exit codes: 0 success, 2 usage or domain error, 3 I/O error, 130 interrupted
+(Ctrl-C; no report is written when a run is interrupted).
 """
 
 from __future__ import annotations
@@ -296,6 +297,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def entrypoint() -> None:

@@ -8,11 +8,11 @@ projection, connectivity read from the vertex-object graph without
 projecting, and the plain-text exchange formats.
 
 Every draw is made here.  One per-vertex loop, ``_object_rows``, draws
-every attachment, and ``sample_degree`` draws vertex 0's adjacencies from
-the reserved stream n.  One routine, ``_rows_connected``, reads connectivity
-off such rows, flattened, on numpy alone.  ``sample_connected`` stops at the
-first vertex with no objects (that vertex is isolated) and samples no vertex
-after it.
+every attachment row, and ``sample_degree`` counts vertex 0's attachments
+on the same stream and its adjacencies on the reserved stream n.  One
+routine, ``_rows_connected``, reads connectivity off such rows, flattened,
+on numpy alone.  ``sample_connected`` stops at the first vertex with no
+objects (that vertex is isolated) and samples no vertex after it.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import re
 import sys
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
 
 import numpy as np
@@ -53,6 +54,9 @@ _FLOAT_MAX = sys.float_info.max
 # _rows_connected's labels, then has n + m < 2**60 eight-byte entries, which
 # numpy can address
 _MAX_SIZE = (1 << 59) - 1
+# the most raw words sample_degree asks of one random_raw call, so that a
+# trial's memory stays small at any n and m
+_BLOCK = 8192
 _HEADER_RE = re.compile(
     r"^#\s*rig\s+n=(?P<n>\S+)\s+m=(?P<m>\S+)\s+p=(?P<p>\S+)\s+seed=(?P<seed>\S+)\s*$"
 )
@@ -223,6 +227,7 @@ class _PerThread(threading.local):
 _PER_THREAD = _PerThread()
 
 
+@lru_cache(maxsize=256)
 def _raw_limit(p: float) -> np.uint64 | None:
     """The bound under which a raw 64-bit word's uniform falls below p; None at p = 1.
 
@@ -231,7 +236,8 @@ def _raw_limit(p: float) -> np.uint64 | None:
     is when word < ceil(p * 2**53) << 11, so the raw words decide bit for bit
     what the uniforms would.  The bound is an np.uint64, so the compare stays
     in unsigned integers and no float takes part.  At p = 1 every uniform is
-    below p, and the bound, 2**64, would not fit.
+    below p, and the bound, 2**64, would not fit.  The bound is cached, since
+    trials ask for the same few p again and again and an np.uint64 is immutable.
     """
     return np.uint64(math.ceil(p * 2**53) << 11) if p < 1.0 else None
 
@@ -282,22 +288,42 @@ def conditional_adjacency_prob(size: int, p: float) -> float:
     return -math.expm1(size * math.log1p(-p))
 
 
+def _count_below(stream: np.random.Generator, count: int, limit: np.uint64 | None) -> int:
+    """How many of the stream's next `count` uniforms fall below p, for limit = _raw_limit(p).
+
+    The raw words are drawn in blocks of at most ``_BLOCK``; successive
+    blocks are the words one draw of `count` would give.  None are drawn
+    when every uniform is below p.
+    """
+    if limit is None:
+        return count
+    draw = stream.bit_generator.random_raw
+    return sum(
+        int(np.count_nonzero(draw(min(_BLOCK, count - start)) < limit))
+        for start in range(0, count, _BLOCK)
+    )
+
+
 def sample_degree(params: ModelParams, seed: int) -> int:
     """Draw the degree of vertex 0 in one G(n, m, p) sample.
 
-    Vertex 0's objects are the first row of ``_object_rows``.  Given s of
-    them, the other n-1 adjacency indicators are independent
-    Bernoulli(1 - (1-p)^s): indicator j is set when the j-th uniform of
-    reserved substream index n falls below that share, which ``_below``
-    decides on the raw words.  No graph is built, and the result follows the
+    Vertex 0's objects are those of the first row of ``_object_rows``: its
+    m uniforms from ``vertex_substream(seed, 0)``.  Given s of them, the
+    other n-1 adjacency indicators are independent Bernoulli(1 - (1-p)^s):
+    indicator j is set when the j-th uniform of reserved substream index n
+    falls below that share.  Both are counted on the raw words, in blocks
+    of at most ``_BLOCK`` words, so a trial holds under 100 KiB of draws at
+    any n and m.  No graph is built, and the result follows the
     projected-graph degree law exactly.
     """
-    size = len(next(_object_rows(params, seed)))
+    philox = _PER_THREAD.philox
+    objects = vertex_substream(seed, 0, bit_generator=philox)
+    size = _count_below(objects, params.m, _raw_limit(params.p))
     if params.n == 1 or size == 0:
         return 0
     share = conditional_adjacency_prob(size, params.p)
-    stream = vertex_substream(seed, params.n, bit_generator=_PER_THREAD.philox)
-    return int(np.count_nonzero(_below(stream, params.n - 1, _raw_limit(share))))
+    stream = vertex_substream(seed, params.n, bit_generator=philox)
+    return _count_below(stream, params.n - 1, _raw_limit(share))
 
 
 def pair_adjacent(assignment: BipartiteAssignment, i: int, j: int) -> bool:

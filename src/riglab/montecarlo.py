@@ -4,7 +4,9 @@ Four experiment kinds share one discipline: every trial draws its own seed
 from (master_seed, grid_index, trial_index) through a fixed hash, per-trial
 results are integers or booleans folded in trial order, and aggregation
 is commutative.  Reruns of the same spec therefore produce byte-identical
-CSV and JSON outputs no matter how the trials were scheduled.
+CSV and JSON outputs no matter how the trials were scheduled.  The unit of
+work is a chunk of up to 64 consecutive trials; a grid point whose trials
+draw long streams runs its chunks on every usable core.
 
 Building an ExperimentSpec validates it and resolves its grid into
 ModelParams points, so a bad value fails before any sampling and
@@ -16,9 +18,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
+import threading
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -162,7 +167,7 @@ class ExperimentSpec:
             f"trial index, got {self.trials}",
         )
         _check_int(self.master_seed, "master_seed")
-        reads = _KINDS[self.kind][2]
+        reads = _KINDS[self.kind][3]
         for f in fields(self):
             value = getattr(self, f.name, None)  # grid is not set yet
             # a field the kind does not read would be left out of to_dict and the spec hash
@@ -220,7 +225,7 @@ class ExperimentSpec:
         _require(isinstance(payload, dict), "experiment spec must be a JSON object")
         kind = payload.get("kind")
         _require(kind in EXPERIMENT_KINDS, f"unknown experiment kind {kind!r}")
-        reads = _KINDS[kind][2]
+        reads = _KINDS[kind][3]
         # a key the kind does not read would be ignored and left out of the spec hash
         unknown = set(payload) - {"kind", "trials", "master_seed", *(k for k, *_ in reads.values())}
         _require(not unknown, f"unknown spec keys for kind {kind!r}: {sorted(unknown)}")
@@ -244,7 +249,7 @@ class ExperimentSpec:
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind, "trials": self.trials, "master_seed": self.master_seed}
-        for name, (key, *shape) in _KINDS[self.kind][2].items():
+        for name, (key, *shape) in _KINDS[self.kind][3].items():
             value = getattr(self, name)
             if name == "points":
                 value = [dict(zip(shape[1], point)) for point in value]
@@ -350,6 +355,125 @@ def _degree_trial(params: ModelParams, seed: int) -> int:
     return sample_degree(params, seed)
 
 
+# the raw words a trial draws per stream, on average: an attachment row is m
+# words, and a degree trial draws m on vertex 0's stream and n - 1 on stream n
+def _row_words(params: ModelParams) -> float:
+    return params.m
+
+
+def _degree_words(params: ModelParams) -> float:
+    return (params.m + params.n - 1) / 2
+
+
+# trials per unit of work
+_CHUNK = 64
+# a point whose trials draw at least this many raw words per stream runs its
+# chunks on every usable core: numpy draws the words with the GIL released.
+# On shorter streams the threads spend more handing the GIL to each other
+# than a second core gives back
+_THREADED_WORDS = 8192
+
+
+def _chunk(trial, params: ModelParams, master_seed: int, grid_index: int, trials: int,
+           start: int) -> list:
+    """The results of trials start .. min(start + _CHUNK, trials) - 1, in trial order."""
+    return [
+        trial(params, derive_trial_seed(master_seed, grid_index, t))
+        for t in range(start, min(start + _CHUNK, trials))
+    ]
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _threaded_map(func, items, workers: int):
+    """Yield func(item) for each item, in order, computed on `workers` threads.
+
+    The calling thread is one of them: while the result it must yield next
+    is not ready, it computes the next item itself.  Items are taken in
+    order, and at most 2 * workers ahead of the one to yield next, so any
+    iterable of items is read lazily.  When an item raises an Exception, it
+    is raised here in its turn, so the first failure in item order is the
+    one seen; a KeyboardInterrupt in the caller is raised at once.  Helpers
+    are daemon threads that take no new item once the caller has stopped
+    iterating, for whatever reason.
+    """
+    items = iter(items)
+    cond = threading.Condition()
+    done = {}  # item index: (exception or None, result)
+    taken = wanted = 0  # items handed out; the index to yield next
+    exhausted = stopped = False
+
+    def take():
+        """The next (index, item) when one may be taken now, else None; called holding cond."""
+        nonlocal taken, exhausted
+        if stopped or exhausted or taken >= wanted + 2 * workers:
+            return None
+        for item in items:  # at most one turn: the next item, if any
+            taken += 1
+            return taken - 1, item
+        exhausted = True
+        return None
+
+    def work(job):
+        """Compute one item and file its outcome; return the exception it raised, if any."""
+        index, item = job
+        try:
+            outcome = (None, func(item))
+        except BaseException as exc:
+            outcome = (exc, None)
+        with cond:
+            done[index] = outcome
+            cond.notify_all()
+        return outcome[0]
+
+    def helper() -> None:
+        while True:
+            with cond:
+                job = take()
+                while job is None and not (stopped or exhausted):
+                    cond.wait()
+                    job = take()
+            if job is None:
+                return
+            work(job)
+
+    for _ in range(workers - 1):
+        threading.Thread(target=helper, daemon=True).start()
+    try:
+        while True:
+            with cond:
+                job = None
+                while wanted not in done and job is None:
+                    job = take()
+                    if job is None:
+                        if exhausted and wanted == taken:
+                            return
+                        cond.wait()
+                if job is None:
+                    error, result = done.pop(wanted)
+                    wanted += 1
+                    cond.notify_all()
+            if job is not None:
+                error = work(job)
+                # an interrupt, unlike an item's error, stops the caller at once
+                if error is not None and not isinstance(error, Exception):
+                    raise error
+            elif error is not None:
+                raise error
+            else:
+                yield result
+    finally:
+        with cond:
+            stopped = True
+            cond.notify_all()
+
+
 def _estimate(spec, outcomes) -> tuple[float, float, float, float]:
     """Success fraction of the boolean trial outcomes, its standard error and Wilson interval."""
     successes = int(sum(outcomes))
@@ -407,35 +531,55 @@ def _scaling_record(spec, point, degrees) -> DegreeScalingRecord:
     )
 
 
-# kind: (trial, aggregator, {spec field the kind reads: (its JSON key, *shape)}).
-# A points shape is the ModelParams arguments every point shares and the JSON
-# keys of the rest: an edge-prob point is an (m, p) pair at two vertices.
+# kind: (trial, its raw words per stream, aggregator, {spec field the kind
+# reads: (its JSON key, *shape)}).  A points shape is the ModelParams
+# arguments every point shares and the JSON keys of the rest: an edge-prob
+# point is an (m, p) pair at two vertices.
 _SWEEP = {"n_values": ("n",), "alphas": ("alpha",), "m_rule": ("m_rule",)}
 _KINDS = {
-    "edge-prob": (_pair_trial, _edge_record, {"points": ("points", (2,), ("m", "p"))}),
-    "connectivity-sweep": (sample_connected, _connectivity_record, _SWEEP),
-    "degree-dist": (_degree_trial, _dist_record, {"points": ("points", (), ("n", "m", "p"))}),
-    "degree-scaling": (_degree_trial, _scaling_record, {**_SWEEP, "c": ("c",)}),
+    "edge-prob": (
+        _pair_trial, _row_words, _edge_record, {"points": ("points", (2,), ("m", "p"))}
+    ),
+    "connectivity-sweep": (sample_connected, _row_words, _connectivity_record, _SWEEP),
+    "degree-dist": (
+        _degree_trial, _degree_words, _dist_record, {"points": ("points", (), ("n", "m", "p"))}
+    ),
+    "degree-scaling": (_degree_trial, _degree_words, _scaling_record, {**_SWEEP, "c": ("c",)}),
 }
 EXPERIMENT_KINDS = tuple(_KINDS)
 
 
-def run_experiment(spec: ExperimentSpec, map_fn=map) -> ExperimentResult:
+def run_experiment(spec: ExperimentSpec, map_fn=None) -> ExperimentResult:
     """Run each point of `spec.grid` through the kind's _KINDS trial and aggregator.
 
     The grid, (ModelParams, *labels) per point, was resolved and checked when
-    the spec was built.  A point's trial seeds reach `map_fn` as a lazy
-    map of derive_trial_seed over the trial indices, so no seed list is
-    built for any trial count; `map_fn` must keep seed order, as
-    ThreadPoolExecutor.map does.  The aggregator folds the results as
-    `map_fn` yields them.
+    the spec was built.  A point's trials run in chunks of up to 64: a
+    chunk function takes the index of its first trial and returns its
+    trials' results in trial order, and the starts reach `map_fn` as one
+    lazy range per point, so no list of starts or seeds is built for any
+    trial count.  `map_fn` must keep the order of the starts, as
+    ThreadPoolExecutor.map does.  The aggregator folds the results as the
+    chunks arrive.
+
+    Without `map_fn`, a point whose trials draw at least 8192 raw words per
+    stream on average, (m + n - 1) / 2 for the degree kinds and m for the
+    others, runs its chunks on one thread per usable core (the process's
+    affinity mask, as ``taskset`` sets it); every other point runs them in
+    turn on the calling thread.
     """
-    trial, aggregate, _ = _KINDS[spec.kind]
+    trial, words, aggregate, _ = _KINDS[spec.kind]
+    workers = _usable_cores()
     records = []
     for grid_index, point in enumerate(spec.grid):
-        seeds = map(partial(derive_trial_seed, spec.master_seed, grid_index), range(spec.trials))
-        results = map_fn(partial(trial, point[0]), seeds)
-        records.append(aggregate(spec, point, results))
+        chunk = partial(_chunk, trial, point[0], spec.master_seed, grid_index, spec.trials)
+        starts = range(0, spec.trials, _CHUNK)
+        if map_fn is not None:
+            chunks = map_fn(chunk, starts)
+        elif workers > 1 and words(point[0]) >= _THREADED_WORDS:
+            chunks = _threaded_map(chunk, starts, workers)
+        else:
+            chunks = map(chunk, starts)
+        records.append(aggregate(spec, point, chain.from_iterable(chunks)))
     return ExperimentResult(spec=spec, records=tuple(records))
 
 

@@ -15,11 +15,11 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
 
+import riglab.montecarlo
 from riglab import (
     EXPERIMENT_KINDS,
     ExperimentSpec,
@@ -259,13 +259,13 @@ _SCHEDULE_SPECS = {
 }
 
 
-def _reversed_map(func, seeds):
-    items = list(enumerate(seeds))
+def _reversed_map(func, starts):
+    items = list(enumerate(starts))
     done = {i: func(s) for i, s in reversed(items)}
     return [done[i] for i in range(len(items))]
 
 
-def test_deterministic_outputs_across_schedules(capsys):
+def test_deterministic_outputs_across_schedules(capsys, monkeypatch):
     specs = [
         ExperimentSpec(kind=kind, trials=1000, master_seed=41, **_SCHEDULE_SPECS[kind])
         for kind in EXPERIMENT_KINDS
@@ -278,10 +278,11 @@ def test_deterministic_outputs_across_schedules(capsys):
     start = time.perf_counter()
     sequential = reports(map)
     # spawned workers start from a fresh import; forking this process, whose
-    # numpy already runs threads, is unsafe and warns from Python 3.12 on
+    # numpy already runs threads, is unsafe and warns from Python 3.12 on.
+    # Each of a point's 16 chunks of 64 trials is one task
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as processes:
-        schedules = {"2-process pool": reports(partial(processes.map, chunksize=64))}
+        schedules = {"2-process pool": reports(processes.map)}
     schedules["rerun"] = reports(map)
     schedules["reversed schedule"] = reports(_reversed_map)
     # a tiny switch interval makes threads interleave inside a trial, so any
@@ -291,6 +292,11 @@ def test_deterministic_outputs_across_schedules(capsys):
     try:
         with ThreadPoolExecutor(max_workers=4) as threads:
             schedules["4-thread pool"] = reports(threads.map)
+        # run_experiment's own runner on 4 threads at every point, whatever
+        # the point's stream length and the host's core count
+        monkeypatch.setattr(riglab.montecarlo, "_THREADED_WORDS", 0)
+        monkeypatch.setattr(riglab.montecarlo, "_usable_cores", lambda: 4)
+        schedules["default threaded runner"] = reports(None)
     finally:
         sys.setswitchinterval(interval)
     elapsed = time.perf_counter() - start

@@ -7,12 +7,15 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import riglab.cli
 import riglab.model
+import riglab.montecarlo
 from riglab import (
     ModelParams,
     parse_assignment,
@@ -418,6 +421,46 @@ def test_out_of_memory_exit_2(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: ")
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_trial_error_on_a_helper_thread_exits_2(tmp_path, monkeypatch, capsys):
+    # every point runs on three threads; trials fail on the helpers only, and
+    # a trial on the calling thread waits until one has failed
+    failed = threading.Event()
+
+    def fails_on_helpers(params, seed):
+        if threading.current_thread() is threading.main_thread():
+            assert failed.wait(timeout=60)
+            return 0
+        failed.set()
+        raise ValueError(f"no degree on a helper thread (n={params.n})")
+
+    monkeypatch.setattr(riglab.montecarlo, "sample_degree", fails_on_helpers)
+    monkeypatch.setattr(riglab.montecarlo, "_THREADED_WORDS", 0)
+    monkeypatch.setattr(riglab.montecarlo, "_usable_cores", lambda: 3)
+    payload = {"kind": "degree-scaling", "trials": 8 * 64, "master_seed": 2,
+               "n": [40], "alpha": [0.5], "c": 0.5}
+    with pytest.raises(ValueError, match=r"^no degree on a helper thread \(n=40\)$"):
+        riglab.montecarlo.run_experiment(riglab.montecarlo.ExperimentSpec.from_dict(payload))
+    spec_path = _write_spec(tmp_path, payload)
+    code, out, err = run_cli(
+        ["degree-scaling", "--spec", spec_path, "--out", str(tmp_path / "x")], capsys
+    )
+    assert (code, out, err) == (2, "", "error: no degree on a helper thread (n=40)\n")
+    assert not list(tmp_path.glob("x.*"))
+
+
+def test_interrupt_exits_130_without_a_report(tmp_path, monkeypatch, capsys):
+    def interrupted(spec):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(riglab.cli, "run_experiment", interrupted)
+    spec_path = _write_spec(tmp_path, {"kind": "edge-prob", "trials": 5, "master_seed": 0,
+                                       "points": [{"m": 2, "p": 0.5}]})
+    code, out, err = run_cli(["sweep", "--spec", spec_path, "--out", str(tmp_path / "x")], capsys)
+    assert (code, out) == (130, "")
+    assert err.startswith("interrupted") and err.count("\n") == 1
+    assert not list(tmp_path.glob("x.*"))
 
 
 def test_bad_grid_point_rejected_before_sampling(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from riglab import (
     ExperimentSpec,
     degree_pmf,
     derive_trial_seed,
+    pair_adjacent,
     project,
     q_exact,
     run_experiment,
@@ -24,6 +26,7 @@ from riglab import (
     wilson_interval,
 )
 import riglab.model
+import riglab.montecarlo
 from riglab.model import ModelParams
 
 from oracles import (
@@ -227,36 +230,82 @@ def test_edge_prob_coverage_over_many_master_seeds():
 
 # ----------------------------------------------------------------- scheduling
 
-def test_trial_seeds_reach_map_fn_lazily_in_trial_order():
-    # two grid points, each handing map_fn one iterator over all its seeds;
-    # the count crosses two 1024-trial boundaries, where a seed source cut
-    # into pieces would show its seams
+def test_chunk_starts_reach_map_fn_as_one_lazy_range_per_point():
+    # two grid points, each handing map_fn one range of chunk starts; the
+    # count crosses 64-trial chunk seams and two 1024-trial boundaries, and
+    # the last chunk holds the 3 trials left over
     trials = 2 * 1024 + 3
     spec = ExperimentSpec(kind="edge-prob", trials=trials, master_seed=5, points=((1, 0.5), (2, 0.5)))
-    seen = []
+    seen, results = [], []
 
-    def recording_map(func, seeds):
-        assert iter(seeds) is seeds
-        seen.append(list(seeds))
-        return map(func, seen[-1])
+    def recording_map(func, starts):
+        seen.append(starts)
+        results.append([func(start) for start in starts])
+        return iter(results[-1])
 
-    assert run_experiment(spec, map_fn=recording_map) == run_experiment(spec)
-    assert seen == [[derive_trial_seed(5, g, t) for t in range(trials)] for g in (0, 1)]
+    assert run_experiment(spec, map_fn=recording_map) == run_experiment(spec, map_fn=map)
+    assert seen == [range(0, trials, 64)] * 2
+    assert all(type(starts) is range for starts in seen)
+    for g, ((params,), chunks) in enumerate(zip(spec.grid, results)):
+        assert [len(chunk) for chunk in chunks] == [64] * 32 + [3]
+        per_trial = [
+            pair_adjacent(sample_assignment(params, derive_trial_seed(5, g, t)), 0, 1)
+            for t in range(trials)
+        ]
+        assert [hit for chunk in chunks for hit in chunk] == per_trial
 
 
-def test_trial_seeds_are_never_listed_even_at_2_to_the_64_trials():
+def test_threaded_runner_yields_every_result_in_item_order():
+    # the last item is the slowest, so the caller often reaches it while a
+    # helper still computes it; ending early there would drop it
+    def square(i):
+        time.sleep(0.02 if i == count - 1 else 0.0005 * (i % 3))
+        return i * i
+
+    for workers in (1, 2, 3, 4, 8):
+        for count in (0, 1, 7, 50):
+            runner = riglab.montecarlo._threaded_map(square, range(count), workers)
+            assert list(runner) == [i * i for i in range(count)]
+
+
+def test_no_list_of_starts_or_seeds_is_built_even_at_2_to_the_64_trials(monkeypatch):
     spec = ExperimentSpec(kind="edge-prob", trials=2**64, master_seed=8, points=((1, 0.5),))
+    (params,) = spec.grid[0]
 
     class Enough(Exception):
         pass
 
-    def first_three(func, seeds):
-        for t, seed in zip(range(3), seeds):
-            assert seed == derive_trial_seed(8, 0, t)
+    def first_three(func, starts):
+        assert starts == range(0, 2**64, 64)
+        for start in starts[:3]:
+            assert func(start) == [
+                pair_adjacent(sample_assignment(params, derive_trial_seed(8, 0, t)), 0, 1)
+                for t in range(start, start + 64)
+            ]
         raise Enough
 
     with pytest.raises(Enough):
         run_experiment(spec, map_fn=first_three)
+    # the default runner takes chunks lazily too, on threads as well as serially
+    degree = ExperimentSpec(
+        kind="degree-scaling", trials=2**64, master_seed=8, n_values=(40,), alphas=(0.5,), c=0.5
+    )
+    calls = []
+
+    def bounded(params, seed):
+        calls.append(seed)
+        if len(calls) == 1000:
+            raise Enough
+        return 0
+
+    monkeypatch.setattr(riglab.montecarlo, "sample_degree", bounded)
+    for threshold in (0, math.inf):
+        calls.clear()
+        monkeypatch.setattr(riglab.montecarlo, "_THREADED_WORDS", threshold)
+        monkeypatch.setattr(riglab.montecarlo, "_usable_cores", lambda: 3)
+        with pytest.raises(Enough):
+            run_experiment(degree)
+        assert len(calls) < 1000 + 6 * 64
 
 
 # --------------------------------------------------------------- connectivity
