@@ -21,9 +21,10 @@ import math
 import os
 import struct
 import threading
+from collections import deque
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -392,86 +393,52 @@ def _usable_cores() -> int:
 
 
 def _threaded_map(func, items, workers: int):
-    """Yield func(item) for each item, in order, computed on `workers` threads.
+    """Yield func(item) for each item, in order, computed on `workers` daemon threads.
 
-    The calling thread is one of them: while the result it must yield next
-    is not ready, it computes the next item itself.  Items are taken in
-    order, and at most 2 * workers ahead of the one to yield next, so any
-    iterable of items is read lazily.  When an item raises an Exception, it
-    is raised here in its turn, so the first failure in item order is the
-    one seen; a KeyboardInterrupt in the caller is raised at once.  Helpers
-    are daemon threads that take no new item once the caller has stopped
-    iterating, for whatever reason.
+    The calling thread hands out (slot, item) jobs on one queue and waits on
+    the slots, one-shot queues of (exception or None, result), in item
+    order.  Items are taken in order, and a job is added only while fewer
+    than 2 * workers items are taken and not yet yielded, so any iterable
+    of items is read lazily.  An item's exception is raised here in its
+    turn, so the first failure in item order is the one seen; a
+    KeyboardInterrupt in the caller is raised at once.  Once the caller
+    stops iterating, for whatever reason, the helpers skip the jobs still
+    queued and end at their sentinels.
     """
-    items = iter(items)
-    cond = threading.Condition()
-    done = {}  # item index: (exception or None, result)
-    taken = wanted = 0  # items handed out; the index to yield next
-    exhausted = stopped = False
+    import queue  # here, not at the top: `import riglab` need not load it
 
-    def take():
-        """The next (index, item) when one may be taken now, else None; called holding cond."""
-        nonlocal taken, exhausted
-        if stopped or exhausted or taken >= wanted + 2 * workers:
-            return None
-        for item in items:  # at most one turn: the next item, if any
-            taken += 1
-            return taken - 1, item
-        exhausted = True
-        return None
-
-    def work(job):
-        """Compute one item and file its outcome; return the exception it raised, if any."""
-        index, item = job
-        try:
-            outcome = (None, func(item))
-        except BaseException as exc:
-            outcome = (exc, None)
-        with cond:
-            done[index] = outcome
-            cond.notify_all()
-        return outcome[0]
+    jobs = queue.SimpleQueue()
+    stopped = False
 
     def helper() -> None:
-        while True:
-            with cond:
-                job = take()
-                while job is None and not (stopped or exhausted):
-                    cond.wait()
-                    job = take()
-            if job is None:
-                return
-            work(job)
+        for slot, item in iter(jobs.get, None):
+            if stopped:
+                continue
+            try:
+                outcome = (None, func(item))
+            except BaseException as exc:
+                outcome = (exc, None)
+            slot.put(outcome)
 
-    for _ in range(workers - 1):
-        threading.Thread(target=helper, daemon=True).start()
+    items = iter(items)
+    slots = deque()
     try:
+        for _ in range(workers):
+            threading.Thread(target=helper, daemon=True).start()
         while True:
-            with cond:
-                job = None
-                while wanted not in done and job is None:
-                    job = take()
-                    if job is None:
-                        if exhausted and wanted == taken:
-                            return
-                        cond.wait()
-                if job is None:
-                    error, result = done.pop(wanted)
-                    wanted += 1
-                    cond.notify_all()
-            if job is not None:
-                error = work(job)
-                # an interrupt, unlike an item's error, stops the caller at once
-                if error is not None and not isinstance(error, Exception):
-                    raise error
-            elif error is not None:
+            for item in islice(items, 2 * workers - len(slots)):
+                slots.append(queue.SimpleQueue())
+                jobs.put((slots[-1], item))
+            if not slots:
+                return
+            error, result = slots.popleft().get()
+            if error is not None:
                 raise error
-            else:
-                yield result
+            yield result
     finally:
-        with cond:
-            stopped = True
-            cond.notify_all()
+        stopped = True
+        for _ in range(workers):
+            jobs.put(None)
 
 
 def _estimate(spec, outcomes) -> tuple[float, float, float, float]:
@@ -563,9 +530,10 @@ def run_experiment(spec: ExperimentSpec, map_fn=None) -> ExperimentResult:
 
     Without `map_fn`, a point whose trials draw at least 8192 raw words per
     stream on average, (m + n - 1) / 2 for the degree kinds and m for the
-    others, runs its chunks on one thread per usable core (the process's
-    affinity mask, as ``taskset`` sets it); every other point runs them in
-    turn on the calling thread.
+    others, runs its chunks on one daemon helper per usable core (the
+    process's affinity mask, as ``taskset`` sets it), the calling thread
+    waiting, at most 2 * workers chunks in flight; every other point runs
+    them in turn on the calling thread.
     """
     trial, words, aggregate, _ = _KINDS[spec.kind]
     workers = _usable_cores()

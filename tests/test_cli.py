@@ -4,10 +4,12 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -424,15 +426,9 @@ def test_out_of_memory_exit_2(tmp_path, capsys):
 
 
 def test_trial_error_on_a_helper_thread_exits_2(tmp_path, monkeypatch, capsys):
-    # every point runs on three threads; trials fail on the helpers only, and
-    # a trial on the calling thread waits until one has failed
-    failed = threading.Event()
-
+    # every point runs on three helper threads, and its trials fail there
     def fails_on_helpers(params, seed):
-        if threading.current_thread() is threading.main_thread():
-            assert failed.wait(timeout=60)
-            return 0
-        failed.set()
+        assert threading.current_thread() is not threading.main_thread()
         raise ValueError(f"no degree on a helper thread (n={params.n})")
 
     monkeypatch.setattr(riglab.montecarlo, "sample_degree", fails_on_helpers)
@@ -460,6 +456,32 @@ def test_interrupt_exits_130_without_a_report(tmp_path, monkeypatch, capsys):
     code, out, err = run_cli(["sweep", "--spec", spec_path, "--out", str(tmp_path / "x")], capsys)
     assert (code, out) == (130, "")
     assert err.startswith("interrupted") and err.count("\n") == 1
+    assert not list(tmp_path.glob("x.*"))
+
+
+def test_sigint_on_the_threaded_runner_exits_130_without_a_report(tmp_path):
+    # m = 2**59 - 1 makes every degree trial draw until it is stopped, on
+    # three helper threads whatever the host's core count
+    spec_path = _write_spec(tmp_path, {"kind": "degree-dist", "trials": 64, "master_seed": 0,
+                                       "points": [{"n": 4, "m": 2**59 - 1, "p": 0.5}]})
+    script = (
+        "import sys, riglab.cli, riglab.montecarlo\n"
+        "riglab.montecarlo._usable_cores = lambda: 3\n"
+        "print('ready', file=sys.stderr, flush=True)\n"
+        "sys.exit(riglab.cli.main(sys.argv[1:]))\n"
+    )
+    argv = ["degree-dist", "--spec", spec_path, "--out", str(tmp_path / "x")]
+    with subprocess.Popen([sys.executable, "-c", script, *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as proc:
+        try:
+            assert proc.stderr.readline() == "ready\n"
+            time.sleep(0.5)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=10)
+        finally:
+            proc.kill()
+    assert (proc.returncode, out) == (130, "")
+    assert err.endswith("interrupted\n")
     assert not list(tmp_path.glob("x.*"))
 
 

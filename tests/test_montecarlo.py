@@ -1,6 +1,8 @@
 import math
 import re
+import threading
 import time
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -258,14 +260,39 @@ def test_chunk_starts_reach_map_fn_as_one_lazy_range_per_point():
 def test_threaded_runner_yields_every_result_in_item_order():
     # the last item is the slowest, so the caller often reaches it while a
     # helper still computes it; ending early there would drop it
+    computed = []
+
     def square(i):
+        computed.append(i)
         time.sleep(0.02 if i == count - 1 else 0.0005 * (i % 3))
+        if i == fails_at:
+            raise ValueError(i)
         return i * i
 
+    # (item count, how the caller stops, k: the items it takes before that)
+    cases = [(count, "end", count) for count in (0, 1, 7, 50)]
+    cases += [(50, "close", k) for k in (1, 20)] + [(7, "raise", 6)]
+    cases += [(50, "raise", k) for k in (0, 20)]
+    threads = threading.active_count()
     for workers in (1, 2, 3, 4, 8):
-        for count in (0, 1, 7, 50):
+        for count, stop, k in cases:
+            computed.clear()
+            fails_at = k if stop == "raise" else None
             runner = riglab.montecarlo._threaded_map(square, range(count), workers)
-            assert list(runner) == [i * i for i in range(count)]
+            assert list(islice(runner, k)) == [i * i for i in range(k)]
+            if stop == "close":
+                runner.close()
+            elif stop == "raise":
+                with pytest.raises(ValueError, match=f"^{k}$"):
+                    next(runner)
+            else:
+                assert next(runner, None) is None
+            assert len(computed) <= k + 2 * workers, (workers, count, stop, k)
+            # every helper ends once the caller stops, however it stops
+            deadline = time.monotonic() + 5
+            while threading.active_count() > threads and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert threading.active_count() == threads, (workers, count, stop, k)
 
 
 def test_no_list_of_starts_or_seeds_is_built_even_at_2_to_the_64_trials(monkeypatch):
