@@ -179,6 +179,17 @@ class IntersectionGraph:
             raise ValueError(f"edge {edge!r} is not canonical for n={self.n}")
 
 
+def _unchecked(cls, **values):
+    """An instance of the frozen dataclass `cls` with these field values, its ``__post_init__`` not run.
+
+    Only for values valid by construction: the public constructors and the
+    ``# rig`` readers keep every check.
+    """
+    instance = object.__new__(cls)
+    instance.__dict__.update(values)  # what the frozen __init__ sets, minus the check
+    return instance
+
+
 def vertex_substream(
     seed: int, index: int, *, bit_generator: np.random.Philox | None = None
 ) -> np.random.Generator:
@@ -198,30 +209,41 @@ def vertex_substream(
     that key.  A fresh Philox makes the stream independent of every other
     call; a passed-in one saves the cost of building a bit generator, but the
     stream lasts only until that Philox is reseated again.  The samplers here
-    reuse one Philox per thread this way.
+    reuse one Philox per thread this way; handed that Philox, this returns
+    the thread's one Generator on it instead of building another.
     """
     if bit_generator is None:
         bit_generator = np.random.Philox(key=0)
-    bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZERO4, "key": (seed & _MASK64, index & _MASK64)},
-        "buffer": _ZERO4,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    per_thread = _PER_THREAD
+    per_thread.key_state["key"] = (seed & _MASK64, index & _MASK64)
+    bit_generator.state = per_thread.reseat
+    if bit_generator is per_thread.philox:
+        return per_thread.generator
     return np.random.Generator(bit_generator)
 
 
 class _PerThread(threading.local):
-    """Each thread's reusable Philox: ``__init__`` runs once in each thread that reads it.
+    """Each thread's reusable Philox, the one Generator on it, and its reseat state.
 
-    One per thread, because a reseated stream is only valid until the next
-    reseat and trials may run on a thread pool.
+    ``__init__`` runs once in each thread that reads them.  One per thread,
+    because a reseated stream is only valid until the next reseat and trials
+    may run on a thread pool.  ``reseat`` is the Philox state at counter 0
+    with the output buffer empty; ``vertex_substream`` writes the key into
+    ``key_state`` and assigns it, and the Philox copies the values out.
     """
 
     def __init__(self) -> None:
         self.philox = np.random.Philox(key=0)
+        self.generator = np.random.Generator(self.philox)
+        self.key_state = {"counter": _ZERO4, "key": (0, 0)}
+        self.reseat = {
+            "bit_generator": "Philox",
+            "state": self.key_state,
+            "buffer": _ZERO4,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
 
 _PER_THREAD = _PerThread()
@@ -242,39 +264,43 @@ def _raw_limit(p: float) -> np.uint64 | None:
     return np.uint64(math.ceil(p * 2**53) << 11) if p < 1.0 else None
 
 
-def _below(stream: np.random.Generator, count: int, limit: np.uint64 | None) -> np.ndarray:
+def _below(bit_generator: np.random.Philox, count: int, limit: np.uint64 | None) -> np.ndarray:
     """Whether each of the stream's next `count` uniforms falls below p, for limit = _raw_limit(p).
 
-    Only raw words are drawn, and none when every uniform is below p.
+    The stream is the reseated `bit_generator`, read as raw words: no
+    Generator takes part.  None are drawn when every uniform is below p.
     """
     if limit is None:
         return np.ones(count, dtype=bool)
-    return stream.bit_generator.random_raw(count) < limit
+    return bit_generator.random_raw(count) < limit
 
 
 def _object_rows(params: ModelParams, seed: int):
     """Yield each vertex's attached objects, in vertex order, as an intp index array.
 
-    Vertex v reads its m uniforms from ``vertex_substream(seed, v)``; object w
-    is attached when the w-th uniform falls below p, which ``_below`` decides
-    on the raw words.  Each row is drawn in full before it is yielded, so a
-    suspended generator holds no stream state that a later reseat of the
-    thread's Philox could disturb.
+    Vertex v reads its m uniforms from ``vertex_substream(seed, v)``, reseated
+    on the thread's Philox; object w is attached when the w-th uniform falls
+    below p, which ``_below`` decides on that Philox's raw words.  Each row is
+    drawn in full before it is yielded, so a suspended generator holds no
+    stream state that a later reseat of the thread's Philox could disturb.
     """
     philox = _PER_THREAD.philox
     m, limit = params.m, _raw_limit(params.p)
     for v in range(params.n):
-        yield _below(vertex_substream(seed, v, bit_generator=philox), m, limit).nonzero()[0]
+        vertex_substream(seed, v, bit_generator=philox)
+        yield _below(philox, m, limit).nonzero()[0]
 
 
 def sample_assignment(params: ModelParams, seed: int) -> BipartiteAssignment:
     """Draw a bipartite attachment: each (vertex, object) pair kept with probability p.
 
     The rows come from ``_object_rows``, so the same seed with a larger p
-    attaches a superset of objects.
+    attaches a superset of objects.  Each row is the strictly increasing
+    in-range indices of a nonzero(), as Python ints, so the assignment is
+    built by ``_unchecked`` without the constructor's per-object check.
     """
     sets = tuple([tuple(row.tolist()) for row in _object_rows(params, seed)])
-    return BipartiteAssignment(params=params, sets=sets)
+    return _unchecked(BipartiteAssignment, params=params, sets=sets)
 
 
 def conditional_adjacency_prob(size: int, p: float) -> float:
@@ -288,16 +314,19 @@ def conditional_adjacency_prob(size: int, p: float) -> float:
     return -math.expm1(size * math.log1p(-p))
 
 
-def _count_below(stream: np.random.Generator, count: int, limit: np.uint64 | None) -> int:
+def _count_below(bit_generator: np.random.Philox, count: int, limit: np.uint64 | None) -> int:
     """How many of the stream's next `count` uniforms fall below p, for limit = _raw_limit(p).
 
-    The raw words are drawn in blocks of at most ``_BLOCK``; successive
-    blocks are the words one draw of `count` would give.  None are drawn
-    when every uniform is below p.
+    The stream is the reseated `bit_generator`, read as raw words in blocks
+    of at most ``_BLOCK``, one ``random_raw`` call when `count` fits in one;
+    successive blocks are the words one draw of `count` would give.  None are
+    drawn when every uniform is below p.
     """
     if limit is None:
         return count
-    draw = stream.bit_generator.random_raw
+    draw = bit_generator.random_raw
+    if count <= _BLOCK:
+        return int(np.count_nonzero(draw(count) < limit))
     return sum(
         int(np.count_nonzero(draw(min(_BLOCK, count - start)) < limit))
         for start in range(0, count, _BLOCK)
@@ -317,13 +346,13 @@ def sample_degree(params: ModelParams, seed: int) -> int:
     projected-graph degree law exactly.
     """
     philox = _PER_THREAD.philox
-    objects = vertex_substream(seed, 0, bit_generator=philox)
-    size = _count_below(objects, params.m, _raw_limit(params.p))
+    vertex_substream(seed, 0, bit_generator=philox)
+    size = _count_below(philox, params.m, _raw_limit(params.p))
     if params.n == 1 or size == 0:
         return 0
     share = conditional_adjacency_prob(size, params.p)
-    stream = vertex_substream(seed, params.n, bit_generator=philox)
-    return _count_below(stream, params.n - 1, _raw_limit(share))
+    vertex_substream(seed, params.n, bit_generator=philox)
+    return _count_below(philox, params.n - 1, _raw_limit(share))
 
 
 def pair_adjacent(assignment: BipartiteAssignment, i: int, j: int) -> bool:
@@ -344,7 +373,9 @@ def project(assignment: BipartiteAssignment) -> IntersectionGraph:
     """Project the bipartite attachment to the intersection graph.
 
     Uses an inverted object-to-owners index, so the cost is the sum of
-    squared object degrees rather than n**2 set intersections.
+    squared object degrees rather than n**2 set intersections.  The edges are
+    pairs of the assignment's checked vertex indices, canonical by
+    construction, so the graph is built by ``_unchecked``.
     """
     owners: list[list[int]] = [[] for _ in range(assignment.params.m)]
     for v, objects in enumerate(assignment.sets):
@@ -354,7 +385,7 @@ def project(assignment: BipartiteAssignment) -> IntersectionGraph:
     for vs in owners:
         # vertices were appended in increasing order, so pairs are canonical
         edges.update(combinations(vs, 2))
-    return IntersectionGraph(n=assignment.params.n, edges=frozenset(edges))
+    return _unchecked(IntersectionGraph, n=assignment.params.n, edges=frozenset(edges))
 
 
 def _rows_connected(params: ModelParams, lengths, objects: np.ndarray) -> bool:

@@ -60,6 +60,8 @@ __all__ = [
 
 # 97.5% standard normal quantile, fixed so intervals never depend on library versions
 _Z95 = 1.959963984540054
+# derive_trial_seed's byte layout, compiled once
+_SEED_TRIPLE = struct.Struct("<QQQ")
 
 
 def derive_trial_seed(master_seed: int, grid_index: int, trial_index: int) -> int:
@@ -70,8 +72,8 @@ def derive_trial_seed(master_seed: int, grid_index: int, trial_index: int) -> in
     contract; collisions across distinct triples are as unlikely as 64-bit
     hash collisions get.
     """
-    payload = struct.pack(
-        "<QQQ", master_seed & _MASK64, grid_index & _MASK64, trial_index & _MASK64
+    payload = _SEED_TRIPLE.pack(
+        master_seed & _MASK64, grid_index & _MASK64, trial_index & _MASK64
     )
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return int.from_bytes(digest, "little")

@@ -27,7 +27,7 @@ from riglab import (
     vertex_substream,
 )
 
-from riglab.model import _below, _raw_limit
+from riglab.model import _PER_THREAD, _below, _raw_limit
 
 from oracles import pairwise_project, philox4x64_raw, reachability_connected
 
@@ -133,13 +133,18 @@ def test_substream_matches_independent_philox(seed, index):
     _assert_follows_independent_philox(lambda: vertex_substream(seed, index), seed, index)
 
 
-@pytest.mark.parametrize("leftover", ["fresh", "mid-buffer", "after-uint32"])
+@pytest.mark.parametrize("leftover", ["fresh", "mid-buffer", "after-uint32", "thread-philox"])
 @pytest.mark.parametrize("index", [0, 1, 7, 1600])  # 1600: sample_degree's reserved index at n=1600
 @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 + 3, -5])
 def test_reseated_substream_matches_fresh_philox(seed, index, leftover):
     # a passed-in Philox's buffer, counter and pending uint32 must all be dropped,
-    # so the stream is the independent oracle's words for a fresh key
+    # so the stream is the independent oracle's words for a fresh key; handed the
+    # thread's own Philox, the thread's one Generator must draw on it
     def reseated():
+        if leftover == "thread-philox":
+            philox = _PER_THREAD.philox
+            np.random.Generator(philox).random(3)
+            return vertex_substream(seed, index, bit_generator=philox)
         philox = np.random.Philox(key=12345)
         if leftover == "mid-buffer":
             np.random.Generator(philox).random(3)
@@ -166,10 +171,9 @@ _EDGE_PS = [0.0, 5e-324, 1e-300, 2**-53, 0.3, 0.5, 1 - 2**-53, 1.0]
 
 
 class _RawWords:
-    """A stand-in stream whose bit generator hands out the given raw words."""
+    """A stand-in bit generator that hands out the given raw words."""
 
     def __init__(self, words):
-        self.bit_generator = self
         self.words = np.array(words, dtype=np.uint64)
 
     def random_raw(self, count):
@@ -191,9 +195,12 @@ def test_raw_compare_matches_the_uniform_compare_at_the_bound(p):
 @pytest.mark.parametrize("seed", [11, 2**64 - 1])
 def test_object_rows_follow_independent_philox(seed, p):
     # vertex v attaches object w exactly when the w-th uniform of stream (seed, v)
-    # is below p, whatever n is
+    # is below p, whatever n is; sample_assignment skips the constructor's check,
+    # so the validating constructor must take its sets as they are (exact ints)
     for n in (3, 10):
-        for v, objects in enumerate(sample_assignment(ModelParams(n, 13, p), seed).sets):
+        a = sample_assignment(ModelParams(n, 13, p), seed)
+        assert BipartiteAssignment(a.params, a.sets) == a
+        for v, objects in enumerate(a.sets):
             uniforms = [_uniform(w) for w in philox4x64_raw(seed, v, 13)]
             assert list(objects) == [w for w, u in enumerate(uniforms) if u < p]
 
