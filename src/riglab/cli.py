@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage or domain error, 3 I/O error, 130 interrupted
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -49,9 +50,17 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _refuse_directories(*paths) -> None:
+    """Raise the error open() would give for the first of `paths` (None is stdout) that is a directory."""
+    for path in paths:
+        if path is not None and os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def cmd_gen(args) -> int:
     params = ModelParams(n=args.n, m=args.m, p=args.p)
     seed = _env_seed() if args.seed is None else args.seed
+    _refuse_directories(args.out, args.assignment_out)
     assignment = sample_assignment(params, seed)
     graph = project(assignment)
     if args.format == "edgelist":
@@ -225,13 +234,12 @@ def _cmd_experiment(args) -> int:
             f"spec kind {spec.kind!r} does not belong to this subcommand "
             f"(expected one of {allowed_kinds})"
         )
+    csv_path, json_path, svg_path = args.out + ".csv", args.out + ".json", args.out + ".svg"
+    _refuse_directories(csv_path, json_path, svg_path if args.svg else None)
     result = run_experiment(spec)
-    csv_path = args.out + ".csv"
-    json_path = args.out + ".json"
     write_outputs(result, csv_path, json_path)
     written = [csv_path, json_path]
     if args.svg:
-        svg_path = args.out + ".svg"
         _write_text(svg_path, render_chart(result))
         written.append(svg_path)
     for path in written:

@@ -10,6 +10,7 @@ projecting, and the plain-text exchange formats.
 Every draw is made here.  One per-vertex loop, ``_object_rows``, draws
 every attachment row, and ``sample_degree`` counts vertex 0's attachments
 on the same stream and its adjacencies on the reserved stream n.  One
+function, ``_below``, holds the raw-word compare that decides them all.  One
 routine, ``_rows_connected``, reads connectivity off such rows, flattened,
 on numpy alone.  ``sample_connected`` stops at the first vertex with no
 objects (that vertex is isolated) and samples no vertex after it.
@@ -269,6 +270,8 @@ def _below(bit_generator: np.random.Philox, count: int, limit: np.uint64 | None)
 
     The stream is the reseated `bit_generator`, read as raw words: no
     Generator takes part.  None are drawn when every uniform is below p.
+    This is the package's only raw-word compare: attachment rows and
+    degree counts alike are decided here.
     """
     if limit is None:
         return np.ones(count, dtype=bool)
@@ -317,20 +320,19 @@ def conditional_adjacency_prob(size: int, p: float) -> float:
 def _count_below(bit_generator: np.random.Philox, count: int, limit: np.uint64 | None) -> int:
     """How many of the stream's next `count` uniforms fall below p, for limit = _raw_limit(p).
 
-    The stream is the reseated `bit_generator`, read as raw words in blocks
-    of at most ``_BLOCK``, one ``random_raw`` call when `count` fits in one;
-    successive blocks are the words one draw of `count` would give.  None are
-    drawn when every uniform is below p.
+    Each block of at most ``_BLOCK`` raw words is decided by ``_below``, one
+    ``random_raw`` call when `count` fits in one block; successive blocks
+    are the words one draw of `count` would give.  None are drawn when every
+    uniform is below p.
     """
     if limit is None:
         return count
-    draw = bit_generator.random_raw
-    if count <= _BLOCK:
-        return int(np.count_nonzero(draw(count) < limit))
-    return sum(
-        int(np.count_nonzero(draw(min(_BLOCK, count - start)) < limit))
-        for start in range(0, count, _BLOCK)
-    )
+    if count > _BLOCK:
+        return sum(
+            _count_below(bit_generator, min(_BLOCK, count - start), limit)
+            for start in range(0, count, _BLOCK)
+        )
+    return int(np.count_nonzero(_below(bit_generator, count, limit)))
 
 
 def sample_degree(params: ModelParams, seed: int) -> int:
@@ -363,10 +365,7 @@ def pair_adjacent(assignment: BipartiteAssignment, i: int, j: int) -> bool:
             raise ValueError(f"vertex index {v!r} outside [0, {n})")
     if i == j:
         raise ValueError(f"adjacency is undefined for a vertex with itself (i=j={i})")
-    a, b = assignment.sets[i], assignment.sets[j]
-    if len(b) < len(a):
-        a, b = b, a
-    return not set(b).isdisjoint(a)
+    return not set(assignment.sets[i]).isdisjoint(assignment.sets[j])
 
 
 def project(assignment: BipartiteAssignment) -> IntersectionGraph:

@@ -618,6 +618,38 @@ def test_unwritable_output_exit_3(argv, tmp_path, monkeypatch, capsys):
     assert err.startswith("i/o error: [Errno 20] Not a directory")
 
 
+_SWEEP_X = ["sweep", "--spec", "spec.json", "--out", "x"]
+
+
+@pytest.mark.parametrize(
+    ("argv", "directory", "older"),
+    [
+        (_SWEEP_X, "x.json", {}),
+        (_SWEEP_X, "x.json", {"x.csv": b"# an older report\n"}),
+        (_SWEEP_X + ["--svg"], "x.svg", {}),
+        (["gen", "--n", "4", "--m", "3", "--p", "0.5", "--out", "g.txt",
+          "--assignment-out", "a.txt"], "a.txt", {}),
+    ],
+    ids=["sweep-json", "sweep-json-older-csv", "sweep-svg", "gen-assignment-out"],
+)
+def test_directory_output_exit_3_writes_nothing(argv, directory, older, tmp_path, monkeypatch,
+                                                capsys):
+    # a target that is a directory is refused before the first write, with
+    # the error open() would give, so no other target is created or changed
+    monkeypatch.chdir(tmp_path)
+    _write_spec(tmp_path, {"kind": "edge-prob", "trials": 5, "master_seed": 0,
+                           "points": [{"m": 2, "p": 0.5}]})
+    (tmp_path / directory).mkdir()
+    for name, data in older.items():
+        (tmp_path / name).write_bytes(data)
+    before = sorted(path.name for path in tmp_path.iterdir())
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (3, "", f"i/o error: [Errno 21] Is a directory: '{directory}'\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == before
+    for name, data in older.items():
+        assert (tmp_path / name).read_bytes() == data
+
+
 # ----------------------------------------------------------------- subprocess
 
 def test_module_invocation(tmp_path):

@@ -27,7 +27,7 @@ from riglab import (
     vertex_substream,
 )
 
-from riglab.model import _PER_THREAD, _below, _raw_limit
+from riglab.model import _BLOCK, _PER_THREAD, _below, _count_below, _raw_limit
 
 from oracles import pairwise_project, philox4x64_raw, reachability_connected
 
@@ -171,14 +171,16 @@ _EDGE_PS = [0.0, 5e-324, 1e-300, 2**-53, 0.3, 0.5, 1 - 2**-53, 1.0]
 
 
 class _RawWords:
-    """A stand-in bit generator that hands out the given raw words."""
+    """A stand-in bit generator that hands out the given raw words, in turn, to successive draws."""
 
     def __init__(self, words):
         self.words = np.array(words, dtype=np.uint64)
+        self.drawn = 0
 
     def random_raw(self, count):
-        assert count == len(self.words)
-        return self.words
+        assert self.drawn + count <= len(self.words)
+        self.drawn += count
+        return self.words[self.drawn - count : self.drawn]
 
 
 @pytest.mark.parametrize("p", _EDGE_PS)
@@ -186,9 +188,15 @@ def test_raw_compare_matches_the_uniform_compare_at_the_bound(p):
     # the first word whose uniform is not below p, worked out in rationals
     limit = math.ceil(Fraction(p) * 2**53) * 2**11
     words = [w for w in (0, limit - 1, limit, limit + 1, 2**64 - 1) if 0 <= w < 2**64]
-    decided = _below(_RawWords(words), len(words), _raw_limit(p)).tolist()
-    assert decided == [_uniform(w) < p for w in words]
-    assert [_uniform(w) < p for w in words] == [w < limit for w in words]
+    below = [_uniform(w) < p for w in words]
+    assert _below(_RawWords(words), len(words), _raw_limit(p)).tolist() == below
+    assert below == [w < limit for w in words]
+    # the degree counts: within one block, and over two blocks with the
+    # bound words on both sides of the seam
+    assert _count_below(_RawWords(words), len(words), _raw_limit(p)) == sum(below)
+    stream = [0] * (_BLOCK - len(words)) + words + words
+    expected = sum(_uniform(w) < p for w in stream)
+    assert _count_below(_RawWords(stream), len(stream), _raw_limit(p)) == expected
 
 
 @pytest.mark.parametrize("p", _EDGE_PS)

@@ -295,6 +295,56 @@ def test_threaded_runner_yields_every_result_in_item_order():
             assert threading.active_count() == threads, (workers, count, stop, k)
 
 
+def test_threaded_runner_raises_a_helpers_base_exception_in_the_caller():
+    # an error that is not an Exception must reach the caller too; the map is
+    # consumed on a daemon thread, so a helper that lets the error escape
+    # fails this test in seconds rather than at the suite's time limit
+    class Stop(BaseException):
+        pass
+
+    def stop_at_1(i):
+        if i == 1:
+            raise Stop
+        return i
+
+    outcome = []
+
+    def consume():
+        try:
+            outcome.append(list(riglab.montecarlo._threaded_map(stop_at_1, range(4), 2)))
+        except Stop as exc:
+            outcome.append(exc)
+
+    consumer = threading.Thread(target=consume, daemon=True)
+    consumer.start()
+    consumer.join(10)
+    assert len(outcome) == 1 and isinstance(outcome[0], Stop)
+
+
+def test_threaded_runner_skips_the_items_queued_when_the_caller_stops():
+    # two helpers: item 0 fails, and items 1 and 2 hold both helpers until the
+    # caller has seen that failure, so item 3 is still queued when it stops
+    ran, release = [], threading.Event()
+
+    def func(i):
+        ran.append(i)
+        if i == 0:
+            raise ValueError(i)
+        if i in (1, 2):
+            release.wait(10)
+        return i
+
+    before = set(threading.enumerate())
+    with pytest.raises(ValueError, match="^0$"):
+        next(riglab.montecarlo._threaded_map(func, range(4), 2))
+    helpers = set(threading.enumerate()) - before
+    release.set()
+    for helper in helpers:
+        helper.join(10)
+    assert len(helpers) == 2 and not any(helper.is_alive() for helper in helpers)
+    assert sorted(ran) == [0, 1, 2]
+
+
 def test_no_list_of_starts_or_seeds_is_built_even_at_2_to_the_64_trials(monkeypatch):
     spec = ExperimentSpec(kind="edge-prob", trials=2**64, master_seed=8, points=((1, 0.5),))
     (params,) = spec.grid[0]
