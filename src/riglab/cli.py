@@ -27,7 +27,7 @@ from .analytics import (
     zeta_bound,
 )
 from .model import ModelParams, format_assignment, format_edgelist, project, sample_assignment
-from .montecarlo import ExperimentSpec, run_experiment, write_outputs
+from .montecarlo import ExperimentSpec, _write_all, run_experiment, write_outputs
 
 ENV_SEED = "RIG_LAB_SEED"
 
@@ -40,14 +40,6 @@ def _env_seed() -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
-
-
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
 
 
 def _refuse_directories(*paths) -> None:
@@ -77,9 +69,13 @@ def cmd_gen(args) -> int:
             "edges": [list(edge) for edge in sorted(graph.edges)],
         }
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    _write_text(args.out, text)
+    # the files are written all or none, and only then is stdout written
+    outputs = [(args.out, text)]
     if args.assignment_out is not None:
-        _write_text(args.assignment_out, format_assignment(assignment, seed))
+        outputs.append((args.assignment_out, format_assignment(assignment, seed)))
+    _write_all({path: body for path, body in outputs if path is not None})
+    if args.out is None:
+        sys.stdout.write(text)
     return 0
 
 
@@ -237,12 +233,9 @@ def _cmd_experiment(args) -> int:
     csv_path, json_path, svg_path = args.out + ".csv", args.out + ".json", args.out + ".svg"
     _refuse_directories(csv_path, json_path, svg_path if args.svg else None)
     result = run_experiment(spec)
-    write_outputs(result, csv_path, json_path)
-    written = [csv_path, json_path]
-    if args.svg:
-        _write_text(svg_path, render_chart(result))
-        written.append(svg_path)
-    for path in written:
+    chart = {svg_path: render_chart(result)} if args.svg else {}
+    write_outputs(result, csv_path, json_path, chart)
+    for path in [csv_path, json_path, *chart]:
         print(f"wrote {path}")
     return 0
 

@@ -9,7 +9,10 @@ projecting, and the plain-text exchange formats.
 
 Every draw is made here.  One per-vertex loop, ``_object_rows``, draws
 every attachment row, and ``sample_degree`` counts vertex 0's attachments
-on the same stream and its adjacencies on the reserved stream n.  One
+on the same stream and its adjacencies on the reserved stream n.
+``_pair_hits`` decides the two-vertex trials of many seeds at once: it
+computes their streams' raw words in one numpy pass of Philox4x64-10
+(``_PhiloxStreams``) rather than reseating a Philox per stream.  One
 function, ``_below``, holds the raw-word compare that decides them all.  One
 routine, ``_rows_connected``, reads connectivity off such rows, flattened,
 on numpy alone.  ``sample_connected`` stops at the first vertex with no
@@ -55,9 +58,19 @@ _FLOAT_MAX = sys.float_info.max
 # _rows_connected's labels, then has n + m < 2**60 eight-byte entries, which
 # numpy can address
 _MAX_SIZE = (1 << 59) - 1
-# the most raw words sample_degree asks of one random_raw call, so that a
-# trial's memory stays small at any n and m
+# the most raw words sample_degree asks of one random_raw call, and the most
+# four-word Philox blocks _pair_hits computes in one pass, so that a call's
+# memory stays small at any n and m
 _BLOCK = 8192
+# Philox4x64-10's round multipliers and key increments (Salmon et al., SC
+# 2011), one row per multiply of a round, and the 32-bit halves the
+# multiplies are done in
+_PHILOX_MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_BUMP = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_MUL_LOW = _PHILOX_MUL & _LOW32
+_MUL_HIGH = _PHILOX_MUL >> _SHIFT32
 _HEADER_RE = re.compile(
     r"^#\s*rig\s+n=(?P<n>\S+)\s+m=(?P<m>\S+)\s+p=(?P<p>\S+)\s+seed=(?P<seed>\S+)\s*$"
 )
@@ -265,17 +278,74 @@ def _raw_limit(p: float) -> np.uint64 | None:
     return np.uint64(math.ceil(p * 2**53) << 11) if p < 1.0 else None
 
 
-def _below(bit_generator: np.random.Philox, count: int, limit: np.uint64 | None) -> np.ndarray:
+def _below(bit_generator, count, limit: np.uint64 | None) -> np.ndarray:
     """Whether each of the stream's next `count` uniforms falls below p, for limit = _raw_limit(p).
 
-    The stream is the reseated `bit_generator`, read as raw words: no
-    Generator takes part.  None are drawn when every uniform is below p.
-    This is the package's only raw-word compare: attachment rows and
-    degree counts alike are decided here.
+    The stream is `bit_generator`'s, read as raw words: no Generator takes
+    part.  None are drawn when every uniform is below p.  This is the
+    package's only raw-word compare, and it has two callers: the thread's
+    reseated Philox, for attachment rows and degree counts, and
+    ``_pair_hits``'s ``_PhiloxStreams``, whose `count` is a (streams,
+    words) shape, for many two-vertex trials at once.
     """
     if limit is None:
         return np.ones(count, dtype=bool)
     return bit_generator.random_raw(count) < limit
+
+
+def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64-bit words of each row of `x` times that row's Philox multiplier.
+
+    numpy has no 128-bit product, so the high word is summed from the four
+    products of 32-bit halves, in sums that cannot wrap; the low word is
+    the wrapping 64-bit product.  Every operand is an array, since numpy
+    warns on a scalar that wraps.
+    """
+    low, high = x & _LOW32, x >> _SHIFT32
+    middle = high * _MUL_LOW
+    middle += (low * _MUL_LOW) >> _SHIFT32
+    carry = middle & _LOW32
+    carry += low * _MUL_HIGH
+    hi = high * _MUL_HIGH
+    hi += middle >> _SHIFT32
+    hi += carry >> _SHIFT32
+    return hi, x * _PHILOX_MUL
+
+
+class _PhiloxStreams:
+    """Philox4x64-10 streams at counter 0, one per column of `keys`, computed together in numpy.
+
+    `keys` is a (2, streams) uint64 array of (seed, index) pairs: the keys
+    ``vertex_substream`` gives its Philox.  ``random_raw((streams, count))``
+    returns each stream's first `count` raw words, one row per stream, bit
+    for bit the words that Philox would draw (numpy's Philox bumps its
+    counter before each four-word block, so the first block is counter 1).
+    Each (stream, block) is one lane of a (2, lanes) state: a round
+    multiplies words 0 and 2 of every lane at once.  This is the
+    ``random_raw`` that ``_below`` reads for ``_pair_hits``.
+    """
+
+    def __init__(self, keys: np.ndarray) -> None:
+        self.keys = keys
+
+    def random_raw(self, size: tuple[int, int]) -> np.ndarray:
+        streams, count = size
+        blocks = -(-count // 4)
+        key = self.keys.repeat(blocks, axis=1)
+        even = np.zeros_like(key)  # words 0 and 2 of each lane's counter
+        even[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), streams)
+        odd = np.zeros_like(key)  # words 1 and 3
+        for round_index in range(10):
+            if round_index:
+                key += _PHILOX_BUMP
+            hi, lo = _mulhilo(even)
+            # (hi of word 2 ^ word 1 ^ key 0, lo of 2, hi of 0 ^ word 3 ^ key 1, lo of 0)
+            even = hi[::-1]
+            even ^= odd
+            even ^= key
+            odd = lo[::-1]
+        words = np.stack((even[0], odd[0], even[1], odd[1]), axis=-1)
+        return words.reshape(streams, 4 * blocks)[:, :count]
 
 
 def _object_rows(params: ModelParams, seed: int):
@@ -292,6 +362,29 @@ def _object_rows(params: ModelParams, seed: int):
     for v in range(params.n):
         vertex_substream(seed, v, bit_generator=philox)
         yield _below(philox, m, limit).nonzero()[0]
+
+
+def _pair_hits(params: ModelParams, seeds) -> list[bool]:
+    """``pair_adjacent(sample_assignment(params, seed), 0, 1)`` for each seed, in order; n >= 2.
+
+    Vertices 0 and 1 are adjacent when some object is attached to both.
+    The rows of streams (seed, 0) and (seed, 1) of every seed are decided
+    by ``_below`` on one ``_PhiloxStreams`` per group of seeds, the words
+    and the compare exactly those of ``_object_rows``, so the answers are
+    too.  A group holds at most ``_BLOCK`` four-word blocks, so no array
+    grows with the number of seeds.  Nothing is drawn at p = 1.
+    """
+    m, limit = params.m, _raw_limit(params.p)
+    group = max(1, _BLOCK // (2 * -(-m // 4)))
+    hits: list[bool] = []
+    for start in range(0, len(seeds), group):
+        batch = np.array(seeds[start : start + group], dtype=np.uint64)
+        keys = np.zeros((2, 2 * len(batch)), dtype=np.uint64)
+        keys[0] = batch.repeat(2)  # streams (seed, 0) and (seed, 1) of each seed
+        keys[1, 1::2] = 1
+        rows = _below(_PhiloxStreams(keys), (len(keys[0]), m), limit).reshape(-1, 2, m)
+        hits += (rows[:, 0] & rows[:, 1]).any(axis=1).tolist()
+    return hits
 
 
 def sample_assignment(params: ModelParams, seed: int) -> BipartiteAssignment:

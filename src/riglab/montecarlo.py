@@ -5,8 +5,11 @@ from (master_seed, grid_index, trial_index) through a fixed hash, per-trial
 results are integers or booleans folded in trial order, and aggregation
 is commutative.  Reruns of the same spec therefore produce byte-identical
 CSV and JSON outputs no matter how the trials were scheduled.  The unit of
-work is a chunk of up to 64 consecutive trials; a grid point whose trials
-draw long streams runs its chunks on every usable core.
+work is a run of consecutive trials handed to the kind at once: a chunk of
+up to 64 for a `map_fn` or a threaded point, and up to 256 when a point runs
+on the calling thread, which lets the edge-prob kind decide a run's trials
+in one numpy pass.  A grid point whose trials draw long streams runs its
+chunks on every usable core.
 
 Building an ExperimentSpec validates it and resolves its grid into
 ModelParams points, so a bad value fails before any sampling and
@@ -22,6 +25,7 @@ import os
 import struct
 import threading
 from collections import deque
+from contextlib import suppress
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from itertools import chain, islice
@@ -39,7 +43,7 @@ from .analytics import (
     zeta_bound,
 )
 from .model import ModelParams, pair_adjacent, sample_assignment, sample_connected, sample_degree
-from .model import _MASK64, _MAX_SIZE, _check_int, _check_real, _prefixed, _require
+from .model import _MASK64, _MAX_SIZE, _check_int, _check_real, _pair_hits, _prefixed, _require
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -347,9 +351,32 @@ class ExperimentResult:
     records: tuple
 
 
-# trials find sample_assignment and sample_degree as module globals, so a wrapper sees each call
+# A kind's trials function takes a point's params and a run of trial seeds
+# and returns their results in order.  Per-seed trials find
+# sample_assignment and sample_degree as module globals, so a wrapper sees
+# each call; the edge-prob kind's batched runs call neither.
+def _each(trial, params: ModelParams, seeds: list) -> list:
+    return [trial(params, seed) for seed in seeds]
+
+
 def _pair_trial(params: ModelParams, seed: int) -> bool:
     return pair_adjacent(sample_assignment(params, seed), 0, 1)
+
+
+# the edge-prob kind decides a run of at least this many trials, at no more
+# than this many objects, by model._pair_hits, whose fixed cost is about 190
+# numpy calls.  Seed hashing aside, on 2 vCPUs it took 0.42-0.92 of
+# _pair_trial's time at 64 trials and m <= 64, 0.15 at 256 trials and m <= 2,
+# and 1.2 at 64 trials and m = 100.  At m <= 64 a 256-trial run is at most
+# _BLOCK four-word blocks, one group of _pair_hits
+_BATCH_TRIALS = 64
+_BATCH_OBJECTS = 64
+
+
+def _pair_trials(params: ModelParams, seeds: list) -> list:
+    if len(seeds) >= _BATCH_TRIALS and params.m <= _BATCH_OBJECTS:
+        return _pair_hits(params, seeds)
+    return _each(_pair_trial, params, seeds)
 
 
 def _degree_trial(params: ModelParams, seed: int) -> int:
@@ -366,8 +393,10 @@ def _degree_words(params: ModelParams) -> float:
     return (params.m + params.n - 1) / 2
 
 
-# trials per unit of work
+# trials per unit of work handed to map_fn or a helper thread, and per run
+# on the calling thread
 _CHUNK = 64
+_RUN = 4 * _CHUNK
 # a point whose trials draw at least this many raw words per stream runs its
 # chunks on every usable core, since numpy draws the words with the GIL
 # released.  Near the threshold the GIL handoff between short draws eats the
@@ -376,13 +405,14 @@ _CHUNK = 64
 _THREADED_WORDS = 8192
 
 
-def _chunk(trial, params: ModelParams, master_seed: int, grid_index: int, trials: int,
-           start: int) -> list:
-    """The results of trials start .. min(start + _CHUNK, trials) - 1, in trial order."""
-    return [
-        trial(params, derive_trial_seed(master_seed, grid_index, t))
-        for t in range(start, min(start + _CHUNK, trials))
+def _chunk(kind_trials, params: ModelParams, master_seed: int, grid_index: int, trials: int,
+           size: int, start: int) -> list:
+    """The results of trials start .. min(start + size, trials) - 1, in trial order."""
+    seeds = [
+        derive_trial_seed(master_seed, grid_index, t)
+        for t in range(start, min(start + size, trials))
     ]
+    return kind_trials(params, seeds)
 
 
 def _usable_cores() -> int:
@@ -499,55 +529,63 @@ def _scaling_record(spec, point, degrees) -> DegreeScalingRecord:
     )
 
 
-# kind: (trial, its raw words per stream, aggregator, {spec field the kind
-# reads: (its JSON key, *shape)}).  A points shape is the ModelParams
+# kind: (trials function, its raw words per stream, aggregator, {spec field
+# the kind reads: (its JSON key, *shape)}).  A points shape is the ModelParams
 # arguments every point shares and the JSON keys of the rest: an edge-prob
 # point is an (m, p) pair at two vertices.
 _SWEEP = {"n_values": ("n",), "alphas": ("alpha",), "m_rule": ("m_rule",)}
+_DEGREE_TRIALS = partial(_each, _degree_trial)
 _KINDS = {
     "edge-prob": (
-        _pair_trial, _row_words, _edge_record, {"points": ("points", (2,), ("m", "p"))}
+        _pair_trials, _row_words, _edge_record, {"points": ("points", (2,), ("m", "p"))}
     ),
-    "connectivity-sweep": (sample_connected, _row_words, _connectivity_record, _SWEEP),
+    "connectivity-sweep": (
+        partial(_each, sample_connected), _row_words, _connectivity_record, _SWEEP
+    ),
     "degree-dist": (
-        _degree_trial, _degree_words, _dist_record, {"points": ("points", (), ("n", "m", "p"))}
+        _DEGREE_TRIALS, _degree_words, _dist_record, {"points": ("points", (), ("n", "m", "p"))}
     ),
-    "degree-scaling": (_degree_trial, _degree_words, _scaling_record, {**_SWEEP, "c": ("c",)}),
+    "degree-scaling": (_DEGREE_TRIALS, _degree_words, _scaling_record, {**_SWEEP, "c": ("c",)}),
 }
 EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def run_experiment(spec: ExperimentSpec, map_fn=None) -> ExperimentResult:
-    """Run each point of `spec.grid` through the kind's _KINDS trial and aggregator.
+    """Run each point of `spec.grid` through the kind's _KINDS trials function and aggregator.
 
     The grid, (ModelParams, *labels) per point, was resolved and checked when
-    the spec was built.  A point's trials run in chunks of up to 64: a
-    chunk function takes the index of its first trial and returns its
-    trials' results in trial order, and the starts reach `map_fn` as one
-    lazy range per point, so no list of starts or seeds is built for any
-    trial count.  `map_fn` must keep the order of the starts, as
-    ThreadPoolExecutor.map does.  The aggregator folds the results as the
-    chunks arrive.
+    the spec was built.  A point's trials run in runs of consecutive
+    trials: a chunk function takes the index of a run's first trial,
+    derives the run's seeds with ``derive_trial_seed``, hands them to the
+    kind's trials function at once and returns their results in trial
+    order.  The starts reach the map as one lazy range per point, so no
+    list of starts or seeds is built for any trial count.  The aggregator
+    folds the results as the runs arrive.
 
-    Without `map_fn`, a point whose trials draw at least 8192 raw words per
-    stream on average, (m + n - 1) / 2 for the degree kinds and m for the
-    others, runs its chunks on one daemon helper per usable core (the
+    With `map_fn`, the runs are chunks of up to 64 trials; `map_fn` must
+    keep the order of the starts, as ThreadPoolExecutor.map does.  Without
+    it, a point whose trials draw at least 8192 raw words per stream on
+    average, (m + n - 1) / 2 for the degree kinds and m for the others,
+    runs its chunks of 64 on one daemon helper per usable core (the
     process's affinity mask, as ``taskset`` sets it), the calling thread
     waiting, at most 2 * workers chunks in flight; every other point runs
-    them in turn on the calling thread.
+    runs of up to 256 trials in turn on the calling thread, which the
+    edge-prob kind decides in batches.
     """
-    trial, words, aggregate, _ = _KINDS[spec.kind]
+    kind_trials, words, aggregate, _ = _KINDS[spec.kind]
     workers = _usable_cores()
     records = []
     for grid_index, point in enumerate(spec.grid):
-        chunk = partial(_chunk, trial, point[0], spec.master_seed, grid_index, spec.trials)
-        starts = range(0, spec.trials, _CHUNK)
         if map_fn is not None:
-            chunks = map_fn(chunk, starts)
+            mapper, size = map_fn, _CHUNK
         elif workers > 1 and words(point[0]) >= _THREADED_WORDS:
-            chunks = _threaded_map(chunk, starts, workers)
+            mapper, size = partial(_threaded_map, workers=workers), _CHUNK
         else:
-            chunks = map(chunk, starts)
+            mapper, size = map, _RUN
+        chunk = partial(
+            _chunk, kind_trials, point[0], spec.master_seed, grid_index, spec.trials, size
+        )
+        chunks = mapper(chunk, range(0, spec.trials, size))
         records.append(aggregate(spec, point, chain.from_iterable(chunks)))
     return ExperimentResult(spec=spec, records=tuple(records))
 
@@ -592,9 +630,57 @@ def render_summary_json(result: ExperimentResult) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def write_outputs(result: ExperimentResult, csv_path, json_path) -> None:
-    """Write the CSV and JSON reports for one experiment result."""
-    with open(csv_path, "w") as fh:
-        fh.write(render_csv(result))
-    with open(json_path, "w") as fh:
-        fh.write(render_summary_json(result))
+def _beside(path: str, tag: str) -> str:
+    """A fresh hidden name in `path`'s directory, for a file on its way to or from `path`."""
+    directory, name = os.path.split(path)
+    return os.path.join(directory, f".{name}.{os.urandom(6).hex()}.{tag}")
+
+
+def _write_all(texts: dict) -> None:
+    """Write each text of `texts`, {path: text}, to its path: all of them or none.
+
+    Every text is first written to a new file beside its target.  Only
+    when all are written are they moved into place, each target's older
+    file first moved aside.  On any error, an interrupt included, the
+    targets already moved get their older files back (or are removed,
+    where there was none) and every new file is removed, so no target is
+    created or changed.  A failed write names its target, not the new file.
+    """
+    fresh, moved = [], []
+    try:
+        for path, text in texts.items():
+            fresh.append(_beside(path, "new"))
+            try:
+                with open(fresh[-1], "x") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+        for path, new in zip(texts, fresh):
+            older = _beside(path, "old") if os.path.lexists(path) else None
+            moved.append((path, older))
+            if older is not None:
+                os.replace(path, older)
+            os.replace(new, path)
+    except BaseException:
+        for path, older in reversed(moved):
+            with suppress(OSError):
+                if older is None:
+                    os.unlink(path)
+                else:
+                    os.replace(older, path)
+        for new in fresh:
+            with suppress(OSError):
+                os.unlink(new)
+        raise
+    for _, older in moved:
+        if older is not None:
+            os.unlink(older)
+
+
+def write_outputs(result: ExperimentResult, csv_path, json_path, extra=None) -> None:
+    """Write the CSV and JSON reports for one experiment result, and any `extra` {path: text}.
+
+    All of them are written or none (see ``_write_all``).
+    """
+    _write_all({csv_path: render_csv(result), json_path: render_summary_json(result),
+                **(extra or {})})

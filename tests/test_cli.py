@@ -650,6 +650,75 @@ def test_directory_output_exit_3_writes_nothing(argv, directory, older, tmp_path
         assert (tmp_path / name).read_bytes() == data
 
 
+def test_gen_with_a_missing_assignment_directory_writes_nothing(tmp_path, monkeypatch, capsys):
+    # --out would be written first; its target must not be created either
+    monkeypatch.chdir(tmp_path)
+    argv = ["gen", "--n", "4", "--m", "3", "--p", "0.5", "--out", "g.txt",
+            "--assignment-out", "nodir/a.txt"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == "i/o error: [Errno 2] No such file or directory: 'nodir/a.txt'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+_OLDER = b"# an older output\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "targets"),
+    [
+        (_SWEEP_X + ["--svg"], ["x.csv", "x.json", "x.svg"]),
+        (["gen", "--n", "4", "--m", "3", "--p", "0.5", "--out", "g.txt",
+          "--assignment-out", "a.txt"], ["g.txt", "a.txt"]),
+    ],
+    ids=["sweep", "gen"],
+)
+def test_a_failed_move_into_place_restores_every_target(argv, targets, tmp_path, monkeypatch,
+                                                        capsys):
+    # the second target's move fails once: the first target, already moved
+    # into place, gets its older file back, and no new or set-aside file is left
+    monkeypatch.chdir(tmp_path)
+    _write_spec(tmp_path, {"kind": "edge-prob", "trials": 5, "master_seed": 0,
+                           "points": [{"m": 2, "p": 0.5}]})
+    for name in targets:
+        (tmp_path / name).write_bytes(_OLDER)
+    before = sorted(path.name for path in tmp_path.iterdir())
+    replace, moves = os.replace, []
+
+    def failing_once(src, dst):
+        if dst == targets[1] and not any(moved == targets[1] for _, moved in moves):
+            moves.append((src, dst))
+            raise PermissionError(13, "Permission denied", dst)
+        moves.append((src, dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_once)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == f"i/o error: [Errno 13] Permission denied: '{targets[1]}'\n"
+    assert targets[0] in [dst for _, dst in moves]  # the first target was moved into place
+    assert sorted(path.name for path in tmp_path.iterdir()) == before
+    for name in targets:
+        assert (tmp_path / name).read_bytes() == _OLDER
+
+
+def test_outputs_replace_older_files_with_the_usual_permissions(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_spec(tmp_path, {"kind": "edge-prob", "trials": 5, "master_seed": 0,
+                           "points": [{"m": 2, "p": 0.5}]})
+    (tmp_path / "x.csv").write_bytes(_OLDER)
+    code, out, _ = run_cli(_SWEEP_X + ["--svg"], capsys)
+    assert (code, out) == (0, "wrote x.csv\nwrote x.json\nwrote x.svg\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "spec.json", "x.csv", "x.json", "x.svg"
+    ]
+    assert (tmp_path / "x.csv").read_bytes().startswith(b"# riglab ")
+    umask = os.umask(0)
+    os.umask(umask)
+    for name in ("x.csv", "x.json", "x.svg"):
+        assert os.stat(tmp_path / name).st_mode & 0o777 == 0o666 & ~umask
+
+
 # ----------------------------------------------------------------- subprocess
 
 def test_module_invocation(tmp_path):

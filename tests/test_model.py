@@ -27,7 +27,9 @@ from riglab import (
     vertex_substream,
 )
 
-from riglab.model import _BLOCK, _PER_THREAD, _below, _count_below, _raw_limit
+from riglab.model import (
+    _BLOCK, _PER_THREAD, _PhiloxStreams, _below, _count_below, _pair_hits, _raw_limit,
+)
 
 from oracles import pairwise_project, philox4x64_raw, reachability_connected
 
@@ -230,6 +232,37 @@ def test_sample_degree_follows_independent_philox(n, m, p, seed):
     assert (share == 1.0) == (m in (80, 200))
     expected = sum(_uniform(w) < share for w in philox4x64_raw(seed, n, n - 1)) if size else 0
     assert sample_degree(ModelParams(n, m, p), seed) == expected
+
+
+def test_batched_philox_matches_independent_philox():
+    # all six streams in one call, at counts that stop inside, at and past
+    # the seams of the four-word blocks
+    keys = [(seed, index) for seed in (0, 1, 2**64 - 1) for index in (0, 1)]
+    streams = _PhiloxStreams(np.array(keys, dtype=np.uint64).T)
+    for count in [*range(1, 10), 50, 100]:
+        expected = [philox4x64_raw(seed, index, count) for seed, index in keys]
+        assert streams.random_raw((len(keys), count)).tolist() == expected, count
+
+
+@pytest.mark.parametrize("p", [0.0, 5e-324, 0.3, 1.0])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 17, 50, 100])
+def test_batched_pair_trials_match_the_assignment(m, p):
+    # 2000 seeds cross _pair_hits' groups of _BLOCK four-word blocks at m >= 17
+    params = ModelParams(2, m, p)
+    seeds = [0, 2**64 - 1, *(int(s) for s in np.random.default_rng(m).integers(
+        0, 2**64, size=1998, dtype=np.uint64))]
+    expected = [pair_adjacent(sample_assignment(params, seed), 0, 1) for seed in seeds]
+    assert _pair_hits(params, seeds) == expected
+    if p != 0.3:
+        assert set(expected) == {p == 1.0}
+
+
+def test_batched_pair_trials_draw_nothing_at_p_one(monkeypatch):
+    def no_draw(self, size):
+        raise AssertionError("drew at p = 1")
+
+    monkeypatch.setattr(_PhiloxStreams, "random_raw", no_draw)
+    assert _pair_hits(ModelParams(2, 7, 1.0), list(range(300))) == [True] * 300
 
 
 def test_plain_substream_survives_internal_sampling():

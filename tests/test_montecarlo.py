@@ -257,6 +257,40 @@ def test_chunk_starts_reach_map_fn_as_one_lazy_range_per_point():
         assert [hit for chunk in chunks for hit in chunk] == per_trial
 
 
+def test_edge_prob_runs_straddle_the_batch_rule(monkeypatch):
+    # on the calling thread the m = 64 point is one 256-trial run, decided
+    # in a batch, and one 3-trial run, decided trial by trial; m = 65 is past
+    # the batch's reach, so all of its trials are decided one by one
+    trials = 4 * 64 + 3
+    spec = ExperimentSpec(kind="edge-prob", trials=trials, master_seed=8,
+                          points=((64, 0.02), (65, 0.02)))
+    batches, assignments = [], []
+    pair_hits, assign = riglab.montecarlo._pair_hits, riglab.montecarlo.sample_assignment
+
+    def recording_pair_hits(params, seeds):
+        hits = pair_hits(params, seeds)
+        batches.append((params.m, seeds, hits))
+        return hits
+
+    def recording_assignment(params, seed):
+        assignments.append(params.m)
+        return assign(params, seed)
+
+    monkeypatch.setattr(riglab.montecarlo, "_pair_hits", recording_pair_hits)
+    monkeypatch.setattr(riglab.montecarlo, "sample_assignment", recording_assignment)
+    records = run_experiment(spec).records
+    assert [(m, len(seeds)) for m, seeds, _ in batches] == [(64, 256)]
+    assert (assignments.count(64), assignments.count(65)) == (3, trials)
+    (_, seeds, hits), = batches
+    params = spec.grid[0][0]
+    assert hits == [pair_adjacent(assign(params, seed), 0, 1) for seed in seeds]
+    for g, ((params,), record) in enumerate(zip(spec.grid, records)):
+        successes = sum(
+            pair_adjacent(assign(params, derive_trial_seed(8, g, t)), 0, 1) for t in range(trials)
+        )
+        assert record.estimate == successes / trials
+
+
 def test_threaded_runner_yields_every_result_in_item_order():
     # the last item is the slowest, so the caller often reaches it while a
     # helper still computes it; ending early there would drop it
