@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 usage or domain error, 3 I/O error, 130 interrupted
 from __future__ import annotations
 
 import argparse
-import errno
 import json
 import os
 import sys
@@ -27,7 +26,8 @@ from .analytics import (
     zeta_bound,
 )
 from .model import ModelParams, format_assignment, format_edgelist, project, sample_assignment
-from .montecarlo import ExperimentSpec, _write_all, run_experiment, write_outputs
+from .montecarlo import ExperimentSpec, run_experiment, write_outputs
+from .montecarlo import _refuse_directories, _write_all
 
 ENV_SEED = "RIG_LAB_SEED"
 
@@ -40,13 +40,6 @@ def _env_seed() -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
-
-
-def _refuse_directories(*paths) -> None:
-    """Raise the error open() would give for the first of `paths` (None is stdout) that is a directory."""
-    for path in paths:
-        if path is not None and os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def cmd_gen(args) -> int:

@@ -10,13 +10,14 @@ projecting, and the plain-text exchange formats.
 Every draw is made here.  One per-vertex loop, ``_object_rows``, draws
 every attachment row, and ``sample_degree`` counts vertex 0's attachments
 on the same stream and its adjacencies on the reserved stream n.
-``_pair_hits`` decides the two-vertex trials of many seeds at once: it
-computes their streams' raw words in one numpy pass of Philox4x64-10
-(``_PhiloxStreams``) rather than reseating a Philox per stream.  One
-function, ``_below``, holds the raw-word compare that decides them all.  One
-routine, ``_rows_connected``, reads connectivity off such rows, flattened,
-on numpy alone.  ``sample_connected`` stops at the first vertex with no
-objects (that vertex is isolated) and samples no vertex after it.
+``_pair_hits`` decides the two-vertex trials of a stream of seeds in
+groups: it computes a group's streams' raw words in one numpy pass of
+Philox4x64-10 (``_PhiloxStreams``) rather than reseating a Philox per
+stream.  One function, ``_below``, holds the raw-word compare that decides
+them all.  One routine, ``_rows_connected``, reads connectivity off such
+rows, flattened, on numpy alone.  ``sample_connected`` stops at the first
+vertex with no objects (that vertex is isolated) and samples no vertex
+after it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -364,27 +365,26 @@ def _object_rows(params: ModelParams, seed: int):
         yield _below(philox, m, limit).nonzero()[0]
 
 
-def _pair_hits(params: ModelParams, seeds) -> list[bool]:
-    """``pair_adjacent(sample_assignment(params, seed), 0, 1)`` for each seed, in order; n >= 2.
+def _pair_hits(params: ModelParams, seeds):
+    """Yield ``pair_adjacent(sample_assignment(params, seed), 0, 1)`` per seed, in order; n >= 2.
 
     Vertices 0 and 1 are adjacent when some object is attached to both.
-    The rows of streams (seed, 0) and (seed, 1) of every seed are decided
-    by ``_below`` on one ``_PhiloxStreams`` per group of seeds, the words
-    and the compare exactly those of ``_object_rows``, so the answers are
-    too.  A group holds at most ``_BLOCK`` four-word blocks, so no array
-    grows with the number of seeds.  Nothing is drawn at p = 1.
+    The seeds, any iterable, are taken in groups, and the rows of streams
+    (seed, 0) and (seed, 1) of a group's seeds are decided by ``_below`` on
+    one ``_PhiloxStreams``, the words and the compare exactly those of
+    ``_object_rows``, so the answers are too.  A group holds at most
+    ``_BLOCK`` four-word blocks, so no array grows with the number of
+    seeds.  Nothing is drawn at p = 1.
     """
     m, limit = params.m, _raw_limit(params.p)
     group = max(1, _BLOCK // (2 * -(-m // 4)))
-    hits: list[bool] = []
-    for start in range(0, len(seeds), group):
-        batch = np.array(seeds[start : start + group], dtype=np.uint64)
+    seeds = iter(seeds)
+    while batch := list(islice(seeds, group)):
         keys = np.zeros((2, 2 * len(batch)), dtype=np.uint64)
-        keys[0] = batch.repeat(2)  # streams (seed, 0) and (seed, 1) of each seed
+        keys[0] = np.array(batch, dtype=np.uint64).repeat(2)  # streams (seed, 0) and (seed, 1)
         keys[1, 1::2] = 1
         rows = _below(_PhiloxStreams(keys), (len(keys[0]), m), limit).reshape(-1, 2, m)
-        hits += (rows[:, 0] & rows[:, 1]).any(axis=1).tolist()
-    return hits
+        yield from (rows[:, 0] & rows[:, 1]).any(axis=1).tolist()
 
 
 def sample_assignment(params: ModelParams, seed: int) -> BipartiteAssignment:

@@ -4,12 +4,11 @@ Four experiment kinds share one discipline: every trial draws its own seed
 from (master_seed, grid_index, trial_index) through a fixed hash, per-trial
 results are integers or booleans folded in trial order, and aggregation
 is commutative.  Reruns of the same spec therefore produce byte-identical
-CSV and JSON outputs no matter how the trials were scheduled.  The unit of
-work is a run of consecutive trials handed to the kind at once: a chunk of
-up to 64 for a `map_fn` or a threaded point, and up to 256 when a point runs
-on the calling thread, which lets the edge-prob kind decide a run's trials
-in one numpy pass.  A grid point whose trials draw long streams runs its
-chunks on every usable core.
+CSV and JSON outputs no matter how the trials were scheduled.  A grid point
+on the calling thread hands its kind one lazy stream of trial seeds; a
+`map_fn` or a threaded point gets chunks of up to 64 consecutive trials.
+A grid point whose trials draw long streams runs its chunks on every
+usable core.
 
 Building an ExperimentSpec validates it and resolves its grid into
 ModelParams points, so a bad value fails before any sampling and
@@ -18,6 +17,7 @@ run_experiment only runs trials and aggregates them.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
@@ -351,38 +351,6 @@ class ExperimentResult:
     records: tuple
 
 
-# A kind's trials function takes a point's params and a run of trial seeds
-# and returns their results in order.  Per-seed trials find
-# sample_assignment and sample_degree as module globals, so a wrapper sees
-# each call; the edge-prob kind's batched runs call neither.
-def _each(trial, params: ModelParams, seeds: list) -> list:
-    return [trial(params, seed) for seed in seeds]
-
-
-def _pair_trial(params: ModelParams, seed: int) -> bool:
-    return pair_adjacent(sample_assignment(params, seed), 0, 1)
-
-
-# the edge-prob kind decides a run of at least this many trials, at no more
-# than this many objects, by model._pair_hits, whose fixed cost is about 190
-# numpy calls.  Seed hashing aside, on 2 vCPUs it took 0.42-0.92 of
-# _pair_trial's time at 64 trials and m <= 64, 0.15 at 256 trials and m <= 2,
-# and 1.2 at 64 trials and m = 100.  At m <= 64 a 256-trial run is at most
-# _BLOCK four-word blocks, one group of _pair_hits
-_BATCH_TRIALS = 64
-_BATCH_OBJECTS = 64
-
-
-def _pair_trials(params: ModelParams, seeds: list) -> list:
-    if len(seeds) >= _BATCH_TRIALS and params.m <= _BATCH_OBJECTS:
-        return _pair_hits(params, seeds)
-    return _each(_pair_trial, params, seeds)
-
-
-def _degree_trial(params: ModelParams, seed: int) -> int:
-    return sample_degree(params, seed)
-
-
 # the raw words a trial draws per stream, on average: an attachment row is m
 # words, and a degree trial draws m on vertex 0's stream and n - 1 on stream n
 def _row_words(params: ModelParams) -> float:
@@ -393,10 +361,8 @@ def _degree_words(params: ModelParams) -> float:
     return (params.m + params.n - 1) / 2
 
 
-# trials per unit of work handed to map_fn or a helper thread, and per run
-# on the calling thread
+# trials per unit of work handed to map_fn or a helper thread
 _CHUNK = 64
-_RUN = 4 * _CHUNK
 # a point whose trials draw at least this many raw words per stream runs its
 # chunks on every usable core, since numpy draws the words with the GIL
 # released.  Near the threshold the GIL handoff between short draws eats the
@@ -406,13 +372,39 @@ _THREADED_WORDS = 8192
 
 
 def _chunk(kind_trials, params: ModelParams, master_seed: int, grid_index: int, trials: int,
-           size: int, start: int) -> list:
-    """The results of trials start .. min(start + size, trials) - 1, in trial order."""
-    seeds = [
-        derive_trial_seed(master_seed, grid_index, t)
-        for t in range(start, min(start + size, trials))
-    ]
-    return kind_trials(params, seeds)
+           start: int) -> list:
+    """The results of trials start .. min(start + _CHUNK, trials) - 1, in trial order."""
+    stop = min(start + _CHUNK, trials)
+    seeds = (derive_trial_seed(master_seed, grid_index, t) for t in range(start, stop))
+    return list(kind_trials(params, seeds))
+
+
+# A kind's trials function takes a point's params and an iterator of trial
+# seeds and yields their results in order.  It finds sample_assignment,
+# pair_adjacent, sample_connected and sample_degree as module globals, so a
+# wrapper sees each call.
+def _connected_trials(params: ModelParams, seeds):
+    return (sample_connected(params, seed) for seed in seeds)
+
+
+def _degree_trials(params: ModelParams, seeds):
+    return (sample_degree(params, seed) for seed in seeds)
+
+
+# the edge-prob kind hands a call of at least _CHUNK trials, at no more than
+# this many objects, to model._pair_hits, whose fixed cost is about 190 numpy
+# calls per group of seeds.  Seed hashing aside, on 2 vCPUs it took
+# 0.42-0.92 of the per-trial path's time at 64 trials and m <= 64, 0.15 at
+# 256 trials and m <= 2, and 1.2 at 64 trials and m = 100
+_BATCH_OBJECTS = 64
+
+
+def _pair_trials(params: ModelParams, seeds):
+    head = list(islice(seeds, _CHUNK))
+    seeds = chain(head, seeds)
+    if len(head) == _CHUNK and params.m <= _BATCH_OBJECTS:
+        return _pair_hits(params, seeds)
+    return (pair_adjacent(sample_assignment(params, seed), 0, 1) for seed in seeds)
 
 
 def _usable_cores() -> int:
@@ -534,18 +526,15 @@ def _scaling_record(spec, point, degrees) -> DegreeScalingRecord:
 # arguments every point shares and the JSON keys of the rest: an edge-prob
 # point is an (m, p) pair at two vertices.
 _SWEEP = {"n_values": ("n",), "alphas": ("alpha",), "m_rule": ("m_rule",)}
-_DEGREE_TRIALS = partial(_each, _degree_trial)
 _KINDS = {
     "edge-prob": (
         _pair_trials, _row_words, _edge_record, {"points": ("points", (2,), ("m", "p"))}
     ),
-    "connectivity-sweep": (
-        partial(_each, sample_connected), _row_words, _connectivity_record, _SWEEP
-    ),
+    "connectivity-sweep": (_connected_trials, _row_words, _connectivity_record, _SWEEP),
     "degree-dist": (
-        _DEGREE_TRIALS, _degree_words, _dist_record, {"points": ("points", (), ("n", "m", "p"))}
+        _degree_trials, _degree_words, _dist_record, {"points": ("points", (), ("n", "m", "p"))}
     ),
-    "degree-scaling": (_DEGREE_TRIALS, _degree_words, _scaling_record, {**_SWEEP, "c": ("c",)}),
+    "degree-scaling": (_degree_trials, _degree_words, _scaling_record, {**_SWEEP, "c": ("c",)}),
 }
 EXPERIMENT_KINDS = tuple(_KINDS)
 
@@ -554,39 +543,38 @@ def run_experiment(spec: ExperimentSpec, map_fn=None) -> ExperimentResult:
     """Run each point of `spec.grid` through the kind's _KINDS trials function and aggregator.
 
     The grid, (ModelParams, *labels) per point, was resolved and checked when
-    the spec was built.  A point's trials run in runs of consecutive
-    trials: a chunk function takes the index of a run's first trial,
-    derives the run's seeds with ``derive_trial_seed``, hands them to the
-    kind's trials function at once and returns their results in trial
-    order.  The starts reach the map as one lazy range per point, so no
-    list of starts or seeds is built for any trial count.  The aggregator
-    folds the results as the runs arrive.
+    the spec was built.  A trial's seed is ``derive_trial_seed(master_seed,
+    grid_index, trial_index)``, and the aggregator folds the results in
+    trial order as they arrive.  A point that runs on the calling thread
+    hands the kind's trials function one lazy iterator of all its seeds.
+    A point that runs on a map gets chunks of up to 64 trials: a chunk
+    function takes the index of a chunk's first trial, derives the chunk's
+    seeds, hands them to the kind and returns their results in a list.
+    The starts reach the map as one lazy range per point, so no list of
+    starts or seeds is built for any trial count.
 
-    With `map_fn`, the runs are chunks of up to 64 trials; `map_fn` must
-    keep the order of the starts, as ThreadPoolExecutor.map does.  Without
-    it, a point whose trials draw at least 8192 raw words per stream on
-    average, (m + n - 1) / 2 for the degree kinds and m for the others,
-    runs its chunks of 64 on one daemon helper per usable core (the
-    process's affinity mask, as ``taskset`` sets it), the calling thread
-    waiting, at most 2 * workers chunks in flight; every other point runs
-    runs of up to 256 trials in turn on the calling thread, which the
-    edge-prob kind decides in batches.
+    With `map_fn`, every point runs on it; `map_fn` must keep the order of
+    the starts, as ThreadPoolExecutor.map does.  Without it, a point whose
+    trials draw at least 8192 raw words per stream on average, (m + n - 1)
+    / 2 for the degree kinds and m for the others, runs its chunks on one
+    daemon helper per usable core (the process's affinity mask, as
+    ``taskset`` sets it), the calling thread waiting, at most 2 * workers
+    chunks in flight; every other point runs on the calling thread.
     """
     kind_trials, words, aggregate, _ = _KINDS[spec.kind]
     workers = _usable_cores()
     records = []
     for grid_index, point in enumerate(spec.grid):
-        if map_fn is not None:
-            mapper, size = map_fn, _CHUNK
-        elif workers > 1 and words(point[0]) >= _THREADED_WORDS:
-            mapper, size = partial(_threaded_map, workers=workers), _CHUNK
+        params, mapper = point[0], map_fn
+        if mapper is None and workers > 1 and words(params) >= _THREADED_WORDS:
+            mapper = partial(_threaded_map, workers=workers)
+        if mapper is None:
+            seeds = (derive_trial_seed(spec.master_seed, grid_index, t) for t in range(spec.trials))
+            results = kind_trials(params, seeds)
         else:
-            mapper, size = map, _RUN
-        chunk = partial(
-            _chunk, kind_trials, point[0], spec.master_seed, grid_index, spec.trials, size
-        )
-        chunks = mapper(chunk, range(0, spec.trials, size))
-        records.append(aggregate(spec, point, chain.from_iterable(chunks)))
+            chunk = partial(_chunk, kind_trials, params, spec.master_seed, grid_index, spec.trials)
+            results = chain.from_iterable(mapper(chunk, range(0, spec.trials, _CHUNK)))
+        records.append(aggregate(spec, point, results))
     return ExperimentResult(spec=spec, records=tuple(records))
 
 
@@ -636,6 +624,13 @@ def _beside(path: str, tag: str) -> str:
     return os.path.join(directory, f".{name}.{os.urandom(6).hex()}.{tag}")
 
 
+def _refuse_directories(*paths) -> None:
+    """Raise the error open() gives for the first of `paths` (None: stdout) that is a directory."""
+    for path in paths:
+        if path is not None and os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def _write_all(texts: dict) -> None:
     """Write each text of `texts`, {path: text}, to its path: all of them or none.
 
@@ -644,8 +639,10 @@ def _write_all(texts: dict) -> None:
     file first moved aside.  On any error, an interrupt included, the
     targets already moved get their older files back (or are removed,
     where there was none) and every new file is removed, so no target is
-    created or changed.  A failed write names its target, not the new file.
+    created or changed.  A failed write names its target, not the new file,
+    and a target that is a directory is refused before any file is made.
     """
+    _refuse_directories(*texts)
     fresh, moved = [], []
     try:
         for path, text in texts.items():

@@ -23,6 +23,12 @@ CASES = {
          "points": [{"m": 1, "p": 0}, {"m": 3, "p": 1}, {"m": 4, "p": 0.3},
                     {"m": 20, "p": 0.05}]},
     ),
+    # 300 trials: m = 1 and m = 64 are decided by the batched kernel, m = 65 trial by trial
+    "edge-prob-batched": (
+        "sweep",
+        {"kind": "edge-prob", "trials": 300, "master_seed": 14,
+         "points": [{"m": 1, "p": 0.3}, {"m": 64, "p": 0.02}, {"m": 65, "p": 0.02}]},
+    ),
     "connectivity-default-rule": (
         "sweep",
         {"kind": "connectivity-sweep", "trials": 20, "master_seed": 6,
@@ -115,6 +121,11 @@ GOLDEN = {
         '842d597dbb338c90a275f6e56b4895dfb2159a7ba18fa10f83deb0f55ef1b963',
         '96b6cbd24796407e329f39332e7dd29ad226f2b543ae278a64a4be3cbe262bc6',
         'ea0d99eae78d142ae9a83f7a1198a8a91315d0f545ad00bb2140926993a6d31c',
+    ),
+    'edge-prob-batched': (
+        '8fe03dfb896c5fd0d14338415d23dfa54a60cc581e3041e227871f5713151bee',
+        '25183b9989425bd3a3b14a1daf5b59ff80be8a0c066f653f2098448b9cbaf954',
+        'a7c947fd3fdbfdf03960b6eae27d3d70be4761a317c0564556267f2b84273316',
     ),
 }
 

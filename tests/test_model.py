@@ -252,7 +252,7 @@ def test_batched_pair_trials_match_the_assignment(m, p):
     seeds = [0, 2**64 - 1, *(int(s) for s in np.random.default_rng(m).integers(
         0, 2**64, size=1998, dtype=np.uint64))]
     expected = [pair_adjacent(sample_assignment(params, seed), 0, 1) for seed in seeds]
-    assert _pair_hits(params, seeds) == expected
+    assert list(_pair_hits(params, seeds)) == expected
     if p != 0.3:
         assert set(expected) == {p == 1.0}
 
@@ -262,7 +262,7 @@ def test_batched_pair_trials_draw_nothing_at_p_one(monkeypatch):
         raise AssertionError("drew at p = 1")
 
     monkeypatch.setattr(_PhiloxStreams, "random_raw", no_draw)
-    assert _pair_hits(ModelParams(2, 7, 1.0), list(range(300))) == [True] * 300
+    assert list(_pair_hits(ModelParams(2, 7, 1.0), range(300))) == [True] * 300
 
 
 def test_plain_substream_survives_internal_sampling():

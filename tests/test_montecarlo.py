@@ -26,6 +26,7 @@ from riglab import (
     threshold_p,
     total_variation,
     wilson_interval,
+    write_outputs,
 )
 import riglab.model
 import riglab.montecarlo
@@ -258,37 +259,48 @@ def test_chunk_starts_reach_map_fn_as_one_lazy_range_per_point():
 
 
 def test_edge_prob_runs_straddle_the_batch_rule(monkeypatch):
-    # on the calling thread the m = 64 point is one 256-trial run, decided
-    # in a batch, and one 3-trial run, decided trial by trial; m = 65 is past
-    # the batch's reach, so all of its trials are decided one by one
-    trials = 4 * 64 + 3
-    spec = ExperimentSpec(kind="edge-prob", trials=trials, master_seed=8,
+    # on the calling thread a point hands the kind all its trials at once:
+    # m = 64 at 259 trials is decided by the kernel alone, in passes of at
+    # most _BLOCK blocks; m = 65 is past the kernel's reach, and 63 trials
+    # are too few, so those are decided trial by trial
+    wide = ExperimentSpec(kind="edge-prob", trials=4 * 64 + 3, master_seed=8,
                           points=((64, 0.02), (65, 0.02)))
-    batches, assignments = [], []
+    short = ExperimentSpec(kind="edge-prob", trials=63, master_seed=8, points=((64, 0.02),))
+    batches, assignments, passes = [], [], []
     pair_hits, assign = riglab.montecarlo._pair_hits, riglab.montecarlo.sample_assignment
+    random_raw = riglab.model._PhiloxStreams.random_raw
 
     def recording_pair_hits(params, seeds):
-        hits = pair_hits(params, seeds)
-        batches.append((params.m, seeds, hits))
-        return hits
+        seeds = list(seeds)
+        batches.append((params.m, len(seeds)))
+        return pair_hits(params, seeds)
 
     def recording_assignment(params, seed):
         assignments.append(params.m)
         return assign(params, seed)
 
+    def recording_random_raw(self, size):
+        passes.append(size[0] * -(-size[1] // 4))
+        return random_raw(self, size)
+
     monkeypatch.setattr(riglab.montecarlo, "_pair_hits", recording_pair_hits)
     monkeypatch.setattr(riglab.montecarlo, "sample_assignment", recording_assignment)
-    records = run_experiment(spec).records
-    assert [(m, len(seeds)) for m, seeds, _ in batches] == [(64, 256)]
-    assert (assignments.count(64), assignments.count(65)) == (3, trials)
-    (_, seeds, hits), = batches
-    params = spec.grid[0][0]
-    assert hits == [pair_adjacent(assign(params, seed), 0, 1) for seed in seeds]
-    for g, ((params,), record) in enumerate(zip(spec.grid, records)):
-        successes = sum(
-            pair_adjacent(assign(params, derive_trial_seed(8, g, t)), 0, 1) for t in range(trials)
-        )
-        assert record.estimate == successes / trials
+    monkeypatch.setattr(riglab.model._PhiloxStreams, "random_raw", recording_random_raw)
+    wide_records = run_experiment(wide).records
+    assert batches == [(64, wide.trials)]
+    assert assignments == [65] * wide.trials
+    assert len(passes) == 2 and max(passes) <= riglab.model._BLOCK
+    batches.clear()
+    assignments.clear()
+    short_records = run_experiment(short).records
+    assert (batches, assignments) == ([], [64] * short.trials)
+    for spec, records in ((wide, wide_records), (short, short_records)):
+        for g, ((params,), record) in enumerate(zip(spec.grid, records)):
+            successes = sum(
+                pair_adjacent(assign(params, derive_trial_seed(8, g, t)), 0, 1)
+                for t in range(spec.trials)
+            )
+            assert record.estimate == successes / spec.trials
 
 
 def test_threaded_runner_yields_every_result_in_item_order():
@@ -356,8 +368,9 @@ def test_threaded_runner_raises_a_helpers_base_exception_in_the_caller():
 
 
 def test_threaded_runner_skips_the_items_queued_when_the_caller_stops():
-    # two helpers: item 0 fails, and items 1 and 2 hold both helpers until the
-    # caller has seen that failure, so item 3 is still queued when it stops
+    # two helpers: item 0 fails, and items 1 and 2 hold the helpers until the
+    # caller has seen that failure, so item 3 is still queued when it stops.
+    # Item 2 may or may not be taken before the caller stops; item 3 never is
     ran, release = [], threading.Event()
 
     def func(i):
@@ -376,7 +389,7 @@ def test_threaded_runner_skips_the_items_queued_when_the_caller_stops():
     for helper in helpers:
         helper.join(10)
     assert len(helpers) == 2 and not any(helper.is_alive() for helper in helpers)
-    assert sorted(ran) == [0, 1, 2]
+    assert 0 in ran and 3 not in ran
 
 
 def test_no_list_of_starts_or_seeds_is_built_even_at_2_to_the_64_trials(monkeypatch):
@@ -660,3 +673,17 @@ def test_spec_hash_is_canonical_and_sensitive():
         kind="edge-prob", trials=5, master_seed=4, points=((2, 0.5),),
     )
     assert spec_hash(spec) != spec_hash(other)
+
+
+def test_write_outputs_refuses_a_directory_target_and_writes_nothing(tmp_path, monkeypatch):
+    # the directory is refused before any file is made: it is not set aside,
+    # and an older report beside it is left as it was
+    monkeypatch.chdir(tmp_path)
+    spec = ExperimentSpec(kind="edge-prob", trials=5, master_seed=0, points=((2, 0.5),))
+    (tmp_path / "x.json").mkdir()
+    (tmp_path / "x.csv").write_bytes(b"# an older report\n")
+    before = sorted(path.name for path in tmp_path.iterdir())
+    with pytest.raises(IsADirectoryError, match=r"^\[Errno 21\] Is a directory: 'x\.json'$"):
+        write_outputs(run_experiment(spec), "x.csv", "x.json")
+    assert sorted(path.name for path in tmp_path.iterdir()) == before
+    assert (tmp_path / "x.csv").read_bytes() == b"# an older report\n"
