@@ -27,7 +27,7 @@ from .analytics import (
 )
 from .model import ModelParams, format_assignment, format_edgelist, project, sample_assignment
 from .montecarlo import ExperimentSpec, run_experiment, write_outputs
-from .montecarlo import _refuse_directories, _write_all
+from .montecarlo import _refuse_targets, _write_all
 
 ENV_SEED = "RIG_LAB_SEED"
 
@@ -45,7 +45,7 @@ def _env_seed() -> int:
 def cmd_gen(args) -> int:
     params = ModelParams(n=args.n, m=args.m, p=args.p)
     seed = _env_seed() if args.seed is None else args.seed
-    _refuse_directories(args.out, args.assignment_out)
+    _refuse_targets(args.out, args.assignment_out)
     assignment = sample_assignment(params, seed)
     graph = project(assignment)
     if args.format == "edgelist":
@@ -66,7 +66,7 @@ def cmd_gen(args) -> int:
     outputs = [(args.out, text)]
     if args.assignment_out is not None:
         outputs.append((args.assignment_out, format_assignment(assignment, seed)))
-    _write_all({path: body for path, body in outputs if path is not None})
+    _write_all([(path, body) for path, body in outputs if path is not None])
     if args.out is None:
         sys.stdout.write(text)
     return 0
@@ -224,7 +224,7 @@ def _cmd_experiment(args) -> int:
             f"(expected one of {allowed_kinds})"
         )
     csv_path, json_path, svg_path = args.out + ".csv", args.out + ".json", args.out + ".svg"
-    _refuse_directories(csv_path, json_path, svg_path if args.svg else None)
+    _refuse_targets(csv_path, json_path, svg_path if args.svg else None)
     result = run_experiment(spec)
     chart = {svg_path: render_chart(result)} if args.svg else {}
     write_outputs(result, csv_path, json_path, chart)

@@ -13,11 +13,12 @@ on the same stream and its adjacencies on the reserved stream n.
 ``_pair_hits`` decides the two-vertex trials of a stream of seeds in
 groups: it computes a group's streams' raw words in one numpy pass of
 Philox4x64-10 (``_PhiloxStreams``) rather than reseating a Philox per
-stream.  One function, ``_below``, holds the raw-word compare that decides
-them all.  One routine, ``_rows_connected``, reads connectivity off such
-rows, flattened, on numpy alone.  ``sample_connected`` stops at the first
-vertex with no objects (that vertex is isolated) and samples no vertex
-after it.
+stream.  One function, ``_below``, reads every stream's raw words and
+holds the compare that decides them all, one byte per word, so a point
+too large to hold its decisions fails with MemoryError before drawing.
+One routine, ``_rows_connected``, reads connectivity off such rows,
+flattened, on numpy alone.  ``sample_connected`` stops at the first vertex
+with no objects (that vertex is isolated) and samples no vertex after it.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ _FLOAT_MAX = sys.float_info.max
 # _rows_connected's labels, then has n + m < 2**60 eight-byte entries, which
 # numpy can address
 _MAX_SIZE = (1 << 59) - 1
-# the most raw words sample_degree asks of one random_raw call, and the most
-# four-word Philox blocks _pair_hits computes in one pass, so that a call's
-# memory stays small at any n and m
+# the most raw words per stream _below asks of one random_raw call, and the
+# most four-word Philox blocks _pair_hits computes in one pass, so that the
+# raw words in flight stay small at any n and m
 _BLOCK = 8192
 # Philox4x64-10's round multipliers and key increments (Salmon et al., SC
 # 2011), one row per multiply of a round, and the 32-bit halves the
@@ -279,19 +280,26 @@ def _raw_limit(p: float) -> np.uint64 | None:
     return np.uint64(math.ceil(p * 2**53) << 11) if p < 1.0 else None
 
 
-def _below(bit_generator, count, limit: np.uint64 | None) -> np.ndarray:
-    """Whether each of the stream's next `count` uniforms falls below p, for limit = _raw_limit(p).
+def _below(bit_generator, shape: tuple[int, ...], limit: np.uint64 | None) -> np.ndarray:
+    """Whether each of the streams' next uniforms falls below p, for limit = _raw_limit(p).
 
-    The stream is `bit_generator`'s, read as raw words: no Generator takes
-    part.  None are drawn when every uniform is below p.  This is the
-    package's only raw-word compare, and it has two callers: the thread's
-    reseated Philox, for attachment rows and degree counts, and
-    ``_pair_hits``'s ``_PhiloxStreams``, whose `count` is a (streams,
-    words) shape, for many two-vertex trials at once.
+    `shape` is (count,), or (streams, count) for a ``_PhiloxStreams``, and
+    the words are `bit_generator`'s raw words: no Generator takes part.
+    None are drawn when every uniform is below p.  A count longer than
+    ``_BLOCK`` is decided block by block, the words one call would give,
+    into one bool array made before the first draw, so a count too large
+    to hold fails at once with MemoryError.  This is the package's only
+    raw-word reader, for attachment rows, degree counts and ``_pair_hits``.
     """
     if limit is None:
-        return np.ones(count, dtype=bool)
-    return bit_generator.random_raw(count) < limit
+        return np.ones(shape, dtype=bool)
+    if shape[-1] <= _BLOCK:
+        return bit_generator.random_raw(shape) < limit
+    below = np.empty(shape, dtype=bool)
+    for start in range(0, shape[-1], _BLOCK):
+        block = below[..., start : start + _BLOCK]
+        block[...] = _below(bit_generator, block.shape, limit)
+    return below
 
 
 def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,9 +326,11 @@ class _PhiloxStreams:
 
     `keys` is a (2, streams) uint64 array of (seed, index) pairs: the keys
     ``vertex_substream`` gives its Philox.  ``random_raw((streams, count))``
-    returns each stream's first `count` raw words, one row per stream, bit
+    returns each stream's next `count` raw words, one row per stream, bit
     for bit the words that Philox would draw (numpy's Philox bumps its
     counter before each four-word block, so the first block is counter 1).
+    A call starts at the next four-word block, so successive calls give the
+    words of one call as long as each but the last asks for whole blocks.
     Each (stream, block) is one lane of a (2, lanes) state: a round
     multiplies words 0 and 2 of every lane at once.  This is the
     ``random_raw`` that ``_below`` reads for ``_pair_hits``.
@@ -328,13 +338,15 @@ class _PhiloxStreams:
 
     def __init__(self, keys: np.ndarray) -> None:
         self.keys = keys
+        self.drawn = 0  # four-word blocks per stream
 
     def random_raw(self, size: tuple[int, int]) -> np.ndarray:
         streams, count = size
         blocks = -(-count // 4)
         key = self.keys.repeat(blocks, axis=1)
         even = np.zeros_like(key)  # words 0 and 2 of each lane's counter
-        even[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), streams)
+        even[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), streams) + self.drawn
+        self.drawn += blocks
         odd = np.zeros_like(key)  # words 1 and 3
         for round_index in range(10):
             if round_index:
@@ -362,7 +374,7 @@ def _object_rows(params: ModelParams, seed: int):
     m, limit = params.m, _raw_limit(params.p)
     for v in range(params.n):
         vertex_substream(seed, v, bit_generator=philox)
-        yield _below(philox, m, limit).nonzero()[0]
+        yield _below(philox, (m,), limit).nonzero()[0]
 
 
 def _pair_hits(params: ModelParams, seeds):
@@ -410,24 +422,6 @@ def conditional_adjacency_prob(size: int, p: float) -> float:
     return -math.expm1(size * math.log1p(-p))
 
 
-def _count_below(bit_generator: np.random.Philox, count: int, limit: np.uint64 | None) -> int:
-    """How many of the stream's next `count` uniforms fall below p, for limit = _raw_limit(p).
-
-    Each block of at most ``_BLOCK`` raw words is decided by ``_below``, one
-    ``random_raw`` call when `count` fits in one block; successive blocks
-    are the words one draw of `count` would give.  None are drawn when every
-    uniform is below p.
-    """
-    if limit is None:
-        return count
-    if count > _BLOCK:
-        return sum(
-            _count_below(bit_generator, min(_BLOCK, count - start), limit)
-            for start in range(0, count, _BLOCK)
-        )
-    return int(np.count_nonzero(_below(bit_generator, count, limit)))
-
-
 def sample_degree(params: ModelParams, seed: int) -> int:
     """Draw the degree of vertex 0 in one G(n, m, p) sample.
 
@@ -435,19 +429,21 @@ def sample_degree(params: ModelParams, seed: int) -> int:
     m uniforms from ``vertex_substream(seed, 0)``.  Given s of them, the
     other n-1 adjacency indicators are independent Bernoulli(1 - (1-p)^s):
     indicator j is set when the j-th uniform of reserved substream index n
-    falls below that share.  Both are counted on the raw words, in blocks
-    of at most ``_BLOCK`` words, so a trial holds under 100 KiB of draws at
-    any n and m.  No graph is built, and the result follows the
-    projected-graph degree law exactly.
+    falls below that share.  Each is counted on ``_below``'s decisions, m
+    then n - 1 bytes, so a point too large to hold them fails with
+    MemoryError before drawing; at p = 1, or a share that rounds to 1,
+    every indicator is set and none is drawn or held.  No graph is built,
+    and the result follows the projected-graph degree law exactly.
     """
-    philox = _PER_THREAD.philox
+    philox, n, m = _PER_THREAD.philox, params.n, params.m
     vertex_substream(seed, 0, bit_generator=philox)
-    size = _count_below(philox, params.m, _raw_limit(params.p))
-    if params.n == 1 or size == 0:
+    limit = _raw_limit(params.p)
+    size = m if limit is None else int(np.count_nonzero(_below(philox, (m,), limit)))
+    if n == 1 or size == 0:
         return 0
-    share = conditional_adjacency_prob(size, params.p)
-    vertex_substream(seed, params.n, bit_generator=philox)
-    return _count_below(philox, params.n - 1, _raw_limit(share))
+    limit = _raw_limit(conditional_adjacency_prob(size, params.p))
+    vertex_substream(seed, n, bit_generator=philox)
+    return n - 1 if limit is None else int(np.count_nonzero(_below(philox, (n - 1,), limit)))
 
 
 def pair_adjacent(assignment: BipartiteAssignment, i: int, j: int) -> bool:

@@ -624,15 +624,29 @@ def _beside(path: str, tag: str) -> str:
     return os.path.join(directory, f".{name}.{os.urandom(6).hex()}.{tag}")
 
 
-def _refuse_directories(*paths) -> None:
-    """Raise the error open() gives for the first of `paths` (None: stdout) that is a directory."""
+def _refuse_targets(*paths) -> None:
+    """Refuse, before any file is made, targets (None: stdout) that cannot all be written.
+
+    Two targets that resolve to one file raise ValueError.  A target that is
+    a directory, or whose directory is missing or is not a directory, raises
+    the error open() would give for it, naming the target.
+    """
+    paths = [path for path in paths if path is not None]
+    for i, path in enumerate(paths):
+        for other in paths[:i]:
+            _require(os.path.realpath(path) != os.path.realpath(other),
+                     f"outputs {other!r} and {path!r} name the same file")
     for path in paths:
-        if path is not None and os.path.isdir(path):
+        if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        try:  # a trailing separator makes stat fail as open() would on the directory
+            os.stat(os.path.join(os.path.dirname(path) or os.curdir, ""))
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
 
 
-def _write_all(texts: dict) -> None:
-    """Write each text of `texts`, {path: text}, to its path: all of them or none.
+def _write_all(texts) -> None:
+    """Write each text of `texts`, (path, text) pairs, to its path: all of them or none.
 
     Every text is first written to a new file beside its target.  Only
     when all are written are they moved into place, each target's older
@@ -640,19 +654,19 @@ def _write_all(texts: dict) -> None:
     targets already moved get their older files back (or are removed,
     where there was none) and every new file is removed, so no target is
     created or changed.  A failed write names its target, not the new file,
-    and a target that is a directory is refused before any file is made.
+    and ``_refuse_targets`` runs before any file is made.
     """
-    _refuse_directories(*texts)
+    _refuse_targets(*(path for path, _ in texts))
     fresh, moved = [], []
     try:
-        for path, text in texts.items():
+        for path, text in texts:
             fresh.append(_beside(path, "new"))
             try:
                 with open(fresh[-1], "x") as fh:
                     fh.write(text)
             except OSError as exc:
                 raise OSError(exc.errno, exc.strerror, path) from None
-        for path, new in zip(texts, fresh):
+        for (path, _), new in zip(texts, fresh):
             older = _beside(path, "old") if os.path.lexists(path) else None
             moved.append((path, older))
             if older is not None:
@@ -679,5 +693,5 @@ def write_outputs(result: ExperimentResult, csv_path, json_path, extra=None) -> 
 
     All of them are written or none (see ``_write_all``).
     """
-    _write_all({csv_path: render_csv(result), json_path: render_summary_json(result),
-                **(extra or {})})
+    _write_all([(csv_path, render_csv(result)), (json_path, render_summary_json(result)),
+                *(extra or {}).items()])

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -425,6 +426,34 @@ def test_out_of_memory_exit_2(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    ("command", "payload"),
+    [
+        ("degree-dist", {"kind": "degree-dist", "points": [{"n": 4, "m": 2**59 - 1, "p": 0.5}]}),
+        ("degree-scaling", {"kind": "degree-scaling", "n": [2**59 - 1], "alpha": [0.5],
+                            "c": 0.5}),
+    ],
+    ids=["degree-dist", "degree-scaling"],
+)
+def test_degree_point_too_large_for_memory_exits_2_at_once(command, payload, tmp_path):
+    # a stream's decisions take one byte per word, and the array for 2**59 - 1
+    # of them is refused before the first draw.  In a subprocess, so that a
+    # reader that draws first fails at the timeout instead of running on, and
+    # with its address space capped, so that one that keeps what it draws
+    # cannot take the host's memory meanwhile (2 GiB leaves room for the
+    # interpreter, numpy and one helper thread's stack per core)
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+
+    spec_path = _write_spec(tmp_path, {"trials": 1, "master_seed": 0, **payload})
+    argv = [command, "--spec", spec_path, "--out", str(tmp_path / "x")]
+    proc = subprocess.run([sys.executable, "-m", "riglab", *argv], capture_output=True,
+                          text=True, timeout=30, preexec_fn=cap_memory)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: out of memory")
+    assert not list(tmp_path.glob("x.*"))
+
+
 def test_trial_error_on_a_helper_thread_exits_2(tmp_path, monkeypatch, capsys):
     # every point runs on three helper threads, and its trials fail there
     def fails_on_helpers(params, seed):
@@ -460,10 +489,11 @@ def test_interrupt_exits_130_without_a_report(tmp_path, monkeypatch, capsys):
 
 
 def test_sigint_on_the_threaded_runner_exits_130_without_a_report(tmp_path):
-    # m = 2**59 - 1 makes every degree trial draw until it is stopped, on
-    # three helper threads whatever the host's core count
-    spec_path = _write_spec(tmp_path, {"kind": "degree-dist", "trials": 64, "master_seed": 0,
-                                       "points": [{"n": 4, "m": 2**59 - 1, "p": 0.5}]})
+    # m = 2**22 makes each degree trial draw 4 Mi words, tens of ms, so the
+    # 1024 trials run for seconds, on three helper threads whatever the
+    # host's core count
+    spec_path = _write_spec(tmp_path, {"kind": "degree-dist", "trials": 1024, "master_seed": 0,
+                                       "points": [{"n": 4, "m": 2**22, "p": 0.5}]})
     script = (
         "import sys, riglab.cli, riglab.montecarlo\n"
         "riglab.montecarlo._usable_cores = lambda: 3\n"
@@ -659,6 +689,36 @@ def test_gen_with_a_missing_assignment_directory_writes_nothing(tmp_path, monkey
     assert (code, out) == (3, "")
     assert err == "i/o error: [Errno 2] No such file or directory: 'nodir/a.txt'\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("assignment_out", ["a.txt", "./a.txt"])
+def test_gen_refuses_two_outputs_that_name_one_file(assignment_out, tmp_path, monkeypatch,
+                                                    capsys):
+    # one file cannot hold both the graph and the assignment: refused before sampling
+    def no_sampling(params, seed):
+        raise AssertionError("sampled")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(riglab.cli, "sample_assignment", no_sampling)
+    argv = ["gen", "--n", "4", "--m", "3", "--p", "0.5", "--out", "a.txt",
+            "--assignment-out", assignment_out]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: outputs 'a.txt' and {assignment_out!r} name the same file\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_missing_output_directory_exit_3_before_sampling(tmp_path, monkeypatch, capsys):
+    calls, run = [], riglab.cli.run_experiment
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(riglab.cli, "run_experiment", lambda spec: calls.append(spec) or run(spec))
+    _write_spec(tmp_path, {"kind": "edge-prob", "trials": 5, "master_seed": 0,
+                           "points": [{"m": 2, "p": 0.5}]})
+    code, out, err = run_cli(["sweep", "--spec", "spec.json", "--out", "nodir/x"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "i/o error: [Errno 2] No such file or directory: 'nodir/x.csv'\n"
+    assert calls == []
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["spec.json"]
 
 
 _OLDER = b"# an older output\n"

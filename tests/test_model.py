@@ -28,7 +28,7 @@ from riglab import (
 )
 
 from riglab.model import (
-    _BLOCK, _PER_THREAD, _PhiloxStreams, _below, _count_below, _pair_hits, _raw_limit,
+    _BLOCK, _PER_THREAD, _PhiloxStreams, _below, _pair_hits, _raw_limit,
 )
 
 from oracles import pairwise_project, philox4x64_raw, reachability_connected
@@ -179,7 +179,8 @@ class _RawWords:
         self.words = np.array(words, dtype=np.uint64)
         self.drawn = 0
 
-    def random_raw(self, count):
+    def random_raw(self, shape):
+        (count,) = shape
         assert self.drawn + count <= len(self.words)
         self.drawn += count
         return self.words[self.drawn - count : self.drawn]
@@ -191,14 +192,21 @@ def test_raw_compare_matches_the_uniform_compare_at_the_bound(p):
     limit = math.ceil(Fraction(p) * 2**53) * 2**11
     words = [w for w in (0, limit - 1, limit, limit + 1, 2**64 - 1) if 0 <= w < 2**64]
     below = [_uniform(w) < p for w in words]
-    assert _below(_RawWords(words), len(words), _raw_limit(p)).tolist() == below
+    assert _below(_RawWords(words), (len(words),), _raw_limit(p)).tolist() == below
     assert below == [w < limit for w in words]
     # the degree counts: within one block, and over two blocks with the
     # bound words on both sides of the seam
-    assert _count_below(_RawWords(words), len(words), _raw_limit(p)) == sum(below)
+    assert np.count_nonzero(_below(_RawWords(words), (len(words),), _raw_limit(p))) == sum(below)
     stream = [0] * (_BLOCK - len(words)) + words + words
     expected = sum(_uniform(w) < p for w in stream)
-    assert _count_below(_RawWords(stream), len(stream), _raw_limit(p)) == expected
+    assert np.count_nonzero(_below(_RawWords(stream), (len(stream),), _raw_limit(p))) == expected
+
+
+@pytest.mark.parametrize("p", [5e-324, 0.5])
+def test_below_makes_its_decision_array_before_the_first_draw(p):
+    # 2**59 - 1 decisions cannot be held; the stand-in fails any draw at all
+    with pytest.raises(MemoryError):
+        _below(_RawWords([]), (2**59 - 1,), _raw_limit(p))
 
 
 @pytest.mark.parametrize("p", _EDGE_PS)
@@ -213,6 +221,11 @@ def test_object_rows_follow_independent_philox(seed, p):
         for v, objects in enumerate(a.sets):
             uniforms = [_uniform(w) for w in philox4x64_raw(seed, v, 13)]
             assert list(objects) == [w for w, u in enumerate(uniforms) if u < p]
+    # rows longer than one block, read through _below's blocks, the last one partial
+    m = _BLOCK + 13
+    for v, objects in enumerate(sample_assignment(ModelParams(2, m, p), seed).sets):
+        uniforms = [_uniform(w) for w in philox4x64_raw(seed, v, m)]
+        assert list(objects) == [w for w, u in enumerate(uniforms) if u < p]
 
 
 # (n, m, p): at (9, 200, 0.5) and (9, 80, 1.0) vertex 0's share rounds to 1;
@@ -234,6 +247,14 @@ def test_sample_degree_follows_independent_philox(n, m, p, seed):
     assert sample_degree(ModelParams(n, m, p), seed) == expected
 
 
+@pytest.mark.parametrize(("n", "m", "p"), [(4, 2**59 - 1, 1.0), (2**59 - 1, 200, 0.5)])
+def test_sample_degree_holds_nothing_for_a_stream_of_sure_indicators(n, m, p):
+    # at p = 1 every object is attached, and at (2**59 - 1, 200, 0.5) the
+    # share rounds to 1, so every indicator is set: the degree is n - 1 with
+    # no decision array made, where 2**59 - 1 bytes of one could not be held
+    assert [sample_degree(ModelParams(n, m, p), seed) for seed in (3, 2**64 - 1)] == [n - 1] * 2
+
+
 def test_batched_philox_matches_independent_philox():
     # all six streams in one call, at counts that stop inside, at and past
     # the seams of the four-word blocks
@@ -242,6 +263,11 @@ def test_batched_philox_matches_independent_philox():
     for count in [*range(1, 10), 50, 100]:
         expected = [philox4x64_raw(seed, index, count) for seed, index in keys]
         assert streams.random_raw((len(keys), count)).tolist() == expected, count
+        streams.drawn = 0
+    # successive calls of whole four-word blocks continue each stream
+    expected = [philox4x64_raw(seed, index, 15) for seed, index in keys]
+    parts = [streams.random_raw((len(keys), count)) for count in (8, 4, 3)]
+    assert np.concatenate(parts, axis=1).tolist() == expected
 
 
 @pytest.mark.parametrize("p", [0.0, 5e-324, 0.3, 1.0])
@@ -255,6 +281,19 @@ def test_batched_pair_trials_match_the_assignment(m, p):
     assert list(_pair_hits(params, seeds)) == expected
     if p != 0.3:
         assert set(expected) == {p == 1.0}
+
+
+@pytest.mark.parametrize("p", [0.0, 0.0065, 1.0])
+def test_batched_pair_trials_longer_than_one_block_match_the_assignment(p):
+    # each stream of m = 2 * _BLOCK + 13 words is read by _below in three
+    # passes of _PhiloxStreams, each continuing where the last stopped; at
+    # p = 0.0065 about half of the pairs are adjacent
+    params = ModelParams(2, 2 * _BLOCK + 13, p)
+    seeds = [0, 2**64 - 1, *range(1, 31)]
+    expected = [pair_adjacent(sample_assignment(params, seed), 0, 1) for seed in seeds]
+    assert list(_pair_hits(params, seeds)) == expected
+    if p == 0.0065:
+        assert len(set(expected)) == 2
 
 
 def test_batched_pair_trials_draw_nothing_at_p_one(monkeypatch):

@@ -687,3 +687,14 @@ def test_write_outputs_refuses_a_directory_target_and_writes_nothing(tmp_path, m
         write_outputs(run_experiment(spec), "x.csv", "x.json")
     assert sorted(path.name for path in tmp_path.iterdir()) == before
     assert (tmp_path / "x.csv").read_bytes() == b"# an older report\n"
+
+
+@pytest.mark.parametrize(("json_path", "extra"), [("x.csv", {}), ("x.json", {"./x.csv": "svg"})])
+def test_write_outputs_refuses_two_targets_that_name_one_file(json_path, extra, tmp_path,
+                                                              monkeypatch):
+    # merged, the later text would overwrite the earlier one; nothing is made
+    monkeypatch.chdir(tmp_path)
+    spec = ExperimentSpec(kind="edge-prob", trials=5, master_seed=0, points=((2, 0.5),))
+    with pytest.raises(ValueError, match=r"^outputs '.*' and '.*' name the same file$"):
+        write_outputs(run_experiment(spec), "x.csv", json_path, extra)
+    assert list(tmp_path.iterdir()) == []
