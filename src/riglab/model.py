@@ -16,9 +16,9 @@ Philox4x64-10 (``_PhiloxStreams``) rather than reseating a Philox per
 stream.  One function, ``_below``, reads every stream's raw words and
 holds the compare that decides them all, one byte per word, so a point
 too large to hold its decisions fails with MemoryError before drawing.
-One routine, ``_rows_connected``, reads connectivity off such rows,
-flattened, on numpy alone.  ``sample_connected`` stops at the first vertex
-with no objects (that vertex is isolated) and samples no vertex after it.
+One routine, ``_rows_connected``, reads connectivity off such rows, or an
+assignment's sets, on numpy alone.  It stops at the first vertex with no
+objects (that vertex is isolated), so ``sample_connected`` draws no row after it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -476,22 +476,29 @@ def project(assignment: BipartiteAssignment) -> IntersectionGraph:
     return _unchecked(IntersectionGraph, n=assignment.params.n, edges=frozenset(edges))
 
 
-def _rows_connected(params: ModelParams, lengths, objects: np.ndarray) -> bool:
+def _rows_connected(params: ModelParams, rows) -> bool:
     """True when the vertex-object graph of these object rows joins all n vertices.
 
-    The rows are flat: vertex v owns the next lengths[v] entries of
-    `objects`.  Vertex v is node v and object w is node n + w, and the
-    components are found by hooking and pointer jumping (Shiloach and
-    Vishkin, 1982).  Each node's label is a node of its component no larger
-    than itself, so the labels form a forest whose roots label themselves.  A
-    round hooks, for each edge, the larger of its two ends' roots onto the
-    smaller, then jumps every label to its root; the rounds stop when every
-    edge joins a single root.  The graph is connected exactly when every
-    vertex's root is node 0.
+    `rows` gives each vertex's objects in vertex order, as the arrays of
+    ``_object_rows`` or the tuples of ``BipartiteAssignment.sets``, read
+    lazily: when n > 1 an empty row is an isolated vertex, so the answer is
+    False and no later row is read.  Otherwise vertex v is node v and object
+    w is node n + w, and the components are found by hooking and pointer
+    jumping (Shiloach and Vishkin, 1982).  Each node's label is a node of its
+    component no larger than itself, so the labels form a forest whose roots
+    label themselves.  A round hooks, for each edge, the larger of its two
+    ends' roots onto the smaller, then jumps every label to its root; the
+    rounds stop when every edge joins a single root.  The graph is connected
+    exactly when every vertex's root is node 0.
     """
     n, m = params.n, params.m
-    vertices = np.repeat(np.arange(n), lengths)
-    objects = objects + n
+    kept = []
+    for row in rows:
+        if not len(row) and n > 1:
+            return False
+        kept.append(row)
+    vertices = np.repeat(np.arange(n), [len(row) for row in kept])
+    objects = np.concatenate(kept).astype(np.intp, copy=False) + n
     labels = np.arange(n + m)
     while True:
         a, b = labels[vertices], labels[objects]
@@ -514,24 +521,12 @@ def is_connected(assignment: BipartiteAssignment) -> bool:
     is a component of its own and disconnects nothing, while a vertex with
     no objects is isolated.  n=1 counts as connected.
     """
-    sets = assignment.sets
-    lengths = np.fromiter(map(len, sets), np.intp, count=len(sets))
-    objects = np.fromiter(chain.from_iterable(sets), np.intp, count=int(lengths.sum()))
-    return _rows_connected(assignment.params, lengths, objects)
+    return _rows_connected(assignment.params, assignment.sets)
 
 
 def sample_connected(params: ModelParams, seed: int) -> bool:
-    """is_connected(sample_assignment(params, seed)), drawn up to the first isolated vertex only.
-
-    When n > 1 the first empty row is an isolated vertex: the answer is False
-    and no later row is drawn.
-    """
-    rows = []
-    for row in _object_rows(params, seed):
-        if not len(row) and params.n > 1:
-            return False
-        rows.append(row)
-    return _rows_connected(params, [len(row) for row in rows], np.concatenate(rows))
+    """is_connected(sample_assignment(params, seed)), drawn up to the first isolated vertex only."""
+    return _rows_connected(params, _object_rows(params, seed))
 
 
 def _rig_text(params: ModelParams, seed: int, body_lines) -> str:

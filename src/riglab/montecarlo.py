@@ -394,8 +394,10 @@ def _degree_trials(params: ModelParams, seeds):
 # the edge-prob kind hands a call of at least _CHUNK trials, at no more than
 # this many objects, to model._pair_hits, whose fixed cost is about 190 numpy
 # calls per group of seeds.  Seed hashing aside, on 2 vCPUs it took
-# 0.42-0.92 of the per-trial path's time at 64 trials and m <= 64, 0.15 at
-# 256 trials and m <= 2, and 1.2 at 64 trials and m = 100
+# 0.42-0.92 of the per-trial path's time on a 64-trial chunk at m <= 64 and
+# 1.20 at m = 100; on a whole 3000-trial point, 0.57 at m = 64, 0.85 at
+# m = 100 and 1.74 at m = 256.  So a map's chunks at m = 100, and the
+# benchmark's m = 100 point, stay on the per-trial path
 _BATCH_OBJECTS = 64
 
 
@@ -624,12 +626,20 @@ def _beside(path: str, tag: str) -> str:
     return os.path.join(directory, f".{name}.{os.urandom(6).hex()}.{tag}")
 
 
+def _target(path: str) -> str:
+    """The file a write to `path` replaces: the one a symlink resolves to, else `path` itself."""
+    return os.path.realpath(path) if os.path.islink(path) else path
+
+
 def _refuse_targets(*paths) -> None:
     """Refuse, before any file is made, targets (None: stdout) that cannot all be written.
 
     Two targets that resolve to one file raise ValueError.  A target that is
     a directory, or whose directory is missing or is not a directory, raises
-    the error open() would give for it, naming the target.
+    the error open() would give for it, naming the target.  A target that
+    exists and is not a regular file (a FIFO, a device) raises EINVAL, so it
+    is never replaced.  A symlink is judged by the file it resolves to, and
+    one in a loop raises ELOOP, as open() would.
     """
     paths = [path for path in paths if path is not None]
     for i, path in enumerate(paths):
@@ -639,8 +649,12 @@ def _refuse_targets(*paths) -> None:
     for path in paths:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise OSError(errno.EINVAL, "not a regular file", path)
+        if os.path.islink(_target(path)):  # a loop: realpath stops at a link
+            raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), path)
         try:  # a trailing separator makes stat fail as open() would on the directory
-            os.stat(os.path.join(os.path.dirname(path) or os.curdir, ""))
+            os.stat(os.path.join(os.path.dirname(_target(path)) or os.curdir, ""))
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from None
 
@@ -653,10 +667,12 @@ def _write_all(texts) -> None:
     file first moved aside.  On any error, an interrupt included, the
     targets already moved get their older files back (or are removed,
     where there was none) and every new file is removed, so no target is
-    created or changed.  A failed write names its target, not the new file,
-    and ``_refuse_targets`` runs before any file is made.
+    created or changed.  A symlink target is written at the path it resolves
+    to, so the link stays.  A failed write names its target, not the new
+    file, and ``_refuse_targets`` runs before any file is made.
     """
     _refuse_targets(*(path for path, _ in texts))
+    texts = [(_target(path), text) for path, text in texts]
     fresh, moved = [], []
     try:
         for path, text in texts:

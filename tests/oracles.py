@@ -180,6 +180,27 @@ def binom_tail(trials: int, p: float, cutoff: int, direction: str) -> Fraction:
     return sum(comb(trials, k) * p**k * q ** (trials - k) for k in ks)
 
 
+def wilson_interval_exact(successes: int, trials: int) -> tuple[float, float]:
+    """The 95% Wilson score interval in 80-digit decimal arithmetic, each bound rounded once.
+
+    z is 1.959963984540054, the interval's contract, written here rather than
+    imported.  The bounds are (center -+ half) / (1 + z**2/n) with center
+    phat + z**2/(2n) and half z * sqrt(phat(1 - phat)/n + z**2/(4n**2)).  At
+    0 successes center equals half, and at n successes center + half equals
+    the denominator, so those bounds are exactly 0 and 1.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 80
+        s, n, z = Decimal(successes), Decimal(trials), Decimal("1.959963984540054")
+        phat, z2 = s / n, z * z
+        denom = 1 + z2 / n
+        center = phat + z2 / (2 * n)
+        half = z * (phat * (1 - phat) / n + z2 / (4 * n * n)).sqrt()
+        lower = 0 if s == 0 else (center - half) / denom
+        upper = 1 if s == n else (center + half) / denom
+        return float(lower), float(upper)
+
+
 def mixture_degree_pmf(n: int, m: int, p: float) -> list[float]:
     """Degree law of vertex 0 as a mixture over its object count S ~ Binomial(m, p).
 

@@ -6,6 +6,7 @@ import os
 import re
 import resource
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
@@ -777,6 +778,58 @@ def test_outputs_replace_older_files_with_the_usual_permissions(tmp_path, monkey
     os.umask(umask)
     for name in ("x.csv", "x.json", "x.svg"):
         assert os.stat(tmp_path / name).st_mode & 0o777 == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("older", [_OLDER, None], ids=["live", "dangling"])
+def test_gen_writes_through_a_symlink_and_keeps_the_link(older, tmp_path, monkeypatch, capsys):
+    # the link is written at the path it resolves to; it is not replaced by a file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "reports").mkdir()
+    if older is not None:
+        (tmp_path / "reports" / "g.txt").write_bytes(older)
+    os.symlink(os.path.join("reports", "g.txt"), "link.txt")
+    argv = ["gen", "--n", "6", "--m", "3", "--p", "0.4", "--seed", "11"]
+    code, expected, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, out, err = run_cli(argv + ["--out", "link.txt"], capsys)
+    assert (code, out, err) == (0, "", "")
+    assert os.readlink("link.txt") == os.path.join("reports", "g.txt")
+    assert (tmp_path / "reports" / "g.txt").read_text() == expected
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.txt", "reports"]
+    assert [path.name for path in (tmp_path / "reports").iterdir()] == ["g.txt"]
+
+
+def test_symlink_loop_output_exit_3_left_untouched(tmp_path, monkeypatch, capsys):
+    # the link resolves to no file, so it is refused with the error open() gives
+    monkeypatch.chdir(tmp_path)
+    os.symlink("b.txt", "a.txt")
+    os.symlink("a.txt", "b.txt")
+    code, out, err = run_cli(["gen", "--n", "3", "--m", "2", "--p", "0.5", "--out", "a.txt"],
+                             capsys)
+    assert (code, out) == (3, "")
+    assert err == "i/o error: [Errno 40] Too many levels of symbolic links: 'a.txt'\n"
+    assert [os.readlink(name) for name in ("a.txt", "b.txt")] == ["b.txt", "a.txt"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+
+
+@pytest.mark.parametrize("through_a_link", [False, True], ids=["fifo", "link-to-fifo"])
+def test_special_file_output_exit_3_left_untouched(through_a_link, tmp_path):
+    # a FIFO is refused before sampling, not replaced by a regular file.  In a
+    # subprocess with a timeout, since a writer that opens the FIFO blocks
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    target = tmp_path / "link.txt" if through_a_link else fifo
+    if through_a_link:
+        os.symlink(fifo, target)
+    before = sorted(path.name for path in tmp_path.iterdir())
+    argv = ["gen", "--n", "3", "--m", "2", "--p", "0.5", "--out", str(target)]
+    proc = subprocess.run([sys.executable, "-m", "riglab", *argv], capture_output=True,
+                          text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"i/o error: [Errno 22] not a regular file: '{target}'\n"
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert os.path.islink(target) is through_a_link
+    assert sorted(path.name for path in tmp_path.iterdir()) == before
 
 
 # ----------------------------------------------------------------- subprocess

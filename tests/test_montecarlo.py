@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import stat
+import subprocess
+import sys
 import threading
 import time
 from itertools import islice
@@ -17,6 +21,8 @@ from riglab import (
     pair_adjacent,
     project,
     q_exact,
+    render_csv,
+    render_summary_json,
     run_experiment,
     sample_assignment,
     sample_connected,
@@ -38,6 +44,7 @@ from oracles import (
     enum_degree_pmf,
     gilbert_connected_prob,
     mixture_degree_pmf,
+    wilson_interval_exact,
 )
 
 
@@ -82,6 +89,23 @@ def test_wilson_interval_brackets_estimate(trials, data):
     lo, hi = wilson_interval(successes, trials)
     phat = successes / trials
     assert 0.0 <= lo <= phat <= hi <= 1.0
+
+
+def test_wilson_interval_matches_the_exact_interval_within_32_ulp():
+    # the worst case is ci_low at (1, 10**9), 24 ulp off, from the
+    # cancellation in center - half
+    large = (10**3, 10**6, 10**9, 10**12, 10**15, 2**53, 10**18, 2**64)
+    grid = [(s, n) for n in range(1, 80) for s in range(n + 1)]
+    grid += [(s, n) for n in large for s in {0, 1, 2, n // 3, n // 2, n - 2, n - 1, n}]
+    for successes, trials in grid:
+        got = wilson_interval(successes, trials)
+        exact = wilson_interval_exact(successes, trials)
+        for bound, value in zip(got, exact):
+            assert abs(bound - value) <= 32 * math.ulp(value), (successes, trials, got, exact)
+        if successes == 0:
+            assert got[0] == 0.0
+        if successes == trials:
+            assert got[1] == 1.0
 
 
 # ------------------------------------------------------------ spec validation
@@ -698,3 +722,45 @@ def test_write_outputs_refuses_two_targets_that_name_one_file(json_path, extra, 
     with pytest.raises(ValueError, match=r"^outputs '.*' and '.*' name the same file$"):
         write_outputs(run_experiment(spec), "x.csv", json_path, extra)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_write_outputs_writes_through_live_and_dangling_symlinks(tmp_path, monkeypatch):
+    # each report lands at the path its link resolves to, and both links stay
+    monkeypatch.chdir(tmp_path)
+    spec = ExperimentSpec(kind="edge-prob", trials=5, master_seed=0, points=((2, 0.5),))
+    result = run_experiment(spec)
+    (tmp_path / "reports").mkdir()
+    (tmp_path / "reports" / "x.csv").write_bytes(b"# an older report\n")
+    os.symlink(os.path.join("reports", "x.csv"), "x.csv")
+    os.symlink(os.path.join("reports", "x.json"), "x.json")  # dangling
+    write_outputs(result, "x.csv", "x.json")
+    for name in ("x.csv", "x.json"):
+        assert os.readlink(name) == os.path.join("reports", name)
+    assert (tmp_path / "reports" / "x.csv").read_text() == render_csv(result)
+    assert (tmp_path / "reports" / "x.json").read_text() == render_summary_json(result)
+    assert sorted(path.name for path in (tmp_path / "reports").iterdir()) == ["x.csv", "x.json"]
+
+
+_WRITE_TO_FIFO = """
+import sys
+from riglab import ExperimentSpec, run_experiment, write_outputs
+spec = ExperimentSpec(kind="edge-prob", trials=5, master_seed=0, points=((2, 0.5),))
+try:
+    write_outputs(run_experiment(spec), sys.argv[1], sys.argv[2])
+except OSError as exc:
+    print(exc)
+"""
+
+
+def test_write_outputs_refuses_a_fifo_and_writes_nothing(tmp_path):
+    # a FIFO is not a regular file: refused before any file is made, so the
+    # CSV beside it is not written either.  In a subprocess with a timeout,
+    # since a writer that opens the FIFO blocks
+    fifo = tmp_path / "x.json"
+    os.mkfifo(fifo)
+    argv = [sys.executable, "-c", _WRITE_TO_FIFO, str(tmp_path / "x.csv"), str(fifo)]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"[Errno 22] not a regular file: '{fifo}'\n"
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [path.name for path in tmp_path.iterdir()] == ["x.json"]
