@@ -148,33 +148,32 @@ def render_chart(result) -> str:
     def sy(y: float) -> float:
         return height - bottom - (y - y0) / (y1 - y0) * (height - top - bottom)
 
+    # one template per element: a black line, a label, and a points list in chart coordinates
+    def line(xa: float, ya: float, xb: float, yb: float) -> str:
+        return f'<line x1="{xa:.2f}" y1="{ya:.2f}" x2="{xb:.2f}" y2="{yb:.2f}" stroke="black"/>'
+
+    def text(x: float, y: float, anchor: str, body, extra: str = "") -> str:
+        return f'<text x="{x:.2f}" y="{y:.2f}" text-anchor="{anchor}"{extra}>{body}</text>'
+
+    def path(points) -> str:
+        return " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in points)
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width:g} {height:g}" '
         f'font-family="monospace" font-size="11">',
         f'<rect width="{width:g}" height="{height:g}" fill="white"/>',
-        f'<line x1="{left:.2f}" y1="{height - bottom:.2f}" x2="{width - right:.2f}" '
-        f'y2="{height - bottom:.2f}" stroke="black"/>',
-        f'<line x1="{left:.2f}" y1="{top:.2f}" x2="{left:.2f}" y2="{height - bottom:.2f}" '
-        f'stroke="black"/>',
+        line(left, height - bottom, width - right, height - bottom),
+        line(left, top, left, height - bottom),
     ]
     for i in range(5):
         fx = x0 + (x1 - x0) * i / 4
         fy = y0 + (y1 - y0) * i / 4
-        parts.append(
-            f'<line x1="{sx(fx):.2f}" y1="{height - bottom:.2f}" x2="{sx(fx):.2f}" '
-            f'y2="{height - bottom + 4:.2f}" stroke="black"/>'
-            f'<text x="{sx(fx):.2f}" y="{height - bottom + 16:.2f}" '
-            f'text-anchor="middle">{fx:.4g}</text>'
-        )
-        parts.append(
-            f'<line x1="{left - 4:.2f}" y1="{sy(fy):.2f}" x2="{left:.2f}" y2="{sy(fy):.2f}" '
-            f'stroke="black"/>'
-            f'<text x="{left - 7:.2f}" y="{sy(fy) + 4:.2f}" text-anchor="end">{fy:.4g}</text>'
-        )
-    parts.append(
-        f'<text x="{(left + width - right) / 2:.2f}" y="{height - 8:.2f}" '
-        f'text-anchor="middle">{xlabel}</text>'
-    )
+        parts += [
+            line(sx(fx), height - bottom, sx(fx), height - bottom + 4)
+            + text(sx(fx), height - bottom + 16, "middle", f"{fx:.4g}"),
+            line(left - 4, sy(fy), left, sy(fy)) + text(left - 7, sy(fy) + 4, "end", f"{fy:.4g}"),
+        ]
+    parts.append(text((left + width - right) / 2, height - 8, "middle", xlabel))
     parts.append(
         f'<text x="14" y="{(top + height - bottom) / 2:.2f}" text-anchor="middle" '
         f'transform="rotate(-90 14 {(top + height - bottom) / 2:.2f})">{ylabel}</text>'
@@ -182,20 +181,14 @@ def render_chart(result) -> str:
     for idx, (label, pts) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
         if len(pts) > 1 and any(lo != hi for _, _, lo, hi in pts):
-            band = [(sx(x), sy(hi)) for x, _, _, hi in pts]
-            band += [(sx(x), sy(lo)) for x, _, lo, _ in reversed(pts)]
-            band_str = " ".join(f"{bx:.2f},{by:.2f}" for bx, by in band)
-            parts.append(f'<polygon points="{band_str}" fill="{color}" fill-opacity="0.15"/>')
-        line = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y, _, _ in pts)
-        parts.append(
-            f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
+            band = [(x, hi) for x, _, _, hi in pts]
+            band += [(x, lo) for x, _, lo, _ in reversed(pts)]
+            parts.append(f'<polygon points="{path(band)}" fill="{color}" fill-opacity="0.15"/>')
+        poly = path((x, y) for x, y, _, _ in pts)
+        parts.append(f'<polyline points="{poly}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         for x, y, _, _ in pts:
             parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.5" fill="{color}"/>')
-        parts.append(
-            f'<text x="{width - right - 6:.2f}" y="{top + 14 * (idx + 1):.2f}" '
-            f'text-anchor="end" fill="{color}">{label}</text>'
-        )
+        parts.append(text(width - right - 6, top + 14 * (idx + 1), "end", label, f' fill="{color}"'))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -666,10 +666,10 @@ def _write_all(texts) -> None:
     when all are written are they moved into place, each target's older
     file first moved aside.  On any error, an interrupt included, the
     targets already moved get their older files back (or are removed,
-    where there was none) and every new file is removed, so no target is
-    created or changed.  A symlink target is written at the path it resolves
-    to, so the link stays.  A failed write names its target, not the new
-    file, and ``_refuse_targets`` runs before any file is made.
+    where there was none) and only the new files it made are removed, so no
+    target is created or changed.  A symlink target is written at the path it
+    resolves to, so the link stays.  A failed write names its target, not
+    the new file, and ``_refuse_targets`` runs before any file is made.
     """
     _refuse_targets(*(path for path, _ in texts))
     texts = [(_target(path), text) for path, text in texts]
@@ -681,6 +681,8 @@ def _write_all(texts) -> None:
                 with open(fresh[-1], "x") as fh:
                     fh.write(text)
             except OSError as exc:
+                if isinstance(exc, FileExistsError):  # that name is another file's
+                    fresh.pop()
                 raise OSError(exc.errno, exc.strerror, path) from None
         for (path, _), new in zip(texts, fresh):
             older = _beside(path, "old") if os.path.lexists(path) else None

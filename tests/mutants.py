@@ -1,0 +1,139 @@
+"""The mutation ledger: small faults in src/, each with the tests that must catch it.
+
+Usage::
+
+    python tests/mutants.py
+
+Each row of ``ROWS`` names a file under src/, an exact ``old`` text that
+occurs once in it, the ``new`` text that replaces it, and the tests, as
+``path::function``, that must fail on the result.  For each row, src/,
+tests/ and pyproject.toml are copied into a temporary directory, the row is
+applied there, and pytest runs the row's tests against that copy.  The
+working tree is never edited.
+
+A row is reported as:
+
+- killed: every test it names fails;
+- survived: one of them passes;
+- stale: its ``old`` text does not occur exactly once, or a test it names
+  did not run.
+
+The run exits 1 when any row survives or is stale, and 0 otherwise.  A
+change that adds a check adds its row here; ``tests/test_mutants.py``
+checks, within the suite, that every row still applies and names tests
+that exist.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+from xml.etree import ElementTree
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Row(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple
+
+
+_RUNNER = ("tests/test_montecarlo.py::"
+           "test_the_default_runner_threads_a_point_from_8192_words_per_stream")
+_IN_THE_WAY = "tests/test_montecarlo.py::test_a_new_file_that_cannot_be_made_is_named_by_its_target"
+
+ROWS = (
+    Row("runner-rule-includes-8192-words", "src/riglab/montecarlo.py",
+        "words(params) >= _THREADED_WORDS", "words(params) > _THREADED_WORDS", (_RUNNER,)),
+    Row("degree-words-average-both-streams", "src/riglab/montecarlo.py",
+        "return (params.m + params.n - 1) / 2", "return params.m", (_RUNNER,)),
+    Row("runner-needs-two-cores", "src/riglab/montecarlo.py",
+        "mapper is None and workers > 1 and words(params)", "mapper is None and words(params)",
+        (_RUNNER,)),
+    Row("degree-scaling-reads-degree-words", "src/riglab/montecarlo.py",
+        '"degree-scaling": (_degree_trials, _degree_words,',
+        '"degree-scaling": (_degree_trials, _row_words,', (_RUNNER,)),
+    Row("usable-cores-falls-back-to-cpu-count", "src/riglab/montecarlo.py",
+        "return os.cpu_count() or 1", "return 1",
+        ("tests/test_montecarlo.py::test_usable_cores_without_an_affinity_call_is_the_cpu_count",)),
+    Row("restore-removes-a-target-it-made", "src/riglab/montecarlo.py",
+        "if older is None:\n                    os.unlink(path)",
+        "if older is None:\n                    pass",
+        ("tests/test_cli.py::test_a_failed_move_into_place_restores_every_target",)),
+    Row("failed-write-names-its-target", "src/riglab/montecarlo.py",
+        "fresh.pop()\n                raise OSError(exc.errno, exc.strerror, path) from None",
+        "fresh.pop()\n                raise", (_IN_THE_WAY,)),
+    Row("a-file-in-the-way-is-not-removed", "src/riglab/montecarlo.py",
+        "                    fresh.pop()\n", "                    pass\n", (_IN_THE_WAY,)),
+    Row("rows-connected-stops-at-an-isolated-vertex", "src/riglab/model.py",
+        "        if not len(row) and n > 1:\n            return False\n", "",
+        ("tests/test_montecarlo.py::test_sample_connected_stops_at_the_first_isolated_vertex",)),
+    Row("wilson-z-is-the-exact-quantile", "src/riglab/montecarlo.py",
+        "_Z95 = 1.959963984540054", "_Z95 = 1.96",
+        ("tests/test_montecarlo.py::test_wilson_interval_matches_the_exact_interval_within_32_ulp",)),
+    Row("philox-streams-advance-their-counter", "src/riglab/model.py",
+        "        self.drawn += blocks\n", "",
+        ("tests/test_model.py::test_batched_philox_matches_independent_philox",
+         "tests/test_model.py::test_batched_pair_trials_longer_than_one_block_match_the_assignment")),
+    Row("below-compares-strictly", "src/riglab/model.py",
+        "return bit_generator.random_raw(shape) < limit",
+        "return bit_generator.random_raw(shape) <= limit",
+        ("tests/test_model.py::test_raw_compare_matches_the_uniform_compare_at_the_bound",)),
+)
+
+
+def _failed_tests(root: Path, tests) -> dict:
+    """{test id: whether any of its cases failed}, for each named test that ran in `root`."""
+    report = root / "report.xml"
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            f"--junitxml={report}", *tests]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    subprocess.run(argv, cwd=root, env=env, stdout=subprocess.DEVNULL,
+                   stderr=subprocess.DEVNULL, check=False)
+    failed = {}
+    if report.exists():
+        for case in ElementTree.parse(report).iter("testcase"):
+            test = f"{case.get('classname').replace('.', '/')}.py::{case.get('name').split('[')[0]}"
+            bad = case.find("failure") is not None or case.find("error") is not None
+            failed[test] = failed.get(test, False) or bad
+    return failed
+
+
+def run_row(row: Row) -> tuple[str, str]:
+    """(killed, survived or stale; why) for one row, applied to a copy of the tree."""
+    with tempfile.TemporaryDirectory(prefix="riglab-mutant-") as tmp:
+        root = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, root / part, ignore=skip)
+        shutil.copy2(ROOT / "pyproject.toml", root)
+        target = root / row.file
+        text = target.read_text()
+        if text.count(row.old) != 1:
+            return "stale", f"its old text occurs {text.count(row.old)} times in {row.file}"
+        target.write_text(text.replace(row.old, row.new))
+        failed = _failed_tests(root, row.tests)
+    missing = [test for test in row.tests if test not in failed]
+    if missing:
+        return "stale", f"did not run: {', '.join(missing)}"
+    passed = [test for test in row.tests if not failed[test]]
+    return ("survived", f"passed: {', '.join(passed)}") if passed else ("killed", "")
+
+
+def main() -> int:
+    bad = 0
+    for row in ROWS:
+        status, why = run_row(row)
+        print(f"{status:8} {row.name}" + (f": {why}" if why else ""), flush=True)
+        bad += status != "killed"
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

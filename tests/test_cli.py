@@ -726,22 +726,25 @@ _OLDER = b"# an older output\n"
 
 
 @pytest.mark.parametrize(
-    ("argv", "targets"),
+    ("argv", "targets", "older"),
     [
-        (_SWEEP_X + ["--svg"], ["x.csv", "x.json", "x.svg"]),
+        (_SWEEP_X + ["--svg"], ["x.csv", "x.json", "x.svg"], True),
         (["gen", "--n", "4", "--m", "3", "--p", "0.5", "--out", "g.txt",
-          "--assignment-out", "a.txt"], ["g.txt", "a.txt"]),
+          "--assignment-out", "a.txt"], ["g.txt", "a.txt"], True),
+        (_SWEEP_X + ["--svg"], ["x.csv", "x.json", "x.svg"], False),
     ],
-    ids=["sweep", "gen"],
+    ids=["sweep", "gen", "sweep-no-older"],
 )
-def test_a_failed_move_into_place_restores_every_target(argv, targets, tmp_path, monkeypatch,
-                                                        capsys):
+def test_a_failed_move_into_place_restores_every_target(argv, targets, older, tmp_path,
+                                                        monkeypatch, capsys):
     # the second target's move fails once: the first target, already moved
-    # into place, gets its older file back, and no new or set-aside file is left
+    # into place, gets its older file back (or is removed, where there was
+    # none), and no new or set-aside file is left
     monkeypatch.chdir(tmp_path)
     _write_spec(tmp_path, {"kind": "edge-prob", "trials": 5, "master_seed": 0,
                            "points": [{"m": 2, "p": 0.5}]})
-    for name in targets:
+    olders = targets if older else []
+    for name in olders:
         (tmp_path / name).write_bytes(_OLDER)
     before = sorted(path.name for path in tmp_path.iterdir())
     replace, moves = os.replace, []
@@ -759,7 +762,7 @@ def test_a_failed_move_into_place_restores_every_target(argv, targets, tmp_path,
     assert err == f"i/o error: [Errno 13] Permission denied: '{targets[1]}'\n"
     assert targets[0] in [dst for _, dst in moves]  # the first target was moved into place
     assert sorted(path.name for path in tmp_path.iterdir()) == before
-    for name in targets:
+    for name in olders:
         assert (tmp_path / name).read_bytes() == _OLDER
 
 

@@ -6,15 +6,20 @@ as 0 and 1, integer alpha and beta) that the spec normalizes to floats, and
 a sweep that repeats an n and an alpha value.  The sha256 of each written
 file is pinned, so any change to the sampling, the aggregation, the row
 layout, the spec echo or the chart shows up here, and so are the `wrote`
-lines on stdout.  This is the suite's one check of report bytes.
+lines on stdout.  This is the suite's one check of report bytes.  Each chart's
+counts of lines, labels, polylines, points and bands are checked too, from
+the series it draws, so its structure stays guarded when its digests change.
 """
 
 import hashlib
 import json
+from collections import Counter
+from xml.etree import ElementTree
 
 import pytest
 
-from riglab.cli import ENV_SEED, main
+from riglab import ExperimentSpec, run_experiment
+from riglab.cli import ENV_SEED, _chart_series, main
 
 CASES = {
     "edge-prob": (
@@ -140,6 +145,16 @@ def test_report_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
     assert main([command, "--spec", str(spec_path), "--out", str(out), "--svg"]) == 0
     extensions = ("csv", "json", "svg")
     assert capsys.readouterr().out.splitlines() == [f"wrote {out}.{ext}" for ext in extensions]
+    # the chart's structure, counted from the series it draws, holds whatever its bytes become
+    _, _, series = _chart_series(run_experiment(ExperimentSpec.from_dict(spec)))
+    svg = ElementTree.parse(tmp_path / "report.svg").getroot()
+    counts = Counter(element.tag.rpartition("}")[2] for element in svg.iter())
+    banded = [pts for _, pts in series if len(pts) > 1 and any(lo != hi for *_, lo, hi in pts)]
+    assert counts["line"] == 2 + 10  # the axes, and five ticks on each
+    assert counts["text"] == 10 + 2 + len(series)  # tick and axis labels, one legend label each
+    assert counts["polyline"] == len(series)
+    assert counts["circle"] == sum(len(pts) for _, pts in series)
+    assert counts["polygon"] == len(banded)
     digests = tuple(
         hashlib.sha256((tmp_path / f"report.{ext}").read_bytes()).hexdigest()
         for ext in extensions

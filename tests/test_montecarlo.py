@@ -456,6 +456,52 @@ def test_no_list_of_starts_or_seeds_is_built_even_at_2_to_the_64_trials(monkeypa
         assert len(calls) < 1000 + 6 * 64
 
 
+# (spec fields, whether the default runner hands the point to helper threads):
+# a point runs threaded from 8192 raw words per stream on average, m for
+# edge-prob and (m + n - 1) / 2 for the degree kinds, on each side of it
+_RUNNER_CASES = {
+    "edge-prob-m8192": ({"kind": "edge-prob", "points": ((8192, 0.5),)}, True),
+    "edge-prob-m8191": ({"kind": "edge-prob", "points": ((8191, 0.5),)}, False),
+    "degree-dist-avg8192": ({"kind": "degree-dist", "points": ((2, 16383, 0.5),)}, True),
+    "degree-dist-small-m": ({"kind": "degree-dist", "points": ((10000, 6385, 0.001),)}, True),
+    "degree-dist-avg8191.5": ({"kind": "degree-dist", "points": ((2, 16382, 0.5),)}, False),
+    "degree-scaling-n16385": ({"kind": "degree-scaling", "n_values": (16385,), "alphas": (0.5,),
+                               "m_rule": ("fixed", 1), "c": 0.5}, True),
+    "degree-scaling-n16383": ({"kind": "degree-scaling", "n_values": (16383,), "alphas": (0.5,),
+                               "m_rule": ("fixed", 1), "c": 0.5}, False),
+}
+
+
+@pytest.mark.parametrize("case", list(_RUNNER_CASES))
+def test_the_default_runner_threads_a_point_from_8192_words_per_stream(case, monkeypatch):
+    fields, threaded = _RUNNER_CASES[case]
+    spec = ExperimentSpec(trials=3, master_seed=1, **fields)
+    calls, threaded_map = [], riglab.montecarlo._threaded_map
+
+    def spy(func, items, workers):
+        calls.append(workers)
+        return threaded_map(func, items, workers)
+
+    monkeypatch.setattr(riglab.montecarlo, "_threaded_map", spy)
+    monkeypatch.setattr(riglab.montecarlo, "_usable_cores", lambda: 2)
+    records = run_experiment(spec).records
+    assert calls == ([2] if threaded else [])
+    # a given map, or a single usable core, keeps every point off the helpers
+    calls.clear()
+    assert run_experiment(spec, map_fn=map).records == records
+    monkeypatch.setattr(riglab.montecarlo, "_usable_cores", lambda: 1)
+    assert run_experiment(spec).records == records
+    assert calls == []
+
+
+def test_usable_cores_without_an_affinity_call_is_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert riglab.montecarlo._usable_cores() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # the count is unknown
+    assert riglab.montecarlo._usable_cores() == 1
+
+
 # --------------------------------------------------------------- connectivity
 
 def test_connectivity_single_vertex_is_always_connected():
@@ -764,3 +810,18 @@ def test_write_outputs_refuses_a_fifo_and_writes_nothing(tmp_path):
     assert proc.stdout == f"[Errno 22] not a regular file: '{fifo}'\n"
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
     assert [path.name for path in tmp_path.iterdir()] == ["x.json"]
+
+
+def test_a_new_file_that_cannot_be_made_is_named_by_its_target(tmp_path, monkeypatch):
+    # with no random bits every new file's name is known, and b.txt's is
+    # already taken: the error names b.txt, a.txt's new file is removed,
+    # and the file in the way, which the writer did not make, is left
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(os, "urandom", lambda size: bytes(size))
+    in_the_way = tmp_path / ".b.txt.000000000000.new"
+    in_the_way.write_bytes(b"not riglab's\n")
+    with pytest.raises(FileExistsError) as info:
+        riglab.montecarlo._write_all([("a.txt", "a\n"), ("b.txt", "b\n")])
+    assert info.value.filename == "b.txt"
+    assert list(tmp_path.iterdir()) == [in_the_way]
+    assert in_the_way.read_bytes() == b"not riglab's\n"
