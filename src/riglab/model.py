@@ -12,10 +12,11 @@ every attachment row, and ``sample_degree`` counts vertex 0's attachments
 on the same stream and its adjacencies on the reserved stream n.
 ``_pair_hits`` decides the two-vertex trials of a stream of seeds in
 groups: it computes a group's streams' raw words in one numpy pass of
-Philox4x64-10 (``_PhiloxStreams``) rather than reseating a Philox per
-stream.  One function, ``_below``, reads every stream's raw words and
-holds the compare that decides them all, one byte per word, so a point
-too large to hold its decisions fails with MemoryError before drawing.
+Philox4x64-10 (``_philox``, a pure function of each (key, counter) lane)
+rather than reseating a Philox per stream.  One function, ``_below``,
+reads every stream's raw words from a draw function and holds the compare
+that decides them all, one byte per word, so a point too large to hold
+its decisions fails with MemoryError before drawing.
 One routine, ``_rows_connected``, reads connectivity off such rows, or an
 assignment's sets, on numpy alone.  It stops at the first vertex with no
 objects (that vertex is isolated), so ``sample_connected`` draws no row after it.
@@ -280,25 +281,26 @@ def _raw_limit(p: float) -> np.uint64 | None:
     return np.uint64(math.ceil(p * 2**53) << 11) if p < 1.0 else None
 
 
-def _below(bit_generator, shape: tuple[int, ...], limit: np.uint64 | None) -> np.ndarray:
+def _below(draw, shape: tuple[int, ...], limit: np.uint64 | None) -> np.ndarray:
     """Whether each of the streams' next uniforms falls below p, for limit = _raw_limit(p).
 
-    `shape` is (count,), or (streams, count) for a ``_PhiloxStreams``, and
-    the words are `bit_generator`'s raw words: no Generator takes part.
-    None are drawn when every uniform is below p.  A count longer than
-    ``_BLOCK`` is decided block by block, the words one call would give,
-    into one bool array made before the first draw, so a count too large
-    to hold fails at once with MemoryError.  This is the package's only
-    raw-word reader, for attachment rows, degree counts and ``_pair_hits``.
+    `shape` is (count,), or (streams, count), and ``draw(shape)`` returns
+    the streams' next raw words in that shape: a Philox's ``random_raw``,
+    or ``_pair_hits``' lanes.  No Generator takes part, and none are drawn
+    when every uniform is below p.  A count longer than ``_BLOCK`` is
+    decided block by block, the words one draw would give, into one bool
+    array made before the first draw, so a count too large to hold fails
+    at once with MemoryError.  This is the package's only raw-word reader,
+    for attachment rows, degree counts and ``_pair_hits``.
     """
     if limit is None:
         return np.ones(shape, dtype=bool)
     if shape[-1] <= _BLOCK:
-        return bit_generator.random_raw(shape) < limit
+        return draw(shape) < limit
     below = np.empty(shape, dtype=bool)
     for start in range(0, shape[-1], _BLOCK):
         block = below[..., start : start + _BLOCK]
-        block[...] = _below(bit_generator, block.shape, limit)
+        block[...] = _below(draw, block.shape, limit)
     return below
 
 
@@ -321,44 +323,30 @@ def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x * _PHILOX_MUL
 
 
-class _PhiloxStreams:
-    """Philox4x64-10 streams at counter 0, one per column of `keys`, computed together in numpy.
+def _philox(key: np.ndarray, counter: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 of each lane: the four raw words of block `counter` of stream `key`.
 
-    `keys` is a (2, streams) uint64 array of (seed, index) pairs: the keys
-    ``vertex_substream`` gives its Philox.  ``random_raw((streams, count))``
-    returns each stream's next `count` raw words, one row per stream, bit
-    for bit the words that Philox would draw (numpy's Philox bumps its
-    counter before each four-word block, so the first block is counter 1).
-    A call starts at the next four-word block, so successive calls give the
-    words of one call as long as each but the last asks for whole blocks.
-    Each (stream, block) is one lane of a (2, lanes) state: a round
-    multiplies words 0 and 2 of every lane at once.  This is the
-    ``random_raw`` that ``_below`` reads for ``_pair_hits``.
+    `key` is a (2, lanes) uint64 array of the (seed, index) keys that
+    ``vertex_substream`` gives its Philox, and `counter` a (lanes,) uint64
+    array; numpy's Philox bumps its counter before each block, so a
+    stream's first four words are block 1.  Returns a (lanes, 4) array and
+    changes neither argument.  A round multiplies words 0 and 2 of every
+    lane at once.
     """
-
-    def __init__(self, keys: np.ndarray) -> None:
-        self.keys = keys
-        self.drawn = 0  # four-word blocks per stream
-
-    def random_raw(self, size: tuple[int, int]) -> np.ndarray:
-        streams, count = size
-        blocks = -(-count // 4)
-        key = self.keys.repeat(blocks, axis=1)
-        even = np.zeros_like(key)  # words 0 and 2 of each lane's counter
-        even[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), streams) + self.drawn
-        self.drawn += blocks
-        odd = np.zeros_like(key)  # words 1 and 3
-        for round_index in range(10):
-            if round_index:
-                key += _PHILOX_BUMP
-            hi, lo = _mulhilo(even)
-            # (hi of word 2 ^ word 1 ^ key 0, lo of 2, hi of 0 ^ word 3 ^ key 1, lo of 0)
-            even = hi[::-1]
-            even ^= odd
-            even ^= key
-            odd = lo[::-1]
-        words = np.stack((even[0], odd[0], even[1], odd[1]), axis=-1)
-        return words.reshape(streams, 4 * blocks)[:, :count]
+    key = key.copy()
+    even = np.zeros_like(key)  # words 0 and 2 of each lane's counter
+    even[0] = counter
+    odd = np.zeros_like(key)  # words 1 and 3
+    for round_index in range(10):
+        if round_index:
+            key += _PHILOX_BUMP
+        hi, lo = _mulhilo(even)
+        # (hi of word 2 ^ word 1 ^ key 0, lo of 2, hi of 0 ^ word 3 ^ key 1, lo of 0)
+        even = hi[::-1]
+        even ^= odd
+        even ^= key
+        odd = lo[::-1]
+    return np.stack((even[0], odd[0], even[1], odd[1]), axis=-1)
 
 
 def _object_rows(params: ModelParams, seed: int):
@@ -374,28 +362,32 @@ def _object_rows(params: ModelParams, seed: int):
     m, limit = params.m, _raw_limit(params.p)
     for v in range(params.n):
         vertex_substream(seed, v, bit_generator=philox)
-        yield _below(philox, (m,), limit).nonzero()[0]
+        yield _below(philox.random_raw, (m,), limit).nonzero()[0]
 
 
 def _pair_hits(params: ModelParams, seeds):
     """Yield ``pair_adjacent(sample_assignment(params, seed), 0, 1)`` per seed, in order; n >= 2.
 
     Vertices 0 and 1 are adjacent when some object is attached to both.
-    The seeds, any iterable, are taken in groups, and the rows of streams
-    (seed, 0) and (seed, 1) of a group's seeds are decided by ``_below`` on
-    one ``_PhiloxStreams``, the words and the compare exactly those of
-    ``_object_rows``, so the answers are too.  A group holds at most
-    ``_BLOCK`` four-word blocks, so no array grows with the number of
-    seeds.  Nothing is drawn at p = 1.
+    The seeds, any iterable, are taken in groups of at most ``_BLOCK``
+    four-word blocks, so no array grows with the number of seeds.  One
+    ``_below`` call decides a group's rows of streams (seed, 0) and (seed, 1)
+    on ``_philox`` lanes, each stream's blocks 1 to ceil(m / 4): the words
+    and the compare of ``_object_rows``, so the answers are too.  A draw
+    gives whole rows, so m > ``_BLOCK`` raises ValueError.  Nothing is drawn at p = 1.
     """
     m, limit = params.m, _raw_limit(params.p)
-    group = max(1, _BLOCK // (2 * -(-m // 4)))
+    blocks = -(-m // 4)
+    group = max(1, _BLOCK // (2 * blocks))
+    # one lane per block of stream (seed, 0), then of (seed, 1), for each seed
+    index = np.tile(np.arange(2, dtype=np.uint64).repeat(blocks), group)
+    counter = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), 2 * group)
     seeds = iter(seeds)
     while batch := list(islice(seeds, group)):
-        keys = np.zeros((2, 2 * len(batch)), dtype=np.uint64)
-        keys[0] = np.array(batch, dtype=np.uint64).repeat(2)  # streams (seed, 0) and (seed, 1)
-        keys[1, 1::2] = 1
-        rows = _below(_PhiloxStreams(keys), (len(keys[0]), m), limit).reshape(-1, 2, m)
+        lanes = 2 * blocks * len(batch)
+        key = np.stack((np.array(batch, dtype=np.uint64).repeat(2 * blocks), index[:lanes]))
+        draw = lambda shape: _philox(key, counter[:lanes]).reshape(shape[0], -1)[:, :m]
+        rows = _below(draw, (2 * len(batch), m), limit).reshape(-1, 2, m)
         yield from (rows[:, 0] & rows[:, 1]).any(axis=1).tolist()
 
 
@@ -438,12 +430,12 @@ def sample_degree(params: ModelParams, seed: int) -> int:
     philox, n, m = _PER_THREAD.philox, params.n, params.m
     vertex_substream(seed, 0, bit_generator=philox)
     limit = _raw_limit(params.p)
-    size = m if limit is None else int(np.count_nonzero(_below(philox, (m,), limit)))
+    size = m if limit is None else int(np.count_nonzero(_below(philox.random_raw, (m,), limit)))
     if n == 1 or size == 0:
         return 0
     limit = _raw_limit(conditional_adjacency_prob(size, params.p))
     vertex_substream(seed, n, bit_generator=philox)
-    return n - 1 if limit is None else int(np.count_nonzero(_below(philox, (n - 1,), limit)))
+    return n - 1 if limit is None else int(np.count_nonzero(_below(philox.random_raw, (n - 1,), limit)))
 
 
 def pair_adjacent(assignment: BipartiteAssignment, i: int, j: int) -> bool:

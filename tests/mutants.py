@@ -47,6 +47,16 @@ class Row(NamedTuple):
 _RUNNER = ("tests/test_montecarlo.py::"
            "test_the_default_runner_threads_a_point_from_8192_words_per_stream")
 _IN_THE_WAY = "tests/test_montecarlo.py::test_a_new_file_that_cannot_be_made_is_named_by_its_target"
+_LANES = ("tests/test_model.py::test_batched_philox_matches_independent_philox",
+          "tests/test_montecarlo.py::test_edge_prob_runs_straddle_the_batch_rule")
+_KERNEL = (
+    "tests/test_model.py::test_batched_pair_trials_match_the_assignment",
+    "tests/test_model.py::test_batched_pair_trials_stop_at_one_block",
+    "tests/test_montecarlo.py::test_chunk_starts_reach_map_fn_as_one_lazy_range_per_point",
+    "tests/test_montecarlo.py::test_no_list_of_starts_or_seeds_is_built_even_at_2_to_the_64_trials",
+)
+_GOLDEN = "tests/test_golden.py::test_report_bytes_are_pinned"
+_COMPARE = "tests/test_model.py::test_raw_compare_matches_the_uniform_compare_at_the_bound"
 
 ROWS = (
     Row("runner-rule-includes-8192-words", "src/riglab/montecarlo.py",
@@ -77,14 +87,21 @@ ROWS = (
     Row("wilson-z-is-the-exact-quantile", "src/riglab/montecarlo.py",
         "_Z95 = 1.959963984540054", "_Z95 = 1.96",
         ("tests/test_montecarlo.py::test_wilson_interval_matches_the_exact_interval_within_32_ulp",)),
-    Row("philox-streams-advance-their-counter", "src/riglab/model.py",
-        "        self.drawn += blocks\n", "",
-        ("tests/test_model.py::test_batched_philox_matches_independent_philox",
-         "tests/test_model.py::test_batched_pair_trials_longer_than_one_block_match_the_assignment")),
+    Row("philox-bumps-its-key-each-round", "src/riglab/model.py",
+        "key += _PHILOX_BUMP", "key += _PHILOX_BUMP * np.uint64(0)",
+        (*_LANES, *_KERNEL, _GOLDEN)),
+    Row("mulhilo-keeps-its-carry", "src/riglab/model.py",
+        "hi += carry >> _SHIFT32", "hi += carry >> _SHIFT32 >> _SHIFT32",
+        (*_LANES, *_KERNEL, _GOLDEN)),
+    Row("pair-hits-count-blocks-from-1", "src/riglab/model.py",
+        "np.arange(1, blocks + 1, dtype=np.uint64)", "np.arange(blocks, dtype=np.uint64)",
+        (*_KERNEL, _GOLDEN)),
+    Row("below-blocks-are-8192-words", "src/riglab/model.py",
+        "range(0, shape[-1], _BLOCK)", "range(0, shape[-1], _BLOCK // 2)",
+        (_COMPARE, "tests/test_model.py::test_object_rows_follow_independent_philox",
+         "tests/test_model.py::test_sample_degree_follows_independent_philox")),
     Row("below-compares-strictly", "src/riglab/model.py",
-        "return bit_generator.random_raw(shape) < limit",
-        "return bit_generator.random_raw(shape) <= limit",
-        ("tests/test_model.py::test_raw_compare_matches_the_uniform_compare_at_the_bound",)),
+        "return draw(shape) < limit", "return draw(shape) <= limit", (_COMPARE,)),
 )
 
 

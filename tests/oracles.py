@@ -2,10 +2,11 @@
 
 Everything here is deliberately brute force: the Philox4x64-10 stream of the
 sampling contract in plain integers (``philox4x64_raw``, the one reference
-for every sampler's draws), exhaustive enumeration over all bipartite
-outcomes, quadratic pairwise projection, matrix-style reachability, and one
-binomial tail in exact rational arithmetic.  Slow and obviously correct, so
-the fast library paths can be judged against them.
+for every sampler's draws, made of ``philox4x64_block``'s blocks),
+exhaustive enumeration over all bipartite outcomes, quadratic pairwise
+projection, matrix-style reachability, and one binomial tail in exact
+rational arithmetic.  Slow and obviously correct, so the fast library
+paths can be judged against them.
 """
 
 from __future__ import annotations
@@ -27,27 +28,32 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _MASK64 = 2**64 - 1
 
 
+def philox4x64_block(seed: int, index: int, block: int) -> list[int]:
+    """The four 64-bit words of Philox4x64-10 block `block` of the stream keyed by (seed, index).
+
+    The key is (seed mod 2**64, index mod 2**64) and the 256-bit counter is
+    `block`; ten rounds yield the block's four words in order.
+    """
+    k0, k1 = seed & _MASK64, index & _MASK64
+    x = [(block >> (64 * i)) & _MASK64 for i in range(4)]
+    for r in range(10):
+        if r:
+            k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+        lo, hi = _PHILOX_M[0] * x[0], _PHILOX_M[1] * x[2]
+        x = [(hi >> 64) ^ x[1] ^ k0, hi & _MASK64, (lo >> 64) ^ x[3] ^ k1, lo & _MASK64]
+    return x
+
+
 def philox4x64_raw(seed: int, index: int, count: int) -> list[int]:
     """The first `count` 64-bit words of Philox4x64-10 keyed by (seed, index), in plain ints.
 
     The sampling contract's stream: key (seed mod 2**64, index mod 2**64) and a
     256-bit counter that starts at 0 and is incremented before each block, as
-    numpy's Philox does, so the first block is counter 1.  Each block of ten
-    rounds yields four words in order.
+    numpy's Philox does, so the first block is counter 1.
     """
-    key = (seed & _MASK64, index & _MASK64)
     words: list[int] = []
-    block = 0
-    while len(words) < count:
-        block += 1
-        x = [(block >> (64 * i)) & _MASK64 for i in range(4)]
-        k0, k1 = key
-        for r in range(10):
-            if r:
-                k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
-            lo, hi = _PHILOX_M[0] * x[0], _PHILOX_M[1] * x[2]
-            x = [(hi >> 64) ^ x[1] ^ k0, hi & _MASK64, (lo >> 64) ^ x[3] ^ k1, lo & _MASK64]
-        words.extend(x)
+    for block in range(1, -(-count // 4) + 1):
+        words.extend(philox4x64_block(seed, index, block))
     return words[:count]
 
 

@@ -492,28 +492,39 @@ def test_interrupt_exits_130_without_a_report(tmp_path, monkeypatch, capsys):
 def test_sigint_on_the_threaded_runner_exits_130_without_a_report(tmp_path):
     # m = 2**22 makes each degree trial draw 4 Mi words, tens of ms, so the
     # 1024 trials run for seconds, on three helper threads whatever the
-    # host's core count
+    # host's core count.  The run is started as it is, then through a
+    # launcher that ignores SIGINT and execs it, as a non-interactive shell
+    # starts a background job: an ignored signal stays ignored across exec,
+    # so the child installs Python's handler itself
     spec_path = _write_spec(tmp_path, {"kind": "degree-dist", "trials": 1024, "master_seed": 0,
                                        "points": [{"n": 4, "m": 2**22, "p": 0.5}]})
     script = (
-        "import sys, riglab.cli, riglab.montecarlo\n"
+        "import signal, sys, riglab.cli, riglab.montecarlo\n"
+        "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
         "riglab.montecarlo._usable_cores = lambda: 3\n"
         "print('ready', file=sys.stderr, flush=True)\n"
         "sys.exit(riglab.cli.main(sys.argv[1:]))\n"
     )
-    argv = ["degree-dist", "--spec", spec_path, "--out", str(tmp_path / "x")]
-    with subprocess.Popen([sys.executable, "-c", script, *argv], stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, text=True) as proc:
-        try:
-            assert proc.stderr.readline() == "ready\n"
-            time.sleep(0.5)
-            proc.send_signal(signal.SIGINT)
-            out, err = proc.communicate(timeout=10)
-        finally:
-            proc.kill()
-    assert (proc.returncode, out) == (130, "")
-    assert err.endswith("interrupted\n")
-    assert not list(tmp_path.glob("x.*"))
+    launcher = (
+        "import os, signal, sys\n"
+        "signal.signal(signal.SIGINT, signal.SIG_IGN)\n"
+        "os.execv(sys.executable, sys.argv[1:])\n"
+    )
+    argv = [sys.executable, "-c", script, "degree-dist", "--spec", spec_path,
+            "--out", str(tmp_path / "x")]
+    for started in (argv, [sys.executable, "-c", launcher, *argv]):
+        with subprocess.Popen(started, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True) as proc:
+            try:
+                assert proc.stderr.readline() == "ready\n"
+                time.sleep(0.5)
+                proc.send_signal(signal.SIGINT)
+                out, err = proc.communicate(timeout=10)
+            finally:
+                proc.kill()
+        assert (proc.returncode, out) == (130, ""), started[2]
+        assert err.endswith("interrupted\n")
+        assert not list(tmp_path.glob("x.*"))
 
 
 def test_bad_grid_point_rejected_before_sampling(tmp_path, monkeypatch, capsys):

@@ -27,11 +27,13 @@ from riglab import (
     vertex_substream,
 )
 
+import riglab.model
 from riglab.model import (
-    _BLOCK, _PER_THREAD, _PhiloxStreams, _below, _pair_hits, _raw_limit,
+    _BLOCK, _PER_THREAD, _below, _pair_hits, _philox, _raw_limit,
 )
+from riglab.montecarlo import _BATCH_OBJECTS
 
-from oracles import pairwise_project, philox4x64_raw, reachability_connected
+from oracles import pairwise_project, philox4x64_block, philox4x64_raw, reachability_connected
 
 
 # ---------------------------------------------------------------- parameters
@@ -192,21 +194,23 @@ def test_raw_compare_matches_the_uniform_compare_at_the_bound(p):
     limit = math.ceil(Fraction(p) * 2**53) * 2**11
     words = [w for w in (0, limit - 1, limit, limit + 1, 2**64 - 1) if 0 <= w < 2**64]
     below = [_uniform(w) < p for w in words]
-    assert _below(_RawWords(words), (len(words),), _raw_limit(p)).tolist() == below
+    assert _below(_RawWords(words).random_raw, (len(words),), _raw_limit(p)).tolist() == below
     assert below == [w < limit for w in words]
     # the degree counts: within one block, and over two blocks with the
     # bound words on both sides of the seam
-    assert np.count_nonzero(_below(_RawWords(words), (len(words),), _raw_limit(p))) == sum(below)
+    counted = _below(_RawWords(words).random_raw, (len(words),), _raw_limit(p))
+    assert np.count_nonzero(counted) == sum(below)
     stream = [0] * (_BLOCK - len(words)) + words + words
     expected = sum(_uniform(w) < p for w in stream)
-    assert np.count_nonzero(_below(_RawWords(stream), (len(stream),), _raw_limit(p))) == expected
+    counted = _below(_RawWords(stream).random_raw, (len(stream),), _raw_limit(p))
+    assert np.count_nonzero(counted) == expected
 
 
 @pytest.mark.parametrize("p", [5e-324, 0.5])
 def test_below_makes_its_decision_array_before_the_first_draw(p):
     # 2**59 - 1 decisions cannot be held; the stand-in fails any draw at all
     with pytest.raises(MemoryError):
-        _below(_RawWords([]), (2**59 - 1,), _raw_limit(p))
+        _below(_RawWords([]).random_raw, (2**59 - 1,), _raw_limit(p))
 
 
 @pytest.mark.parametrize("p", _EDGE_PS)
@@ -256,51 +260,58 @@ def test_sample_degree_holds_nothing_for_a_stream_of_sure_indicators(n, m, p):
 
 
 def test_batched_philox_matches_independent_philox():
-    # all six streams in one call, at counts that stop inside, at and past
-    # the seams of the four-word blocks
+    # one call of lanes in reverse order, each a (stream, block) of the six
+    # streams, at blocks inside, past and far past a row of _pair_hits; the
+    # arguments are left as they were
     keys = [(seed, index) for seed in (0, 1, 2**64 - 1) for index in (0, 1)]
-    streams = _PhiloxStreams(np.array(keys, dtype=np.uint64).T)
-    for count in [*range(1, 10), 50, 100]:
-        expected = [philox4x64_raw(seed, index, count) for seed, index in keys]
-        assert streams.random_raw((len(keys), count)).tolist() == expected, count
-        streams.drawn = 0
-    # successive calls of whole four-word blocks continue each stream
-    expected = [philox4x64_raw(seed, index, 15) for seed, index in keys]
-    parts = [streams.random_raw((len(keys), count)) for count in (8, 4, 3)]
-    assert np.concatenate(parts, axis=1).tolist() == expected
+    lanes = [(key, block) for key in keys for block in (1, 2, 3, 7, 25, 2**20)][::-1]
+    key = np.array([key for key, _ in lanes], dtype=np.uint64).T
+    counter = np.array([block for _, block in lanes], dtype=np.uint64)
+    given = key.copy(), counter.copy()
+    expected = [philox4x64_block(seed, index, block) for (seed, index), block in lanes]
+    assert _philox(key, counter).tolist() == expected
+    assert np.array_equal(key, given[0]) and np.array_equal(counter, given[1])
 
 
 @pytest.mark.parametrize("p", [0.0, 5e-324, 0.3, 1.0])
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 17, 50, 100])
 def test_batched_pair_trials_match_the_assignment(m, p):
-    # 2000 seeds cross _pair_hits' groups of _BLOCK four-word blocks at m >= 17
+    # 2000 seeds cross _pair_hits' groups of _BLOCK four-word blocks at m >= 17;
+    # the first 16 are also decided on the independent oracle's words, which
+    # share no code with _below or _raw_limit
     params = ModelParams(2, m, p)
     seeds = [0, 2**64 - 1, *(int(s) for s in np.random.default_rng(m).integers(
         0, 2**64, size=1998, dtype=np.uint64))]
     expected = [pair_adjacent(sample_assignment(params, seed), 0, 1) for seed in seeds]
-    assert list(_pair_hits(params, seeds)) == expected
+    hits = list(_pair_hits(params, seeds))
+    assert hits == expected
+    for seed, hit in zip(seeds[:16], hits):
+        rows = [[_uniform(w) < p for w in philox4x64_raw(seed, v, m)] for v in (0, 1)]
+        assert hit == any(a and b for a, b in zip(*rows)), seed
     if p != 0.3:
         assert set(expected) == {p == 1.0}
 
 
-@pytest.mark.parametrize("p", [0.0, 0.0065, 1.0])
-def test_batched_pair_trials_longer_than_one_block_match_the_assignment(p):
-    # each stream of m = 2 * _BLOCK + 13 words is read by _below in three
-    # passes of _PhiloxStreams, each continuing where the last stopped; at
-    # p = 0.0065 about half of the pairs are adjacent
-    params = ModelParams(2, 2 * _BLOCK + 13, p)
-    seeds = [0, 2**64 - 1, *range(1, 31)]
-    expected = [pair_adjacent(sample_assignment(params, seed), 0, 1) for seed in seeds]
-    assert list(_pair_hits(params, seeds)) == expected
-    if p == 0.0065:
+def test_batched_pair_trials_stop_at_one_block():
+    # the kernel serves rows of one _below pass: the batch rule's rows and
+    # rows of _BLOCK words are decided as the assignment decides them, and a
+    # longer row raises rather than read its first words again
+    assert _BATCH_OBJECTS <= _BLOCK
+    for m in (_BATCH_OBJECTS, _BLOCK):
+        params = ModelParams(2, m, 1 / math.isqrt(m))  # about 0.6 of the pairs adjacent
+        seeds = range(40)
+        expected = [pair_adjacent(sample_assignment(params, seed), 0, 1) for seed in seeds]
+        assert list(_pair_hits(params, seeds)) == expected
         assert len(set(expected)) == 2
+    with pytest.raises(ValueError):
+        list(_pair_hits(ModelParams(2, _BLOCK + 1, 0.5), range(3)))
 
 
 def test_batched_pair_trials_draw_nothing_at_p_one(monkeypatch):
-    def no_draw(self, size):
+    def no_draw(key, counter):
         raise AssertionError("drew at p = 1")
 
-    monkeypatch.setattr(_PhiloxStreams, "random_raw", no_draw)
+    monkeypatch.setattr(riglab.model, "_philox", no_draw)
     assert list(_pair_hits(ModelParams(2, 7, 1.0), range(300))) == [True] * 300
 
 

@@ -285,14 +285,14 @@ def test_chunk_starts_reach_map_fn_as_one_lazy_range_per_point():
 def test_edge_prob_runs_straddle_the_batch_rule(monkeypatch):
     # on the calling thread a point hands the kind all its trials at once:
     # m = 64 at 259 trials is decided by the kernel alone, in passes of at
-    # most _BLOCK blocks; m = 65 is past the kernel's reach, and 63 trials
+    # most _BLOCK four-word blocks, one Philox lane each; m = 65 is past the kernel's reach, and 63 trials
     # are too few, so those are decided trial by trial
     wide = ExperimentSpec(kind="edge-prob", trials=4 * 64 + 3, master_seed=8,
                           points=((64, 0.02), (65, 0.02)))
     short = ExperimentSpec(kind="edge-prob", trials=63, master_seed=8, points=((64, 0.02),))
     batches, assignments, passes = [], [], []
     pair_hits, assign = riglab.montecarlo._pair_hits, riglab.montecarlo.sample_assignment
-    random_raw = riglab.model._PhiloxStreams.random_raw
+    philox = riglab.model._philox
 
     def recording_pair_hits(params, seeds):
         seeds = list(seeds)
@@ -303,13 +303,13 @@ def test_edge_prob_runs_straddle_the_batch_rule(monkeypatch):
         assignments.append(params.m)
         return assign(params, seed)
 
-    def recording_random_raw(self, size):
-        passes.append(size[0] * -(-size[1] // 4))
-        return random_raw(self, size)
+    def recording_philox(key, counter):
+        passes.append(len(counter))
+        return philox(key, counter)
 
     monkeypatch.setattr(riglab.montecarlo, "_pair_hits", recording_pair_hits)
     monkeypatch.setattr(riglab.montecarlo, "sample_assignment", recording_assignment)
-    monkeypatch.setattr(riglab.model._PhiloxStreams, "random_raw", recording_random_raw)
+    monkeypatch.setattr(riglab.model, "_philox", recording_philox)
     wide_records = run_experiment(wide).records
     assert batches == [(64, wide.trials)]
     assert assignments == [65] * wide.trials
