@@ -11,9 +11,10 @@ Every draw is made here.  One per-vertex loop, ``_object_rows``, draws
 every attachment row, and ``sample_degree`` counts vertex 0's attachments
 on the same stream and its adjacencies on the reserved stream n.
 ``_pair_hits`` decides the two-vertex trials of a stream of seeds in
-groups: it computes a group's streams' raw words in one numpy pass of
-Philox4x64-10 (``_philox``, a pure function of each (key, counter) lane)
-rather than reseating a Philox per stream.  One function, ``_below``,
+groups: it computes a group's raw words in numpy passes of Philox4x64-10
+(``_philox``, a pure function of each (key, counter) lane) rather than
+reseating a Philox per stream, stream (seed, 1) only at the blocks where
+stream (seed, 0) attached.  One function, ``_below``,
 reads every stream's raw words from a draw function and holds the compare
 that decides them all, one byte per word, so a point too large to hold
 its decisions fails with MemoryError before drawing.
@@ -369,26 +370,37 @@ def _pair_hits(params: ModelParams, seeds):
     """Yield ``pair_adjacent(sample_assignment(params, seed), 0, 1)`` per seed, in order; n >= 2.
 
     Vertices 0 and 1 are adjacent when some object is attached to both.
-    The seeds, any iterable, are taken in groups of at most ``_BLOCK``
-    four-word blocks, so no array grows with the number of seeds.  One
-    ``_below`` call decides a group's rows of streams (seed, 0) and (seed, 1)
-    on ``_philox`` lanes, each stream's blocks 1 to ceil(m / 4): the words
-    and the compare of ``_object_rows``, so the answers are too.  A draw
-    gives whole rows, so m > ``_BLOCK`` raises ValueError.  Nothing is drawn at p = 1.
+    The seeds, any iterable, are taken in groups of ``_BLOCK // blocks``
+    seeds, blocks = ceil(m / 4), so no ``_philox`` pass exceeds ``_BLOCK``
+    lanes and no array grows with the number of seeds.  One ``_below`` call
+    decides a group's blocks 1 to blocks of stream (seed, 0), one lane per
+    (seed, block), with the words past m masked off.  Stream (seed, 1)
+    matters only where stream 0 attached, and a Philox block is a pure
+    function of (key, counter), so a second ``_below`` call decides stream
+    1 at only the lanes with a word below p.  A trial is a hit when some
+    lane has a word below p in both: the words and the compare of
+    ``_object_rows``, so the answers are too.  m > ``_BLOCK`` raises
+    ValueError.  Nothing is drawn at p = 1.
     """
     m, limit = params.m, _raw_limit(params.p)
+    _require(m <= _BLOCK, f"_pair_hits decides rows of at most {_BLOCK} objects, got m={m}")
     blocks = -(-m // 4)
-    group = max(1, _BLOCK // (2 * blocks))
-    # one lane per block of stream (seed, 0), then of (seed, 1), for each seed
-    index = np.tile(np.arange(2, dtype=np.uint64).repeat(blocks), group)
-    counter = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), 2 * group)
+    group = _BLOCK // blocks
+    # each lane's block of its stream
+    counter = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), group)
     seeds = iter(seeds)
     while batch := list(islice(seeds, group)):
-        lanes = 2 * blocks * len(batch)
-        key = np.stack((np.array(batch, dtype=np.uint64).repeat(2 * blocks), index[:lanes]))
-        draw = lambda shape: _philox(key, counter[:lanes]).reshape(shape[0], -1)[:, :m]
-        rows = _below(draw, (2 * len(batch), m), limit).reshape(-1, 2, m)
-        yield from (rows[:, 0] & rows[:, 1]).any(axis=1).tolist()
+        lanes = blocks * len(batch)
+        key = np.array(batch, dtype=np.uint64).repeat(blocks)
+        zero = np.stack((key, np.zeros_like(key)))
+        first = _below(lambda shape: _philox(zero, counter[:lanes]), (lanes, 4), limit)
+        first.reshape(len(batch), -1)[:, m:] = False  # the last block's words past m
+        kept = first.any(axis=1).nonzero()[0]
+        one = np.stack((key[kept], np.ones_like(kept, dtype=np.uint64)))
+        second = _below(lambda shape: _philox(one, counter[kept]), (len(kept), 4), limit)
+        hits = np.zeros(len(batch), dtype=bool)
+        hits[kept[(first[kept] & second).any(axis=1)] // blocks] = True
+        yield from hits.tolist()
 
 
 def sample_assignment(params: ModelParams, seed: int) -> BipartiteAssignment:

@@ -392,13 +392,13 @@ def _degree_trials(params: ModelParams, seeds):
 
 
 # the edge-prob kind hands a call of at least _CHUNK trials, at no more than
-# this many objects, to model._pair_hits, whose fixed cost is about 190 numpy
-# calls per group of seeds.  Seed hashing aside, on 2 vCPUs it took
-# 0.42-0.92 of the per-trial path's time on a 64-trial chunk at m <= 64 and
-# 1.20 at m = 100; on a whole 3000-trial point, 0.57 at m = 64, 0.85 at
-# m = 100 and 1.74 at m = 256.  So a map's chunks at m = 100, and the
-# benchmark's m = 100 point, stay on the per-trial path
-_BATCH_OBJECTS = 64
+# this many objects, to model._pair_hits, which computes stream (seed, 1)
+# only at the blocks where stream (seed, 0) attached.  Seed hashing aside,
+# on 2 vCPUs it took 0.47-0.95 of the per-trial path's time on a 64-trial
+# chunk at m <= 64 and 1.04-1.10 at m = 100-128; on a whole 3000-trial
+# point, 0.59-0.60 at m = 100 and 0.97-1.28 at m = 256.  So calls of under
+# 64 trials and points past m = 128 stay on the per-trial path
+_BATCH_OBJECTS = 128
 
 
 def _pair_trials(params: ModelParams, seeds):

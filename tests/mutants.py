@@ -55,6 +55,7 @@ _KERNEL = (
     "tests/test_montecarlo.py::test_chunk_starts_reach_map_fn_as_one_lazy_range_per_point",
     "tests/test_montecarlo.py::test_no_list_of_starts_or_seeds_is_built_even_at_2_to_the_64_trials",
 )
+_PAIR_SEEDS = "tests/test_model.py::test_batched_pair_trials_match_the_assignment"
 _GOLDEN = "tests/test_golden.py::test_report_bytes_are_pinned"
 _COMPARE = "tests/test_model.py::test_raw_compare_matches_the_uniform_compare_at_the_bound"
 
@@ -94,12 +95,34 @@ ROWS = (
         "hi += carry >> _SHIFT32", "hi += carry >> _SHIFT32 >> _SHIFT32",
         (*_LANES, *_KERNEL, _GOLDEN)),
     Row("pair-hits-count-blocks-from-1", "src/riglab/model.py",
-        "np.arange(1, blocks + 1, dtype=np.uint64)", "np.arange(blocks, dtype=np.uint64)",
+        "np.tile(np.arange(1, blocks + 1, dtype=np.uint64), group)",
+        "np.tile(np.arange(blocks, dtype=np.uint64), group)", (*_KERNEL, _GOLDEN)),
+    Row("pair-hits-read-stream-1-at-stream-0s-blocks", "src/riglab/model.py",
+        "_philox(one, counter[kept])", "_philox(one, counter[kept] + np.uint64(1))",
         (*_KERNEL, _GOLDEN)),
+    Row("pair-hits-keep-lanes-hit-at-word-3", "src/riglab/model.py",
+        "kept = first.any(axis=1)", "kept = first[:, :3].any(axis=1)", (_PAIR_SEEDS,)),
+    Row("pair-hits-mask-words-past-m", "src/riglab/model.py",
+        "        first.reshape(len(batch), -1)[:, m:] = False", "        pass", (_PAIR_SEEDS,)),
     Row("below-blocks-are-8192-words", "src/riglab/model.py",
         "range(0, shape[-1], _BLOCK)", "range(0, shape[-1], _BLOCK // 2)",
         (_COMPARE, "tests/test_model.py::test_object_rows_follow_independent_philox",
          "tests/test_model.py::test_sample_degree_follows_independent_philox")),
+    Row("below-holds-its-decisions-before-drawing", "src/riglab/model.py",
+        """    below = np.empty(shape, dtype=bool)
+    for start in range(0, shape[-1], _BLOCK):
+        block = below[..., start : start + _BLOCK]
+        block[...] = _below(draw, block.shape, limit)
+    return below
+""",
+        """    blocks = [_below(draw, (*shape[:-1], min(_BLOCK, shape[-1] - start)), limit)
+              for start in range(0, shape[-1], _BLOCK)]
+    return np.concatenate(blocks, axis=-1)
+""",
+        ("tests/test_model.py::test_below_makes_its_decision_array_before_the_first_draw",)),
+    Row("threaded-map-skips-jobs-after-a-stop", "src/riglab/montecarlo.py",
+        "            if stopped:\n                continue\n", "",
+        ("tests/test_montecarlo.py::test_threaded_runner_skips_the_items_queued_when_the_caller_stops",)),
     Row("below-compares-strictly", "src/riglab/model.py",
         "return draw(shape) < limit", "return draw(shape) <= limit", (_COMPARE,)),
 )

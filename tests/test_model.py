@@ -273,29 +273,59 @@ def test_batched_philox_matches_independent_philox():
     assert np.array_equal(key, given[0]) and np.array_equal(counter, given[1])
 
 
+# hand-picked seeds at p = 0.3, where the kernel keeps a (seed, block) lane
+# for stream (seed, 1) only when stream (seed, 0) attaches in it: the pair's
+# only shared object is word 3 of a block in which stream 0 attaches nothing
+# else, or sits in the last, partial block; or the pair shares no object, yet
+# a word past m in the last block is below p in both streams
+_PAIR_SEEDS = {
+    1: {"last": 9, "past m": 6},
+    2: {"last": 6, "past m": 12},
+    3: {"last": 6, "past m": 21},
+    4: {"word 3": 21},
+    5: {"word 3": 21, "last": 5, "past m": 11},
+    17: {"word 3": 44, "last": 7, "past m": 18},
+    50: {"word 3": 57, "last": 559, "past m": 1125},
+    100: {"word 3": 7987},
+    101: {"word 3": 7987, "last": 390410, "past m": 58572},
+    128: {"word 3": 149126},
+}
+
+
 @pytest.mark.parametrize("p", [0.0, 5e-324, 0.3, 1.0])
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 17, 50, 100])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 17, 50, 100, 101, 128])
 def test_batched_pair_trials_match_the_assignment(m, p):
-    # 2000 seeds cross _pair_hits' groups of _BLOCK four-word blocks at m >= 17;
-    # the first 16 are also decided on the independent oracle's words, which
-    # share no code with _below or _raw_limit
+    # 2000 seeds cross _pair_hits' groups of _BLOCK // ceil(m / 4) seeds at
+    # m >= 17; the first 16, the hand-picked ones among them, are also
+    # decided on the independent oracle's words, which share no code with
+    # _below or _raw_limit
     params = ModelParams(2, m, p)
-    seeds = [0, 2**64 - 1, *(int(s) for s in np.random.default_rng(m).integers(
+    seeds = [*_PAIR_SEEDS[m].values(), 0, 2**64 - 1, *(int(s) for s in np.random.default_rng(m).integers(
         0, 2**64, size=1998, dtype=np.uint64))]
     expected = [pair_adjacent(sample_assignment(params, seed), 0, 1) for seed in seeds]
     hits = list(_pair_hits(params, seeds))
     assert hits == expected
+    words = 4 * -(-m // 4)  # whole four-word blocks, so the last one's words past m too
+    kinds = {seed: kind for kind, seed in _PAIR_SEEDS[m].items()} if p == 0.3 else {}
     for seed, hit in zip(seeds[:16], hits):
-        rows = [[_uniform(w) < p for w in philox4x64_raw(seed, v, m)] for v in (0, 1)]
-        assert hit == any(a and b for a, b in zip(*rows)), seed
+        rows = [[_uniform(w) < p for w in philox4x64_raw(seed, v, words)] for v in (0, 1)]
+        shared = [w for w, (a, b) in enumerate(zip(*rows)) if a and b]
+        inside = [w for w in shared if w < m]
+        assert hit == bool(inside), seed
+        kind = kinds.get(seed)
+        if kind == "past m":
+            assert shared and not inside
+        elif kind:
+            [w] = inside
+            assert w >= words - 4 if kind == "last" else w % 4 == 3 and not any(rows[0][w - 3 : w])
     if p != 0.3:
         assert set(expected) == {p == 1.0}
 
 
 def test_batched_pair_trials_stop_at_one_block():
-    # the kernel serves rows of one _below pass: the batch rule's rows and
-    # rows of _BLOCK words are decided as the assignment decides them, and a
-    # longer row raises rather than read its first words again
+    # the kernel serves rows of at most _BLOCK words: the batch rule's rows
+    # and rows of _BLOCK words (groups of 4 seeds) are decided as the
+    # assignment decides them, and a longer row raises
     assert _BATCH_OBJECTS <= _BLOCK
     for m in (_BATCH_OBJECTS, _BLOCK):
         params = ModelParams(2, m, 1 / math.isqrt(m))  # about 0.6 of the pairs adjacent

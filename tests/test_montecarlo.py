@@ -284,12 +284,14 @@ def test_chunk_starts_reach_map_fn_as_one_lazy_range_per_point():
 
 def test_edge_prob_runs_straddle_the_batch_rule(monkeypatch):
     # on the calling thread a point hands the kind all its trials at once:
-    # m = 64 at 259 trials is decided by the kernel alone, in passes of at
-    # most _BLOCK four-word blocks, one Philox lane each; m = 65 is past the kernel's reach, and 63 trials
-    # are too few, so those are decided trial by trial
+    # m = 128 at 259 trials is decided by the kernel alone, in groups of
+    # _BLOCK // 32 = 256 seeds, each in two passes of one Philox lane per
+    # four-word block: all 32 blocks of stream (seed, 0), then only those of
+    # stream (seed, 1) where stream 0 attached; m = 129 is past the kernel's
+    # reach, and 63 trials are too few, so those are decided trial by trial
     wide = ExperimentSpec(kind="edge-prob", trials=4 * 64 + 3, master_seed=8,
-                          points=((64, 0.02), (65, 0.02)))
-    short = ExperimentSpec(kind="edge-prob", trials=63, master_seed=8, points=((64, 0.02),))
+                          points=((128, 0.02), (129, 0.02)))
+    short = ExperimentSpec(kind="edge-prob", trials=63, master_seed=8, points=((128, 0.02),))
     batches, assignments, passes = [], [], []
     pair_hits, assign = riglab.montecarlo._pair_hits, riglab.montecarlo.sample_assignment
     philox = riglab.model._philox
@@ -311,13 +313,14 @@ def test_edge_prob_runs_straddle_the_batch_rule(monkeypatch):
     monkeypatch.setattr(riglab.montecarlo, "sample_assignment", recording_assignment)
     monkeypatch.setattr(riglab.model, "_philox", recording_philox)
     wide_records = run_experiment(wide).records
-    assert batches == [(64, wide.trials)]
-    assert assignments == [65] * wide.trials
-    assert len(passes) == 2 and max(passes) <= riglab.model._BLOCK
+    assert batches == [(128, wide.trials)]
+    assert assignments == [129] * wide.trials
+    assert passes[0::2] == [riglab.model._BLOCK, 32 * 3]
+    assert len(passes) == 4 and 0 < passes[1] < passes[0] and 0 < passes[3] < passes[2]
     batches.clear()
     assignments.clear()
     short_records = run_experiment(short).records
-    assert (batches, assignments) == ([], [64] * short.trials)
+    assert (batches, assignments) == ([], [128] * short.trials)
     for spec, records in ((wide, wide_records), (short, short_records)):
         for g, ((params,), record) in enumerate(zip(spec.grid, records)):
             successes = sum(
