@@ -11,13 +11,14 @@ Every draw is made here.  One per-vertex loop, ``_object_rows``, draws
 every attachment row, and ``sample_degree`` counts vertex 0's attachments
 on the same stream and its adjacencies on the reserved stream n.
 ``_pair_hits`` decides the two-vertex trials of a stream of seeds in
-groups: it computes a group's raw words in numpy passes of Philox4x64-10
-(``_philox``, a pure function of each (key, counter) lane) rather than
-reseating a Philox per stream, stream (seed, 1) only at the blocks where
-stream (seed, 0) attached.  One function, ``_below``,
-reads every stream's raw words from a draw function and holds the compare
-that decides them all, one byte per word, so a point too large to hold
-its decisions fails with MemoryError before drawing.
+groups.  It computes stream (seed, 1) only at the blocks where stream
+(seed, 0) attached, in a numpy pass of Philox4x64-10 (``_philox``, a pure
+function of each (key, counter) lane), and stream (seed, 0) in such a pass
+on short rows, or row by row on the thread's Philox on long ones.  One
+function, ``_below``, reads every stream's raw words from a draw function
+and holds the compare that decides them all, one byte per word, so a
+point too large to hold its decisions fails with MemoryError before
+drawing.
 One routine, ``_rows_connected``, reads connectivity off such rows, or an
 assignment's sets, on numpy alone.  It stops at the first vertex with no
 objects (that vertex is isolated), so ``sample_connected`` draws no row after it.
@@ -66,6 +67,14 @@ _MAX_SIZE = (1 << 59) - 1
 # most four-word Philox blocks _pair_hits computes in one pass, so that the
 # raw words in flight stay small at any n and m
 _BLOCK = 8192
+# the longest row, in four-word blocks, whose stream (seed, 0) _pair_hits
+# computes in _philox lanes (about 35 ns a word); a longer row is drawn seed
+# by seed from the thread's Philox (about 4 ns a word, after about 1.4 us to
+# reseat it and call random_raw).  On 2 vCPUs, whole 3000-seed calls at
+# p = 1/m took, rows time / lanes time, 3.8 at m = 4, 1.17-1.21 at m = 40,
+# 1.01 at m = 48, 0.97-0.99 at m = 52, 0.87-0.92 at m = 64, 0.66-0.67 at
+# m = 100 and 0.45 at m = 256
+_LANE_BLOCKS = 12
 # Philox4x64-10's round multipliers and key increments (Salmon et al., SC
 # 2011), one row per multiply of a round, and the 32-bit halves the
 # multiplies are done in
@@ -371,16 +380,19 @@ def _pair_hits(params: ModelParams, seeds):
 
     Vertices 0 and 1 are adjacent when some object is attached to both.
     The seeds, any iterable, are taken in groups of ``_BLOCK // blocks``
-    seeds, blocks = ceil(m / 4), so no ``_philox`` pass exceeds ``_BLOCK``
-    lanes and no array grows with the number of seeds.  One ``_below`` call
-    decides a group's blocks 1 to blocks of stream (seed, 0), one lane per
-    (seed, block), with the words past m masked off.  Stream (seed, 1)
+    seeds, blocks = ceil(m / 4), so no pass exceeds ``_BLOCK`` four-word
+    blocks and no array grows with the number of seeds.  One ``_below``
+    call decides a group's blocks 1 to blocks of stream (seed, 0), one lane
+    per (seed, block), with the words past m masked off.  Up to
+    ``_LANE_BLOCKS`` blocks a row, one ``_philox`` pass computes them; a
+    longer row is drawn seed by seed from the thread's Philox, reseated by
+    ``vertex_substream``, and the rows are stacked.  Stream (seed, 1)
     matters only where stream 0 attached, and a Philox block is a pure
     function of (key, counter), so a second ``_below`` call decides stream
-    1 at only the lanes with a word below p.  A trial is a hit when some
-    lane has a word below p in both: the words and the compare of
-    ``_object_rows``, so the answers are too.  m > ``_BLOCK`` raises
-    ValueError.  Nothing is drawn at p = 1.
+    1 at only the lanes with a word below p, in a ``_philox`` pass.  A
+    trial is a hit when some lane has a word below p in both: the words
+    and the compare of ``_object_rows``, so the answers are too.  m >
+    ``_BLOCK`` raises ValueError.  Nothing is drawn at p = 1.
     """
     m, limit = params.m, _raw_limit(params.p)
     _require(m <= _BLOCK, f"_pair_hits decides rows of at most {_BLOCK} objects, got m={m}")
@@ -388,12 +400,24 @@ def _pair_hits(params: ModelParams, seeds):
     group = _BLOCK // blocks
     # each lane's block of its stream
     counter = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), group)
+    philox = _PER_THREAD.philox
+
+    # stream (seed, 0)'s blocks for the group in `batch`, each seed's `blocks` lanes in a row
+    def lane_words(shape):
+        return _philox(np.stack((key, np.zeros_like(key))), counter[: len(key)])
+
+    def row_words(shape):
+        words = []
+        for seed in batch:
+            vertex_substream(seed, 0, bit_generator=philox)
+            words.append(philox.random_raw(4 * blocks))
+        return np.concatenate(words).reshape(shape)
+
+    draw = lane_words if blocks <= _LANE_BLOCKS else row_words
     seeds = iter(seeds)
     while batch := list(islice(seeds, group)):
-        lanes = blocks * len(batch)
         key = np.array(batch, dtype=np.uint64).repeat(blocks)
-        zero = np.stack((key, np.zeros_like(key)))
-        first = _below(lambda shape: _philox(zero, counter[:lanes]), (lanes, 4), limit)
+        first = _below(draw, (len(key), 4), limit)
         first.reshape(len(batch), -1)[:, m:] = False  # the last block's words past m
         kept = first.any(axis=1).nonzero()[0]
         one = np.stack((key[kept], np.ones_like(kept, dtype=np.uint64)))

@@ -70,15 +70,38 @@ def derive_trial_seed(master_seed: int, grid_index: int, trial_index: int) -> in
     """Derive the 64-bit seed for one trial.
 
     blake2b over the little-endian packed (master_seed, grid_index,
-    trial_index) triple, truncated to 8 bytes.  The hash is fixed by this
-    contract; collisions across distinct triples are as unlikely as 64-bit
-    hash collisions get.
+    trial_index) triple, each taken mod 2**64, truncated to 8 bytes and
+    read little-endian.  The hash is fixed by this contract; collisions
+    across distinct triples are as unlikely as 64-bit hash collisions get.
     """
-    payload = struct.pack(
-        "<QQQ", master_seed & _MASK64, grid_index & _MASK64, trial_index & _MASK64
+    trial_index &= _MASK64
+    [seed] = _trial_seeds(master_seed, grid_index, trial_index, trial_index + 1)
+    return seed
+
+
+# trial seeds hashed, and held, at once by _trial_seeds
+_SEED_BLOCK = 1024
+
+
+def _trial_seeds(master_seed: int, grid_index: int, start: int, stop: int):
+    """Yield ``derive_trial_seed(master_seed, grid_index, t)`` for t in range(start, stop).
+
+    0 <= start and stop <= 2**64.  The hash state after the 16-byte
+    (master_seed, grid_index) prefix is built once and copied for each
+    trial, and the seeds are made ``_SEED_BLOCK`` at a time, from one
+    joined block of digests, so no list grows with the trial count.
+    """
+    prefix = hashlib.blake2b(
+        struct.pack("<QQ", master_seed & _MASK64, grid_index & _MASK64), digest_size=8
     )
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+    copy = prefix.copy
+    for low in range(start, stop, _SEED_BLOCK):
+        digests = []
+        for t in range(low, min(low + _SEED_BLOCK, stop)):
+            state = copy()
+            state.update(t.to_bytes(8, "little"))
+            digests.append(state.digest())
+        yield from np.frombuffer(b"".join(digests), "<u8").tolist()
 
 
 def _positive(value, name: str) -> float:
@@ -374,8 +397,7 @@ _THREADED_WORDS = 8192
 def _chunk(kind_trials, params: ModelParams, master_seed: int, grid_index: int, trials: int,
            start: int) -> list:
     """The results of trials start .. min(start + _CHUNK, trials) - 1, in trial order."""
-    stop = min(start + _CHUNK, trials)
-    seeds = (derive_trial_seed(master_seed, grid_index, t) for t in range(start, stop))
+    seeds = _trial_seeds(master_seed, grid_index, start, min(start + _CHUNK, trials))
     return list(kind_trials(params, seeds))
 
 
@@ -393,12 +415,13 @@ def _degree_trials(params: ModelParams, seeds):
 
 # the edge-prob kind hands a call of at least _CHUNK trials, at no more than
 # this many objects, to model._pair_hits, which computes stream (seed, 1)
-# only at the blocks where stream (seed, 0) attached.  Seed hashing aside,
-# on 2 vCPUs it took 0.47-0.95 of the per-trial path's time on a 64-trial
-# chunk at m <= 64 and 1.04-1.10 at m = 100-128; on a whole 3000-trial
-# point, 0.59-0.60 at m = 100 and 0.97-1.28 at m = 256.  So calls of under
-# 64 trials and points past m = 128 stay on the per-trial path
-_BATCH_OBJECTS = 128
+# only at the blocks where stream (seed, 0) attached.  Seeds pre-hashed, on
+# 2 vCPUs at p = 1/m it took 0.64-0.71 of the per-trial path's time on a
+# 64-trial chunk at m = 50-512, 0.91-0.94 at m = 1000 and 1.33-1.47 at
+# m = 8192; on a whole 3000-trial point, 0.32-0.40 at m = 50-100, 0.69-0.70
+# at m = 512, 0.85-0.89 at m = 1000 and 1.39-1.40 at m = 8192.  So calls of
+# under 64 trials and points past m = 512 stay on the per-trial path
+_BATCH_OBJECTS = 512
 
 
 def _pair_trials(params: ModelParams, seeds):
@@ -571,7 +594,7 @@ def run_experiment(spec: ExperimentSpec, map_fn=None) -> ExperimentResult:
         if mapper is None and workers > 1 and words(params) >= _THREADED_WORDS:
             mapper = partial(_threaded_map, workers=workers)
         if mapper is None:
-            seeds = (derive_trial_seed(spec.master_seed, grid_index, t) for t in range(spec.trials))
+            seeds = _trial_seeds(spec.master_seed, grid_index, 0, spec.trials)
             results = kind_trials(params, seeds)
         else:
             chunk = partial(_chunk, kind_trials, params, spec.master_seed, grid_index, spec.trials)

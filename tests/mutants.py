@@ -57,6 +57,9 @@ _KERNEL = (
 )
 _PAIR_SEEDS = "tests/test_model.py::test_batched_pair_trials_match_the_assignment"
 _GOLDEN = "tests/test_golden.py::test_report_bytes_are_pinned"
+_ROWS = "tests/test_model.py::test_long_rows_reseat_the_threads_philox_for_stream_0_only"
+_SEEDS = ("tests/test_montecarlo.py::test_trial_seeds_match_the_oracle_across_blocks",
+          "tests/test_montecarlo.py::test_derive_trial_seed_is_stable", _GOLDEN)
 _COMPARE = "tests/test_model.py::test_raw_compare_matches_the_uniform_compare_at_the_bound"
 
 ROWS = (
@@ -104,6 +107,19 @@ ROWS = (
         "kept = first.any(axis=1)", "kept = first[:, :3].any(axis=1)", (_PAIR_SEEDS,)),
     Row("pair-hits-mask-words-past-m", "src/riglab/model.py",
         "        first.reshape(len(batch), -1)[:, m:] = False", "        pass", (_PAIR_SEEDS,)),
+    Row("pair-hits-lanes-up-to-lane-blocks", "src/riglab/model.py",
+        "blocks <= _LANE_BLOCKS", "blocks < _LANE_BLOCKS", (_ROWS,)),
+    Row("pair-hits-rows-read-stream-0", "src/riglab/model.py",
+        "            vertex_substream(seed, 0, bit_generator=philox)\n",
+        "            vertex_substream(seed, 1, bit_generator=philox)\n",
+        (_ROWS, _PAIR_SEEDS, _GOLDEN)),
+    Row("pair-hits-rows-are-whole-blocks", "src/riglab/model.py",
+        "philox.random_raw(4 * blocks)", "philox.random_raw(m)", (_PAIR_SEEDS, _GOLDEN)),
+    Row("trial-seeds-pack-the-trial-little-endian", "src/riglab/montecarlo.py",
+        't.to_bytes(8, "little")', 't.to_bytes(8, "big")', _SEEDS),
+    Row("trial-seeds-prefix-is-master-then-grid", "src/riglab/montecarlo.py",
+        'struct.pack("<QQ", master_seed & _MASK64, grid_index & _MASK64)',
+        'struct.pack("<QQ", grid_index & _MASK64, master_seed & _MASK64)', _SEEDS),
     Row("below-blocks-are-8192-words", "src/riglab/model.py",
         "range(0, shape[-1], _BLOCK)", "range(0, shape[-1], _BLOCK // 2)",
         (_COMPARE, "tests/test_model.py::test_object_rows_follow_independent_philox",

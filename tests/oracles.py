@@ -1,6 +1,7 @@
 """Independent reference computations used only by the test suite.
 
-Everything here is deliberately brute force: the Philox4x64-10 stream of the
+Everything here is deliberately brute force: the trial-seed hash, one
+trial at a time (``trial_seed``), the Philox4x64-10 stream of the
 sampling contract in plain integers (``philox4x64_raw``, the one reference
 for every sampler's draws, made of ``philox4x64_block``'s blocks),
 exhaustive enumeration over all bipartite outcomes, quadratic pairwise
@@ -11,7 +12,9 @@ paths can be judged against them.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations, product
@@ -55,6 +58,17 @@ def philox4x64_raw(seed: int, index: int, count: int) -> list[int]:
     for block in range(1, -(-count // 4) + 1):
         words.extend(philox4x64_block(seed, index, block))
     return words[:count]
+
+
+def trial_seed(master: int, grid: int, t: int) -> int:
+    """The seed of trial `t` at grid point `grid` under master seed `master`.
+
+    The 8-byte blake2b digest of the three indices, each reduced mod 2**64
+    and packed as a little-endian unsigned 64-bit word, read as a
+    little-endian integer.
+    """
+    payload = struct.pack("<QQQ", master % 2**64, grid % 2**64, t % 2**64)
+    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
 
 
 def pairwise_project(assignment: BipartiteAssignment) -> IntersectionGraph:

@@ -29,7 +29,7 @@ from riglab import (
 
 import riglab.model
 from riglab.model import (
-    _BLOCK, _PER_THREAD, _below, _pair_hits, _philox, _raw_limit,
+    _BLOCK, _LANE_BLOCKS, _PER_THREAD, _below, _pair_hits, _philox, _raw_limit,
 )
 from riglab.montecarlo import _BATCH_OBJECTS
 
@@ -285,20 +285,28 @@ _PAIR_SEEDS = {
     4: {"word 3": 21},
     5: {"word 3": 21, "last": 5, "past m": 11},
     17: {"word 3": 44, "last": 7, "past m": 18},
+    48: {"word 3": 57, "last": 16},
+    49: {"word 3": 57, "last": 947, "past m": 559},
     50: {"word 3": 57, "last": 559, "past m": 1125},
+    52: {"word 3": 144, "last": 559},
+    53: {"word 3": 551, "last": 440, "past m": 210},
     100: {"word 3": 7987},
     101: {"word 3": 7987, "last": 390410, "past m": 58572},
     128: {"word 3": 149126},
+    512: {},  # at p = 0.3 two rows of 512 objects share about 46
 }
 
 
 @pytest.mark.parametrize("p", [0.0, 5e-324, 0.3, 1.0])
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 17, 50, 100, 101, 128])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 17, 48, 49, 50, 52, 53, 100, 101, 128, 512])
 def test_batched_pair_trials_match_the_assignment(m, p):
     # 2000 seeds cross _pair_hits' groups of _BLOCK // ceil(m / 4) seeds at
-    # m >= 17; the first 16, the hand-picked ones among them, are also
-    # decided on the independent oracle's words, which share no code with
-    # _below or _raw_limit
+    # m >= 17; stream (seed, 0) is computed in lanes up to m = 48 and drawn
+    # row by row from m = 49, and m = 512 is the batch rule's bound.  The
+    # first 16 seeds, the hand-picked ones among them, are also decided on
+    # the independent oracle's words, which share no code with _below or
+    # _raw_limit
+    assert 4 * _LANE_BLOCKS == 48 and _BATCH_OBJECTS == 512
     params = ModelParams(2, m, p)
     seeds = [*_PAIR_SEEDS[m].values(), 0, 2**64 - 1, *(int(s) for s in np.random.default_rng(m).integers(
         0, 2**64, size=1998, dtype=np.uint64))]
@@ -324,17 +332,55 @@ def test_batched_pair_trials_match_the_assignment(m, p):
 
 def test_batched_pair_trials_stop_at_one_block():
     # the kernel serves rows of at most _BLOCK words: the batch rule's rows
-    # and rows of _BLOCK words (groups of 4 seeds) are decided as the
-    # assignment decides them, and a longer row raises
-    assert _BATCH_OBJECTS <= _BLOCK
+    # of 512 words (groups of 64 seeds) and rows of _BLOCK words (groups of
+    # 4 seeds), over 130 seeds, are decided as the assignment decides them,
+    # and a longer row raises
+    assert _BATCH_OBJECTS == 512 and _BATCH_OBJECTS <= _BLOCK
     for m in (_BATCH_OBJECTS, _BLOCK):
         params = ModelParams(2, m, 1 / math.isqrt(m))  # about 0.6 of the pairs adjacent
-        seeds = range(40)
+        seeds = range(130)
         expected = [pair_adjacent(sample_assignment(params, seed), 0, 1) for seed in seeds]
         assert list(_pair_hits(params, seeds)) == expected
         assert len(set(expected)) == 2
     with pytest.raises(ValueError):
         list(_pair_hits(ModelParams(2, _BLOCK + 1, 0.5), range(3)))
+
+
+def test_long_rows_reseat_the_threads_philox_for_stream_0_only(monkeypatch):
+    # rows of up to _LANE_BLOCKS blocks are computed in _philox lanes, with
+    # no reseat; a longer row's stream (seed, 0) is drawn from the thread's
+    # Philox, one reseat per seed in seed order, and stream (seed, 1) stays
+    # on lanes, at fewer lanes than stream 0 has blocks
+    reseats, passes = [], []
+    substream, philox = riglab.model.vertex_substream, riglab.model._philox
+
+    def recording_substream(seed, index, *, bit_generator=None):
+        reseats.append((seed, index, bit_generator is _PER_THREAD.philox))
+        return substream(seed, index, bit_generator=bit_generator)
+
+    def recording_philox(key, counter):
+        passes.append((set(key[1].tolist()), len(counter)))
+        return philox(key, counter)
+
+    monkeypatch.setattr(riglab.model, "vertex_substream", recording_substream)
+    monkeypatch.setattr(riglab.model, "_philox", recording_philox)
+    seeds = [*range(300), 2**64 - 1]
+    for m in (4 * _LANE_BLOCKS, 4 * _LANE_BLOCKS + 1):
+        params = ModelParams(2, m, 0.02)
+        reseats.clear()
+        passes.clear()
+        hits = list(_pair_hits(params, seeds))
+        kernel_reseats, kernel_passes = reseats[:], passes[:]
+        assert hits == [pair_adjacent(sample_assignment(params, seed), 0, 1) for seed in seeds]
+        assert 0 < sum(hits) < len(seeds)
+        if m <= 4 * _LANE_BLOCKS:
+            assert kernel_reseats == [] and len(kernel_passes) == 2
+            assert kernel_passes[0] == ({0}, m // 4 * len(seeds))
+            assert kernel_passes[1][0] == {1}
+        else:
+            assert kernel_reseats == [(seed, 0, True) for seed in seeds]
+            [(indices, lanes)] = kernel_passes
+            assert indices == {1} and 0 < lanes < -(-m // 4) * len(seeds)
 
 
 def test_batched_pair_trials_draw_nothing_at_p_one(monkeypatch):

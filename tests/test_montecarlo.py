@@ -44,6 +44,7 @@ from oracles import (
     enum_degree_pmf,
     gilbert_connected_prob,
     mixture_degree_pmf,
+    trial_seed,
     wilson_interval_exact,
 )
 
@@ -65,6 +66,25 @@ def test_derive_trial_seed_distinct_and_in_range():
 
 def test_derive_trial_seed_wraps_master():
     assert derive_trial_seed(2**64 + 7, 0, 0) == derive_trial_seed(7, 0, 0)
+
+
+def test_trial_seeds_match_the_oracle_across_blocks():
+    # masters of either sign and past 64 bits, several grid indices, and
+    # ranges that cross _trial_seeds' blocks of 1024 seeds, the last ending
+    # at trial index 2**64 - 1; derive_trial_seed is the one-trial call
+    rng = np.random.default_rng(39)
+    masters = [0, -1, 2**64, 2**64 + 7, -(2**70) + 3,
+               *(int(x) for x in rng.integers(-(2**62), 2**62, size=3))]
+    ranges = [(0, 0), (0, 1), (5, 1029), (1000, 3100), (2**64 - 1030, 2**64)]
+    assert riglab.montecarlo._SEED_BLOCK == 1024
+    for master in masters:
+        for grid in (0, 1, 7, 2**64 + 2):
+            for start, stop in ranges:
+                got = list(riglab.montecarlo._trial_seeds(master, grid, start, stop))
+                assert got == [trial_seed(master, grid, t) for t in range(start, stop)]
+            assert derive_trial_seed(master, grid, -1) == trial_seed(master, grid, 2**64 - 1)
+    first = islice(riglab.montecarlo._trial_seeds(5, 3, 0, 2**64), 3)
+    assert list(first) == [trial_seed(5, 3, t) for t in range(3)]
 
 
 # ------------------------------------------------------------------ intervals
@@ -284,14 +304,14 @@ def test_chunk_starts_reach_map_fn_as_one_lazy_range_per_point():
 
 def test_edge_prob_runs_straddle_the_batch_rule(monkeypatch):
     # on the calling thread a point hands the kind all its trials at once:
-    # m = 128 at 259 trials is decided by the kernel alone, in groups of
-    # _BLOCK // 32 = 256 seeds, each in two passes of one Philox lane per
-    # four-word block: all 32 blocks of stream (seed, 0), then only those of
-    # stream (seed, 1) where stream 0 attached; m = 129 is past the kernel's
-    # reach, and 63 trials are too few, so those are decided trial by trial
+    # m = 512 at 259 trials is decided by the kernel alone, in groups of
+    # _BLOCK // 128 = 64 seeds, each with stream (seed, 0) drawn row by row
+    # and one pass of Philox lanes for stream (seed, 1), at only the blocks
+    # where stream 0 attached; m = 513 is past the batch rule, and 63 trials
+    # are too few, so those are decided trial by trial
     wide = ExperimentSpec(kind="edge-prob", trials=4 * 64 + 3, master_seed=8,
-                          points=((128, 0.02), (129, 0.02)))
-    short = ExperimentSpec(kind="edge-prob", trials=63, master_seed=8, points=((128, 0.02),))
+                          points=((512, 0.02), (513, 0.02)))
+    short = ExperimentSpec(kind="edge-prob", trials=63, master_seed=8, points=((512, 0.02),))
     batches, assignments, passes = [], [], []
     pair_hits, assign = riglab.montecarlo._pair_hits, riglab.montecarlo.sample_assignment
     philox = riglab.model._philox
@@ -313,14 +333,13 @@ def test_edge_prob_runs_straddle_the_batch_rule(monkeypatch):
     monkeypatch.setattr(riglab.montecarlo, "sample_assignment", recording_assignment)
     monkeypatch.setattr(riglab.model, "_philox", recording_philox)
     wide_records = run_experiment(wide).records
-    assert batches == [(128, wide.trials)]
-    assert assignments == [129] * wide.trials
-    assert passes[0::2] == [riglab.model._BLOCK, 32 * 3]
-    assert len(passes) == 4 and 0 < passes[1] < passes[0] and 0 < passes[3] < passes[2]
+    assert batches == [(512, wide.trials)]
+    assert assignments == [513] * wide.trials
+    assert len(passes) == 5 and all(0 < lanes < 128 * 64 for lanes in passes)
     batches.clear()
     assignments.clear()
     short_records = run_experiment(short).records
-    assert (batches, assignments) == ([], [128] * short.trials)
+    assert (batches, assignments) == ([], [512] * short.trials)
     for spec, records in ((wide, wide_records), (short, short_records)):
         for g, ((params,), record) in enumerate(zip(spec.grid, records)):
             successes = sum(
