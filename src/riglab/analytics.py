@@ -38,6 +38,10 @@ _WINDOW_EXPONENT = 765.0
 # trials; the limit grows about as sqrt(trials)), and those k need not lie in
 # the window
 _PMF_OVERFLOW_BELOW = 1e-290
+# consecutive mixture terms are evaluated in one _binom_pmf call, whose boost
+# loop runs with the GIL released, while their windows hold at most this many
+# values in all; a longer window is a call of its own
+_RUN_VALUES = 8192
 DEGREE_MODEL_KINDS = ("binomial-approx", "exact-mixture")
 
 
@@ -272,6 +276,25 @@ def _binom_windows(trials: int, shares: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.where(tiny, 0, hi[0]), np.where(tiny, trials, trials - hi[1])
 
 
+def _term_runs(shares: np.ndarray, lengths: np.ndarray):
+    """Yield (first, stop) for each run of consecutive terms evaluated in one _binom_pmf call.
+
+    A run holds as many terms as fit in _RUN_VALUES values, `lengths` being
+    their window lengths, or one longer window.  A term with q below
+    _PMF_OVERFLOW_BELOW is a run of its own, so that _binom_pmf's
+    exp(logpmf) fallback is taken for exactly the terms that would take it
+    one call each.
+    """
+    start, held, alone = 0, 0, False
+    for i, (q, length) in enumerate(zip(shares.tolist(), lengths.tolist())):
+        tiny = q < _PMF_OVERFLOW_BELOW
+        if start < i and (tiny or alone or held + length > _RUN_VALUES):
+            yield start, i
+            start, held = i, 0
+        held, alone = held + length, tiny
+    yield start, len(lengths)
+
+
 def degree_pmf(n: int, m: int, p: float, kind: str) -> np.ndarray:
     """Degree law of a single vertex under one of two models, as a pmf over 0..n-1.
 
@@ -284,23 +307,33 @@ def degree_pmf(n: int, m: int, p: float, kind: str) -> np.ndarray:
     (n-1) * D(k/(n-1) || q) <= 765 (see _binom_windows): outside it the pmf is
     below e^-765, more than 2**28 times below half the smallest subnormal, so
     _binom_pmf's value there is 0.0, and the skipped w * 0.0 would leave every
-    bit of the sum as it is.
+    bit of the sum as it is.  Consecutive terms' windows are evaluated in
+    runs (see _term_runs), one _binom_pmf call per run: the pmf is
+    elementwise, so a term's values are those of a call of its own, and
+    they are added term by term in the same order.
     """
     _check_int(n, "n", 1)
     _check_int(m, "m", 1)
     p = _check_prob(p, "p")
     _require(kind in DEGREE_MODEL_KINDS, f"kind must be one of {DEGREE_MODEL_KINDS}, got {kind!r}")
     if kind == "binomial-approx":
-        weights, shares = [1.0], [q_exact(m, p)]
+        weights, shares = np.ones(1), [q_exact(m, p)]
     else:
         weights = _binom_pmf(np.arange(m + 1), m, p)
         sizes = np.flatnonzero(weights)
         weights, shares = weights[sizes], [conditional_adjacency_prob(int(s), p) for s in sizes]
-    ks = np.arange(n)
+    shares = np.asarray(shares, dtype=float)
+    los, his = _binom_windows(n - 1, shares)
+    lengths = his - los + 1
     pmf = np.zeros(n)
-    windows = _binom_windows(n - 1, np.asarray(shares, dtype=float))
-    for w, q, lo, hi in zip(weights, shares, *windows):
-        pmf[lo:hi + 1] += w * _binom_pmf(ks[lo:hi + 1], n - 1, q)
+    for first, stop in _term_runs(shares, lengths):
+        run, length = slice(first, stop), lengths[first:stop]
+        # the run's windows end to end, each term's starting at its offset
+        offsets = np.cumsum(length) - length
+        ks = np.arange(np.sum(length)) + np.repeat(los[run] - offsets, length)
+        values = _binom_pmf(ks, n - 1, np.repeat(shares[run], length))
+        # add.at adds in the order of ks, so each k takes its terms in turn
+        np.add.at(pmf, ks, np.repeat(weights[run], length) * values)
     total = float(np.sum(pmf))
     _require(
         abs(total - 1.0) <= 1e-12 and not np.any(pmf < 0.0),

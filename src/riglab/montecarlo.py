@@ -441,9 +441,10 @@ def _usable_cores() -> int:
 
 
 def _threaded_map(func, items, workers: int):
-    """Yield func(item) for each item, in order, computed on `workers` daemon threads.
+    """An iterator of func(item) for each item, in order, computed on `workers` daemon threads.
 
-    The calling thread hands out (slot, item) jobs on one queue and waits on
+    The helpers start, and take their first jobs, in this call.  The
+    calling thread hands out (slot, item) jobs on one queue and waits on
     the slots, one-shot queues of (exception or None, result), in item
     order.  Items are taken in order, and a job is added only while fewer
     than 2 * workers items are taken and not yet yielded, so any iterable
@@ -470,23 +471,33 @@ def _threaded_map(func, items, workers: int):
 
     items = iter(items)
     slots = deque()
-    try:
-        for _ in range(workers):
-            threading.Thread(target=helper, daemon=True).start()
-        while True:
-            for item in islice(items, 2 * workers - len(slots)):
-                slots.append(queue.SimpleQueue())
-                jobs.put((slots[-1], item))
-            if not slots:
-                return
-            error, result = slots.popleft().get()
-            if error is not None:
-                raise error
-            yield result
-    finally:
-        stopped = True
-        for _ in range(workers):
-            jobs.put(None)
+
+    def take() -> None:
+        for item in islice(items, 2 * workers - len(slots)):
+            slots.append(queue.SimpleQueue())
+            jobs.put((slots[-1], item))
+
+    def results():
+        nonlocal stopped
+        try:
+            for _ in range(workers):
+                threading.Thread(target=helper, daemon=True).start()
+            take()
+            yield  # the call returns here, the helpers at work
+            while slots:
+                error, result = slots.popleft().get()
+                if error is not None:
+                    raise error
+                yield result
+                take()
+        finally:
+            stopped = True
+            for _ in range(workers):
+                jobs.put(None)
+
+    started = results()
+    next(started)
+    return started
 
 
 def _estimate(spec, outcomes) -> tuple[float, float, float, float]:
@@ -512,12 +523,19 @@ def _connectivity_record(spec, point, flags) -> ConnectivityRecord:
                               float(n) ** (-alpha / 2.0), spec.trials, spec.master_seed)
 
 
-def _dist_record(spec, point, degrees) -> DegreeDistRecord:
-    """The sampled degree law of vertex 0 against both analytic models."""
+def _dist_laws(point) -> tuple:
+    """The exact-mixture and binomial-approx degree laws of a degree-dist point."""
+    n, m, p = point[0].n, point[0].m, point[0].p
+    return degree_pmf(n, m, p, "exact-mixture"), degree_pmf(n, m, p, "binomial-approx")
+
+
+def _dist_record(spec, point, degrees, laws) -> DegreeDistRecord:
+    """The sampled degree law of vertex 0 against both analytic models, the next of `laws`."""
     n, m, p = point[0].n, point[0].m, point[0].p
     empirical = np.bincount(np.fromiter(degrees, np.int64), minlength=n) / spec.trials
-    tv_mixture = total_variation(empirical, degree_pmf(n, m, p, "exact-mixture"))
-    tv_binomial = total_variation(empirical, degree_pmf(n, m, p, "binomial-approx"))
+    mixture, binomial = next(laws)
+    tv_mixture = total_variation(empirical, mixture)
+    tv_binomial = total_variation(empirical, binomial)
     pmf = tuple(float(x) for x in empirical)
     return DegreeDistRecord(n, m, p, spec.trials, tv_mixture, tv_binomial, spec.master_seed, pmf)
 
@@ -547,9 +565,11 @@ def _scaling_record(spec, point, degrees) -> DegreeScalingRecord:
 
 
 # kind: (trials function, its raw words per stream, aggregator, {spec field
-# the kind reads: (its JSON key, *shape)}).  A points shape is the ModelParams
-# arguments every point shares and the JSON keys of the rest: an edge-prob
-# point is an (m, p) pair at two vertices.
+# the kind reads: (its JSON key, *shape)}[, laws]).  A points shape is the
+# ModelParams arguments every point shares and the JSON keys of the rest: an
+# edge-prob point is an (m, p) pair at two vertices.  A kind's laws are a
+# function of a grid point alone; its aggregator takes an iterator of their
+# values, in grid order, as its `laws` argument.
 _SWEEP = {"n_values": ("n",), "alphas": ("alpha",), "m_rule": ("m_rule",)}
 _KINDS = {
     "edge-prob": (
@@ -557,7 +577,8 @@ _KINDS = {
     ),
     "connectivity-sweep": (_connected_trials, _row_words, _connectivity_record, _SWEEP),
     "degree-dist": (
-        _degree_trials, _degree_words, _dist_record, {"points": ("points", (), ("n", "m", "p"))}
+        _degree_trials, _degree_words, _dist_record, {"points": ("points", (), ("n", "m", "p"))},
+        _dist_laws,
     ),
     "degree-scaling": (_degree_trials, _degree_words, _scaling_record, {**_SWEEP, "c": ("c",)}),
 }
@@ -585,9 +606,19 @@ def run_experiment(spec: ExperimentSpec, map_fn=None) -> ExperimentResult:
     daemon helper per usable core (the process's affinity mask, as
     ``taskset`` sets it), the calling thread waiting, at most 2 * workers
     chunks in flight; every other point runs on the calling thread.
+
+    A kind with laws (degree-dist's two degree_pmf models) computes them
+    on one more daemon helper when more than one core is usable, from the
+    start of the run and up to two points ahead of the sampling, since
+    boost's pmf runs with the GIL released; else inline.  Its aggregator
+    takes them in grid order after the point's trials, so a law's error is
+    raised in its point's turn either way.
     """
-    kind_trials, words, aggregate, _ = _KINDS[spec.kind]
+    kind_trials, words, aggregate, _, *laws = _KINDS[spec.kind]
     workers = _usable_cores()
+    if laws:
+        laws_map = partial(_threaded_map, workers=1) if workers > 1 else map
+        aggregate = partial(aggregate, laws=laws_map(*laws, spec.grid))
     records = []
     for grid_index, point in enumerate(spec.grid):
         params, mapper = point[0], map_fn

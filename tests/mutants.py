@@ -61,6 +61,11 @@ _ROWS = "tests/test_model.py::test_long_rows_reseat_the_threads_philox_for_strea
 _SEEDS = ("tests/test_montecarlo.py::test_trial_seeds_match_the_oracle_across_blocks",
           "tests/test_montecarlo.py::test_derive_trial_seed_is_stable", _GOLDEN)
 _COMPARE = "tests/test_model.py::test_raw_compare_matches_the_uniform_compare_at_the_bound"
+_TINY = "tests/test_analytics.py::test_degree_pmf_keeps_a_term_below_1e_290_in_a_run_of_its_own"
+_TERM_RUNS = "tests/test_analytics.py::test_degree_pmf_evaluates_its_terms_in_runs_of_at_most_8192_values"
+_BIT_IDENTITY = "tests/test_analytics.py::test_degree_pmf_windows_change_no_bit"
+_LAW_ERROR = ("tests/test_cli.py::"
+              "test_a_law_error_on_the_laws_helper_exits_2_after_its_points_trials")
 
 ROWS = (
     Row("runner-rule-includes-8192-words", "src/riglab/montecarlo.py",
@@ -141,6 +146,32 @@ ROWS = (
         ("tests/test_montecarlo.py::test_threaded_runner_skips_the_items_queued_when_the_caller_stops",)),
     Row("below-compares-strictly", "src/riglab/model.py",
         "return draw(shape) < limit", "return draw(shape) <= limit", (_COMPARE,)),
+    Row("laws-on-a-helper-only-from-two-cores", "src/riglab/montecarlo.py",
+        "workers=1) if workers > 1 else map", "workers=1) if workers > 0 else map", (_RUNNER,)),
+    Row("laws-in-grid-order", "src/riglab/montecarlo.py",
+        "laws_map(*laws, spec.grid)", "laws_map(*laws, spec.grid[::-1])", (_GOLDEN,)),
+    Row("laws-taken-after-the-points-trials", "src/riglab/montecarlo.py",
+        """    empirical = np.bincount(np.fromiter(degrees, np.int64), minlength=n) / spec.trials
+    mixture, binomial = next(laws)
+""",
+        """    mixture, binomial = next(laws)
+    empirical = np.bincount(np.fromiter(degrees, np.int64), minlength=n) / spec.trials
+""", (_LAW_ERROR,)),
+    Row("pmf-runs-keep-a-tiny-share-alone", "src/riglab/analytics.py",
+        "tiny = q < _PMF_OVERFLOW_BELOW", "tiny = q < 0.0", (_TINY, _TERM_RUNS)),
+    Row("pmf-runs-hold-at-most-8192-values", "src/riglab/analytics.py",
+        "_RUN_VALUES = 8192", "_RUN_VALUES = 16384", (_TERM_RUNS,)),
+    Row("pmf-runs-offset-each-term", "src/riglab/analytics.py",
+        "np.repeat(los[run] - offsets, length)", "np.repeat(los[run], length)",
+        (_BIT_IDENTITY, _GOLDEN)),
+    Row("threaded-map-holds-2-per-worker", "src/riglab/montecarlo.py",
+        "islice(items, 2 * workers - len(slots))", "islice(items, 3 * workers - len(slots))",
+        ("tests/test_montecarlo.py::"
+         "test_threaded_runner_takes_2_per_worker_items_in_the_call_and_one_per_result",)),
+    Row("threaded-map-catches-base-exceptions", "src/riglab/montecarlo.py",
+        "except BaseException as exc:", "except Exception as exc:",
+        ("tests/test_montecarlo.py::"
+         "test_threaded_runner_raises_a_helpers_base_exception_in_the_caller",)),
 )
 
 

@@ -405,15 +405,16 @@ def test_degree_pmf_rejects_a_law_that_is_not_a_pmf(monkeypatch):
             degree_pmf(4, 2, 0.5, kind)
 
 
-def _full_grid_degree_pmf(n, m, p, kind):
+def _full_grid_degree_pmf(n, m, p, kind, share=conditional_adjacency_prob):
     """degree_pmf as evaluated before the windows: every term over all of 0..n-1.
 
     Each Binomial term is one scipy call over the whole grid, with exp(logpmf)
     for the whole term when that call raises OverflowError, summed in the same
-    order.  It shares q_exact and conditional_adjacency_prob with degree_pmf,
-    so it checks the windows, not the law (oracles.mixture_degree_pmf does).
-    Its terms come from the public scipy.stats.binom, so it also checks
-    degree_pmf's direct boost ufunc call against the wrapper it reproduces.
+    order.  It shares q_exact and conditional_adjacency_prob (or the `share`
+    a test puts in its place) with degree_pmf, so it checks the windows and
+    the runs, not the law (oracles.mixture_degree_pmf does).  Its terms come
+    from the public scipy.stats.binom, so it also checks degree_pmf's direct
+    boost ufunc call against the wrapper it reproduces.
     """
     from scipy.stats import binom
 
@@ -429,7 +430,7 @@ def _full_grid_degree_pmf(n, m, p, kind):
     total = np.zeros(n)
     for s, w in enumerate(pmf(np.arange(m + 1), m, p)):
         if w != 0.0:
-            total += w * pmf(ks, n - 1, conditional_adjacency_prob(s, p))
+            total += w * pmf(ks, n - 1, share(s, p))
     return total
 
 
@@ -445,6 +446,9 @@ def _bit_identity_points():
         (1, 2, 1.1125369292536007e-308), (8, 5, 1e-307), (300, 40000, 1e-306),
         # q_exact near 1e-305, where the full grid raises only outside the window
         (588, 414, 1.2875991074229838e-154), (294, 334, 4.873346716487289e-155),
+        # windows of 67484 values in 41 terms, so eleven runs of up to 8192;
+        # then windows of 9367 and 9403 values, each longer than a run
+        (40000, 40, 0.3), (60000, 2, 0.6),
     ]
     rng = np.random.default_rng(20261019)
     for _ in range(100):
@@ -458,6 +462,56 @@ def test_degree_pmf_windows_change_no_bit(kind):
     for n, m, p in _bit_identity_points():
         expected = _full_grid_degree_pmf(n, m, p, kind)
         assert np.array_equal(degree_pmf(n, m, p, kind), expected), (n, m, p)
+
+
+def test_degree_pmf_keeps_a_term_below_1e_290_in_a_run_of_its_own(monkeypatch):
+    # no exact mixture has a term with q below 1e-290 beside ordinary ones
+    # (such q needs p so small that only s = 0 and s = 1 carry weight), so
+    # every odd s is given q = 1e-306 here, where scipy's pmf raises
+    # OverflowError at 49 and 1999 trials.  Its exp(logpmf) fallback must
+    # then be taken for that term alone, as one call per term takes it
+    def share(s, p):
+        return 1e-306 if s % 2 else conditional_adjacency_prob(s, p)
+
+    monkeypatch.setattr(analytics, "conditional_adjacency_prob", share)
+    for n, m, p in [(50, 6, 0.5), (2000, 9, 0.3)]:
+        expected = _full_grid_degree_pmf(n, m, p, "exact-mixture", share)
+        assert np.array_equal(degree_pmf(n, m, p, "exact-mixture"), expected), (n, m, p)
+
+
+def test_degree_pmf_evaluates_its_terms_in_runs_of_at_most_8192_values(monkeypatch):
+    # the runs of one _binom_pmf call each split the terms' windows, in
+    # order, into groups of at most 8192 values, or one longer window; a
+    # group ends only where the next window would not fit, or at a term
+    # with q below 1e-290, which is a group of its own
+    original, lengths = analytics._binom_pmf, []
+
+    def spy(k, trials, p):
+        lengths.append(len(k))
+        return original(k, trials, p)
+
+    monkeypatch.setattr(analytics, "_binom_pmf", spy)
+    for n, m, p in [(40000, 40, 0.3), (60000, 2, 0.6), (2000, 2000, 0.02), (4000, 1000, 0.05)]:
+        weights = original(np.arange(m + 1), m, p)
+        shares = np.array([conditional_adjacency_prob(int(s), p) for s in np.flatnonzero(weights)])
+        lo, hi = analytics._binom_windows(n - 1, shares)
+        sizes, alone = (hi - lo + 1).tolist(), (shares < 1e-290).tolist()
+        lengths.clear()
+        degree_pmf(n, m, p, "exact-mixture")
+        groups, term = [], 0
+        for length in lengths[1:]:  # the first call is the weights'
+            group = [term]
+            while sum(sizes[i] for i in group) < length:
+                group.append(group[-1] + 1)
+            assert sum(sizes[i] for i in group) == length, (n, m, p)
+            assert length <= 8192 or len(group) == 1, (n, m, p)
+            assert len(group) == 1 or not any(alone[i] for i in group), (n, m, p)
+            groups.append(group)
+            term = group[-1] + 1
+        assert term == len(sizes), (n, m, p)
+        for group, following in zip(groups, groups[1:]):
+            if not alone[group[-1]] and not alone[following[0]]:
+                assert sum(sizes[i] for i in group) + sizes[following[0]] > 8192, (n, m, p)
 
 
 def test_binomial_windows_hold_every_nonzero_pmf():

@@ -476,6 +476,40 @@ def test_trial_error_on_a_helper_thread_exits_2(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.glob("x.*"))
 
 
+def test_a_law_error_on_the_laws_helper_exits_2_after_its_points_trials(
+        tmp_path, monkeypatch, capsys):
+    # halving every binomial term leaves laws that do not sum to 1.  With two
+    # usable cores the laws run on their helper from the start of the run,
+    # and point 0's error is raised in its turn, after its trials
+    original, sample_degree = riglab.analytics._binom_pmf, riglab.montecarlo.sample_degree
+    threads, sampled = set(), []
+
+    def halved(k, trials, p):
+        threads.add(threading.current_thread())
+        return 0.5 * original(k, trials, p)
+
+    def counted(params, seed):
+        sampled.append(params.n)
+        return sample_degree(params, seed)
+
+    monkeypatch.setattr(riglab.analytics, "_binom_pmf", halved)
+    monkeypatch.setattr(riglab.montecarlo, "sample_degree", counted)
+    monkeypatch.setattr(riglab.montecarlo, "_usable_cores", lambda: 2)
+    payload = {"kind": "degree-dist", "trials": 200, "master_seed": 3,
+               "points": [{"n": 5, "m": 3, "p": 0.4}, {"n": 6, "m": 2, "p": 0.5}]}
+    message = r"pmf must be nonnegative and sum to 1, got sum=0\.2\d*"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        riglab.montecarlo.run_experiment(riglab.montecarlo.ExperimentSpec.from_dict(payload))
+    assert sampled == [5] * 200
+    assert threads and threading.main_thread() not in threads
+    spec_path = _write_spec(tmp_path, payload)
+    code, out, err = run_cli(
+        ["degree-dist", "--spec", spec_path, "--out", str(tmp_path / "x")], capsys
+    )
+    assert (code, out) == (2, "") and re.fullmatch(f"error: {message}\n", err)
+    assert not list(tmp_path.glob("x.*"))
+
+
 def test_interrupt_exits_130_without_a_report(tmp_path, monkeypatch, capsys):
     def interrupted(spec):
         raise KeyboardInterrupt

@@ -28,7 +28,8 @@ CASES = {
          "points": [{"m": 1, "p": 0}, {"m": 3, "p": 1}, {"m": 4, "p": 0.3},
                     {"m": 20, "p": 0.05}]},
     ),
-    # 300 trials: m = 1 and m = 64 are decided by the batched kernel, m = 65 trial by trial
+    # 300 trials, all on the batched kernel: m = 1 on its Philox lanes, m = 64 and
+    # m = 65 on its C rows
     "edge-prob-batched": (
         "sweep",
         {"kind": "edge-prob", "trials": 300, "master_seed": 14,

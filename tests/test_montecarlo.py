@@ -438,6 +438,24 @@ def test_threaded_runner_skips_the_items_queued_when_the_caller_stops():
     assert 0 in ran and 3 not in ran
 
 
+def test_threaded_runner_takes_2_per_worker_items_in_the_call_and_one_per_result():
+    # the helpers start in the call, holding 2 * workers items, and each
+    # result taken lets one more in, so at most 2 * workers are in flight
+    for workers in (1, 2, 3):
+        taken = []
+
+        def items():
+            for i in range(20):
+                taken.append(i)
+                yield i
+
+        runner = riglab.montecarlo._threaded_map(lambda i: i, items(), workers)
+        assert len(taken) == 2 * workers
+        assert next(runner) == 0 and len(taken) == 2 * workers
+        assert next(runner) == 1 and len(taken) == 2 * workers + 1
+        assert list(runner) == list(range(2, 20))
+
+
 def test_no_list_of_starts_or_seeds_is_built_even_at_2_to_the_64_trials(monkeypatch):
     spec = ExperimentSpec(kind="edge-prob", trials=2**64, master_seed=8, points=((1, 0.5),))
     (params,) = spec.grid[0]
@@ -501,16 +519,26 @@ def test_the_default_runner_threads_a_point_from_8192_words_per_stream(case, mon
     calls, threaded_map = [], riglab.montecarlo._threaded_map
 
     def spy(func, items, workers):
-        calls.append(workers)
+        calls.append((func, workers))
         return threaded_map(func, items, workers)
 
+    def named(calls):
+        laws = riglab.montecarlo._dist_laws
+        return [("laws" if func is laws else "chunks", workers) for func, workers in calls]
+
+    # degree-dist's laws go to one helper of their own whenever two cores are
+    # usable, whether or not its points' trials do
+    laws = [("laws", 1)] if fields["kind"] == "degree-dist" else []
     monkeypatch.setattr(riglab.montecarlo, "_threaded_map", spy)
     monkeypatch.setattr(riglab.montecarlo, "_usable_cores", lambda: 2)
     records = run_experiment(spec).records
-    assert calls == ([2] if threaded else [])
-    # a given map, or a single usable core, keeps every point off the helpers
+    assert named(calls) == laws + ([("chunks", 2)] if threaded else [])
+    # a given map keeps every point's trials off the helpers, and a single
+    # usable core keeps the laws off them too
     calls.clear()
     assert run_experiment(spec, map_fn=map).records == records
+    assert named(calls) == laws
+    calls.clear()
     monkeypatch.setattr(riglab.montecarlo, "_usable_cores", lambda: 1)
     assert run_experiment(spec).records == records
     assert calls == []
