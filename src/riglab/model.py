@@ -20,8 +20,11 @@ and holds the compare that decides them all, one byte per word, so a
 point too large to hold its decisions fails with MemoryError before
 drawing.
 One routine, ``_rows_connected``, reads connectivity off such rows, or an
-assignment's sets, on numpy alone.  It stops at the first vertex with no
-objects (that vertex is isolated), so ``sample_connected`` draws no row after it.
+assignment's sets, on numpy alone, and stops at the first vertex with no
+objects (that vertex is isolated).  ``sample_connected`` also marks the
+objects its rows own: once the vertices drawn own every object and form one
+component, a later vertex joins it exactly when its row is nonempty, so each
+later row is read only up to its first word below p.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -504,22 +507,22 @@ def project(assignment: BipartiteAssignment) -> IntersectionGraph:
     return _unchecked(IntersectionGraph, n=assignment.params.n, edges=frozenset(edges))
 
 
-def _rows_connected(params: ModelParams, rows) -> bool:
-    """True when the vertex-object graph of these object rows joins all n vertices.
+def _rows_connected(n: int, m: int, rows) -> bool:
+    """True when the vertex-object graph of n object rows, objects in [0, m), joins all n vertices.
 
     `rows` gives each vertex's objects in vertex order, as the arrays of
     ``_object_rows`` or the tuples of ``BipartiteAssignment.sets``, read
     lazily: when n > 1 an empty row is an isolated vertex, so the answer is
-    False and no later row is read.  Otherwise vertex v is node v and object
-    w is node n + w, and the components are found by hooking and pointer
-    jumping (Shiloach and Vishkin, 1982).  Each node's label is a node of its
-    component no larger than itself, so the labels form a forest whose roots
-    label themselves.  A round hooks, for each edge, the larger of its two
-    ends' roots onto the smaller, then jumps every label to its root; the
-    rounds stop when every edge joins a single root.  The graph is connected
-    exactly when every vertex's root is node 0.
+    False and no later row is read.  They may be a sample's first n rows, to
+    ask whether the vertices drawn so far are joined.  Otherwise vertex v is
+    node v and object w is node n + w, and the components are found by
+    hooking and pointer jumping (Shiloach and Vishkin, 1982).  Each node's
+    label is a node of its component no larger than itself, so the labels
+    form a forest whose roots label themselves.  A round hooks, for each
+    edge, the larger of its two ends' roots onto the smaller, then jumps
+    every label to its root; the rounds stop when every edge joins a single
+    root.  The graph is connected exactly when every vertex's root is node 0.
     """
-    n, m = params.n, params.m
     kept = []
     for row in rows:
         if not len(row) and n > 1:
@@ -549,12 +552,44 @@ def is_connected(assignment: BipartiteAssignment) -> bool:
     is a component of its own and disconnects nothing, while a vertex with
     no objects is isolated.  n=1 counts as connected.
     """
-    return _rows_connected(assignment.params, assignment.sets)
+    return _rows_connected(assignment.params.n, assignment.params.m, assignment.sets)
 
 
 def sample_connected(params: ModelParams, seed: int) -> bool:
-    """is_connected(sample_assignment(params, seed)), drawn up to the first isolated vertex only."""
-    return _rows_connected(params, _object_rows(params, seed))
+    """is_connected(sample_assignment(params, seed)), reading only the raw words the answer needs.
+
+    Rows come from ``_object_rows`` in vertex order, and when n > 1 the first
+    empty one answers False.  Every 8 rows it asks whether the rows drawn own
+    every object.  If so, and ``_rows_connected`` finds those vertices joined,
+    every object lies in their one component, so a later vertex joins it
+    exactly when its row is nonempty: its stream ``(seed, v)`` is read, in
+    steps of about 2/p words, only up to its first word below p, and a row
+    with none answers False.  Otherwise the same rows go on into
+    ``_rows_connected``.  Each vertex is reseated once, in order, and every
+    word read decides what it decides in ``sample_assignment``.
+    """
+    n, m, limit = params.n, params.m, _raw_limit(params.p)
+    rows, kept, owned = _object_rows(params, seed), [], np.zeros(m, dtype=bool)
+    for row in rows:
+        if not len(row) and n > 1:
+            return False
+        kept.append(row)
+        owned[row] = True
+        if len(kept) % 8 == 0 and owned.all():
+            break
+    else:
+        return _rows_connected(n, m, kept)
+    if not _rows_connected(len(kept), m, kept):
+        return _rows_connected(n, m, chain(kept, rows))
+    philox, step = _PER_THREAD.philox, int(min(m, _BLOCK, 2 / params.p))
+    for v in range(len(kept), n):
+        vertex_substream(seed, v, bit_generator=philox)
+        for start in range(0, m, step):
+            if np.count_nonzero(_below(philox.random_raw, (min(step, m - start),), limit)):
+                break
+        else:
+            return False
+    return True
 
 
 def _rig_text(params: ModelParams, seed: int, body_lines) -> str:

@@ -9,7 +9,8 @@ occurs once in it, the ``new`` text that replaces it, and the tests, as
 ``path::function``, that must fail on the result.  For each row, src/,
 tests/ and pyproject.toml are copied into a temporary directory, the row is
 applied there, and pytest runs the row's tests against that copy.  The
-working tree is never edited.
+working tree is never edited.  The rows run on one worker thread per usable
+core, each driving its own pytest subprocess, and are reported in row order.
 
 A row is reported as:
 
@@ -29,6 +30,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 from xml.etree import ElementTree
@@ -64,6 +66,12 @@ _COMPARE = "tests/test_model.py::test_raw_compare_matches_the_uniform_compare_at
 _TINY = "tests/test_analytics.py::test_degree_pmf_keeps_a_term_below_1e_290_in_a_run_of_its_own"
 _TERM_RUNS = "tests/test_analytics.py::test_degree_pmf_evaluates_its_terms_in_runs_of_at_most_8192_values"
 _BIT_IDENTITY = "tests/test_analytics.py::test_degree_pmf_windows_change_no_bit"
+_JOINED = ("tests/test_model.py::"
+           "test_sample_connected_reads_later_rows_to_their_first_attachment_once_joined")
+_LATER_EMPTY = "tests/test_model.py::test_sample_connected_answers_false_at_an_empty_later_row"
+_SPLIT = ("tests/test_model.py::"
+          "test_sample_connected_goes_on_with_full_rows_when_the_owning_rows_are_split")
+_DENSE = "tests/test_model.py::test_sample_connected_raw_words_at_the_dense_workload_point"
 _LAW_ERROR = ("tests/test_cli.py::"
               "test_a_law_error_on_the_laws_helper_exits_2_after_its_points_trials")
 
@@ -91,8 +99,24 @@ ROWS = (
     Row("a-file-in-the-way-is-not-removed", "src/riglab/montecarlo.py",
         "                    fresh.pop()\n", "                    pass\n", (_IN_THE_WAY,)),
     Row("rows-connected-stops-at-an-isolated-vertex", "src/riglab/model.py",
-        "        if not len(row) and n > 1:\n            return False\n", "",
+        "    kept = []\n    for row in rows:\n        if not len(row) and n > 1:\n            return False\n",
+        "    kept = []\n    for row in rows:\n", (_SPLIT,)),
+    Row("sample-connected-stops-at-an-isolated-vertex", "src/riglab/model.py",
+        "            return False\n        kept.append(row)\n        owned[row] = True\n",
+        "            pass\n        kept.append(row)\n        owned[row] = True\n",
         ("tests/test_montecarlo.py::test_sample_connected_stops_at_the_first_isolated_vertex",)),
+    Row("later-rows-reseat-their-own-stream", "src/riglab/model.py",
+        "range(len(kept), n):\n        vertex_substream(seed, v,",
+        "range(len(kept), n):\n        vertex_substream(seed, v + 1,", (_JOINED, _LATER_EMPTY, _DENSE)),
+    Row("an-empty-later-row-is-isolated", "src/riglab/model.py",
+        "        else:\n            return False\n    return True\n",
+        "        else:\n            return True\n    return True\n", (_LATER_EMPTY,)),
+    Row("owning-rows-are-labelled-before-the-later-reads", "src/riglab/model.py",
+        "    if not _rows_connected(len(kept), m, kept):\n        return _rows_connected(n, m, chain(kept, rows))\n",
+        "", (_JOINED, _SPLIT)),
+    Row("later-rows-read-past-their-first-step", "src/riglab/model.py",
+        "for start in range(0, m, step):", "for start in range(0, min(m, step), step):",
+        (_JOINED, _DENSE)),
     Row("wilson-z-is-the-exact-quantile", "src/riglab/montecarlo.py",
         "_Z95 = 1.959963984540054", "_Z95 = 1.96",
         ("tests/test_montecarlo.py::test_wilson_interval_matches_the_exact_interval_within_32_ulp",)),
@@ -214,11 +238,14 @@ def run_row(row: Row) -> tuple[str, str]:
 
 
 def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    from riglab.montecarlo import _usable_cores
+
     bad = 0
-    for row in ROWS:
-        status, why = run_row(row)
-        print(f"{status:8} {row.name}" + (f": {why}" if why else ""), flush=True)
-        bad += status != "killed"
+    with ThreadPoolExecutor(min(_usable_cores(), len(ROWS))) as pool:
+        for row, (status, why) in zip(ROWS, pool.map(run_row, ROWS)):
+            print(f"{status:8} {row.name}" + (f": {why}" if why else ""), flush=True)
+            bad += status != "killed"
     return 1 if bad else 0
 
 

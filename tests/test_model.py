@@ -31,7 +31,7 @@ import riglab.model
 from riglab.model import (
     _BLOCK, _LANE_BLOCKS, _PER_THREAD, _below, _pair_hits, _philox, _raw_limit,
 )
-from riglab.montecarlo import _BATCH_OBJECTS
+from riglab.montecarlo import _BATCH_OBJECTS, derive_trial_seed
 
 from oracles import pairwise_project, philox4x64_block, philox4x64_raw, reachability_connected
 
@@ -562,6 +562,140 @@ def test_connectivity_near_the_threshold_without_isolated_vertices():
             split += not connected
             joined += connected
     assert split >= 25 and joined >= 100, (split, joined)
+
+
+def _read_connected(monkeypatch, params, seed):
+    """sample_connected's answer, (vertex, raw words read) per reseat, each labelling's n, the sets.
+
+    The reseats are listed in order.  The answer is checked against
+    ``is_connected`` of the sampled assignment, whose object sets are returned.
+    """
+    assignment = sample_assignment(params, seed)
+    reads, labelled = [], []
+    reseat, below, label = (
+        riglab.model.vertex_substream, riglab.model._below, riglab.model._rows_connected)
+
+    def reseating(seed, index, **kwargs):
+        reads.append([index, 0])
+        return reseat(seed, index, **kwargs)
+
+    def reading(draw, shape, limit):
+        reads[-1][1] += shape[-1]
+        return below(draw, shape, limit)
+
+    def labelling(n, m, rows):
+        labelled.append(n)
+        return label(n, m, rows)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(riglab.model, "vertex_substream", reseating)
+        patch.setattr(riglab.model, "_below", reading)
+        patch.setattr(riglab.model, "_rows_connected", labelling)
+        answer = sample_connected(params, seed)
+    assert answer == is_connected(assignment)
+    return answer, [tuple(read) for read in reads], labelled, assignment.sets
+
+
+def _later_reads(params, sets, owned_at):
+    """[vertex, words] per vertex read once the first `owned_at` rows own every object and are joined.
+
+    Those rows are read in full; each later row in steps of int(2/p) words,
+    capped at m, up to the step holding its first attachment, and an empty
+    row, read in full, is the last one read.
+    """
+    m = params.m
+    step = int(min(m, _BLOCK, 2 / params.p))
+    reads = []
+    for v, objects in enumerate(sets):
+        first = objects[0] if objects else m - 1
+        reads.append((v, m if v < owned_at else min(m, (first // step + 1) * step)))
+        if not objects:
+            break
+    return reads
+
+
+def _owned_at(params, sets):
+    """The first multiple of 8 rows that own every object, or None."""
+    owned = set()
+    for v, objects in enumerate(sets, 1):
+        owned.update(objects)
+        if v % 8 == 0 and len(owned) == params.m:
+            return v
+    return None
+
+
+def test_sample_connected_reads_later_rows_to_their_first_attachment_once_joined(monkeypatch):
+    # at n = m = 400 and alpha = 0.3, p is about 0.0203, so rows are read in
+    # 98-word steps once every object is owned, after about (ln m)/p = 295 rows
+    params = ModelParams(400, 400, 400 ** -0.65)
+    joined = 0
+    for seed in range(10):
+        answer, reads, labelled, sets = _read_connected(monkeypatch, params, seed)
+        owned_at = _owned_at(params, sets)
+        if owned_at is not None and all(sets[:owned_at]):
+            assert labelled == [owned_at]  # the rows that own every object are joined
+            assert reads == _later_reads(params, sets, owned_at)
+            joined += answer
+    assert joined >= 7
+
+
+def test_sample_connected_answers_false_at_an_empty_later_row(monkeypatch):
+    # m = 4 and p = 0.7: every object is owned within 8 rows, the rows are
+    # joined, and 1 row in 123 is empty; later rows are read 2 words at a time
+    params = ModelParams(300, 4, 0.7)
+    stopped = 0
+    for seed in range(10):
+        answer, reads, labelled, sets = _read_connected(monkeypatch, params, seed)
+        first_empty = next((v for v, objects in enumerate(sets) if not objects), params.n)
+        if labelled == [8] and 8 <= first_empty < params.n:
+            assert answer is False
+            assert reads == _later_reads(params, sets, 8)
+            stopped += 1
+    assert stopped >= 7
+
+
+def test_sample_connected_goes_on_with_full_rows_when_the_owning_rows_are_split(monkeypatch):
+    # m = 2 and p = 0.5: 1 seed in about 256 has its first 8 rows each holding
+    # one object, both objects owned, so those vertices form two components
+    # and later rows are read in full, up to the first empty one
+    params = ModelParams(12, 2, 0.5)
+    seeds = [s for s in range(2000)
+             if set(sample_assignment(ModelParams(8, 2, 0.5), s).sets) == {(0,), (1,)}]
+    outcomes = set()
+    for seed in seeds:
+        answer, reads, labelled, sets = _read_connected(monkeypatch, params, seed)
+        first_empty = next((v for v, objects in enumerate(sets) if not objects), None)
+        assert labelled == [8, params.n]
+        last = params.n - 1 if first_empty is None else first_empty
+        assert reads == [(v, 2) for v in range(last + 1)]
+        outcomes.add((answer, first_empty is None))
+    assert len(seeds) >= 5
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_sample_connected_reads_full_rows_while_some_object_is_unowned(monkeypatch):
+    # 20 rows of about 20 objects each leave about a third of m = 400 unowned
+    params = ModelParams(20, 400, 0.05)
+    connected = 0
+    for seed in range(5):
+        answer, reads, labelled, sets = _read_connected(monkeypatch, params, seed)
+        assert _owned_at(params, sets) is None
+        assert labelled == [params.n]
+        assert reads == [(v, 400) for v in range(params.n)]
+        connected += answer
+    assert connected == 5
+
+
+@pytest.mark.parametrize(("trial", "words"), [(0, 1_460_642), (1, 1_515_002)])
+def test_sample_connected_raw_words_at_the_dense_workload_point(monkeypatch, trial, words):
+    # n = m = 1600, alpha = 0.3: the words read are a pure function of the
+    # seed; drawing every row would read n * m = 2 560 000
+    params = ModelParams(1600, 1600, 1600 ** -0.65)
+    seed = derive_trial_seed(0, 3, trial)
+    answer, reads, _, _ = _read_connected(monkeypatch, params, seed)
+    assert answer is True
+    assert [v for v, _ in reads] == list(range(params.n))
+    assert sum(count for _, count in reads) == words < params.n * params.m
 
 
 # ------------------------------------------------------------------- formats

@@ -656,6 +656,54 @@ def test_connectivity_sweep_agrees_with_exact_probability():
     assert misses <= limit
 
 
+def _no_isolated_law(n, m, p):
+    """(1 - (1 - p)^m)^n: each row is its own stream, so this is P(no vertex has an empty row)."""
+    return (-math.expm1(m * math.log1p(-p))) ** n
+
+
+def test_no_isolated_vertex_frequency_matches_the_exact_law_up_to_n_1600():
+    # At p = ln(n)/m the law is about 1/e.  Each point's 95% Wilson interval
+    # misses it with probability at most 0.07 (checked below, summed over the
+    # law of the count), so the misses are bounded by Binomial(7, 0.07) and
+    # exceed `limit` with probability below 1e-3.  Rows are read from
+    # _object_rows up to the first empty one; n = 1600 gets fewer trials.
+    points = ((100, 100, 300), (100, 25, 300), (400, 400, 150), (400, 100, 150),
+              (200, 1600, 80), (1600, 200, 40), (1600, 1600, 20))
+    misses = 0
+    for grid, (n, m, trials) in enumerate(points):
+        params = ModelParams(n, m, math.log(n) / m)
+        law = _no_isolated_law(n, m, params.p)
+        outside = [not low <= law <= high
+                   for low, high in (wilson_interval(k, trials) for k in range(trials + 1))]
+        assert stats.binom.pmf(np.arange(trials + 1), trials, law)[outside].sum() <= 0.07
+        seeds = (derive_trial_seed(25, grid, t) for t in range(trials))
+        hits = sum(all(map(len, riglab.model._object_rows(params, seed))) for seed in seeds)
+        low, high = wilson_interval(hits, trials)
+        misses += not low <= law <= high
+    limit = next(k for k in range(len(points)) if binom_tail(len(points), 0.07, k + 1, "upper") < 1e-3)
+    assert misses <= limit
+
+
+def test_connected_fraction_crosses_the_threshold_on_p_c_log_n_over_n():
+    # m = n and p = c ln(n)/n.  P(connected) is at most the no-isolated-vertex
+    # law, which is 0.021, 0.0026 and 1e-4 at c = 0.7 and n = 100, 400, 1600.
+    # At c = 1.5 the law is 0.925, 0.956 and 0.976, and P(connected) is taken
+    # to be within 0.05 of it (5650 trials on master seed 987654321 found no
+    # graph split without an isolated vertex).  Each count is checked against
+    # the binomial law at that bound, as a tail of probability at least 1e-4.
+    alpha = 1e-4
+    for grid, (n, trials) in enumerate(((100, 200), (400, 100), (1600, 30))):
+        for offset, c in enumerate((1.5, 0.7)):
+            params = ModelParams(n, n, c * math.log(n) / n)
+            law = _no_isolated_law(n, n, params.p)
+            seeds = (derive_trial_seed(41, 2 * grid + offset, t) for t in range(trials))
+            connected = sum(sample_connected(params, seed) for seed in seeds)
+            if c > 1:  # P(count <= connected) at law - 0.05
+                assert binom_tail(trials, law - 0.05, connected, "lower") >= alpha, (n, connected)
+            else:  # P(count >= connected) at the law
+                assert 1 - binom_tail(trials, law, connected - 1, "lower") >= alpha, (n, connected)
+
+
 # ---------------------------------------------------------------- degree dist
 
 def test_degree_dist_tracks_exact_mixture_not_binomial():
